@@ -18,9 +18,12 @@ from ntnsim.geometry import (
     OrbitSpec,
     beam_doppler_profile,
     differential_delay,
+    doppler_hz,
     geometry_sample,
+    geometry_samples,
     overhead_pass_orbit,
     propagate,
+    propagate_many,
     satellite_state_over,
     slant_range,
     visibility_duration,
@@ -72,13 +75,9 @@ def main():
 
     obs = GroundPosition(0.0, 0.0)
     orbit = overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 150.0, obs, overhead_at_s=3000.0)
-    max_ppm = max(
-        abs(geometry_sample(propagate(orbit, t), obs, FC).range_rate_km_s)
-        / SPEED_OF_LIGHT_KM_S
-        * 1e6
-        for t in np.arange(2400.0, 3600.0, 1.0)
-        if geometry_sample(propagate(orbit, t), obs, FC).elevation_deg >= 10.0
-    )
+    pass_t = np.arange(2400.0, 3600.0, 1.0)
+    elevation, _, rr = geometry_samples(*propagate_many(orbit, pass_t), obs)
+    max_ppm = float(np.abs(rr[elevation >= 10.0]).max()) / SPEED_OF_LIGHT_KM_S * 1e6
     print(f"LEO600 max Doppler over a 10-deg retrograde pass: {max_ppm:.1f} ppm "
           f"({max_ppm * 1e-6 * FC / 1e3:.1f} kHz at 2 GHz), delay drift {max_ppm:.1f} us/s")
     print(f"LEO600 visibility above 10 deg: "
@@ -86,10 +85,9 @@ def main():
 
     geo_i10 = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS, inclination_deg=10.0)
     stockholm = GroundPosition(59.0, 0.0)
-    peak = max(
-        abs(geometry_sample(propagate(geo_i10, t), stockholm, FC).doppler_hz)
-        for t in np.arange(0.0, SIDEREAL_DAY_S, 60.0)
-    )
+    day_t = np.arange(0.0, SIDEREAL_DAY_S, 60.0)
+    _, _, rr = geometry_samples(*propagate_many(geo_i10, day_t), stockholm)
+    peak = float(np.abs(doppler_hz(rr, FC)).max())
     print(f"Inclined GEO (i=10 deg, 59N observer) peak Doppler: {peak:.0f} Hz")
 
     sat = satellite_state_over(obs, 600.0)

@@ -27,9 +27,12 @@ from .geometry import (
     OrbitKind,
     beam_doppler_profile,
     differential_delay,
+    doppler_hz,
     geometry_sample,
+    geometry_samples,
     overhead_pass_orbit,
     propagate,
+    propagate_many,
     satellite_state_over,
     slant_range,
     visibility_duration,
@@ -142,23 +145,20 @@ def cmd_geometry(config: ScenarioConfig, args) -> int:
         rows.append([idx, orbit_cfg.kind, "rtt_min_ms", rtt_min])
         rows.append([idx, orbit_cfg.kind, "rtt_max_ms", rtt_max])
 
-        max_rr = 0.0
         if orbit.kind is OrbitKind.GEOSYNCHRONOUS:
-            obs = _observer(config)
-            for t in np.arange(orbit.epoch_s, orbit.epoch_s + SIDEREAL_DAY_S, 60.0):
-                sample = geometry_sample(propagate(orbit, t), obs, fc)
-                max_rr = max(max_rr, abs(sample.range_rate_km_s))
+            t = np.arange(orbit.epoch_s, orbit.epoch_s + SIDEREAL_DAY_S, 60.0)
+            _, _, rr = geometry_samples(*propagate_many(orbit, t), _observer(config))
             visibility = math.inf
         else:
             equator = GroundPosition(0.0, 0.0)
             pass_orbit = overhead_pass_orbit(
                 orbit.kind, alt, orbit_cfg.inclination_deg, equator, overhead_at_s=3000.0
             )
-            for t in np.arange(2000.0, 4000.0, 1.0):
-                sample = geometry_sample(propagate(pass_orbit, t), equator, fc)
-                if sample.elevation_deg >= min_el:
-                    max_rr = max(max_rr, abs(sample.range_rate_km_s))
+            t = np.arange(2000.0, 4000.0, 1.0)
+            elevation, _, rr = geometry_samples(*propagate_many(pass_orbit, t), equator)
+            rr = rr[elevation >= min_el]
             visibility = visibility_duration(pass_orbit, equator, min_el)
+        max_rr = float(np.abs(rr).max(initial=0.0))
         ppm = max_rr / SPEED_OF_LIGHT_KM_S * 1e6
         rows.append([idx, orbit_cfg.kind, "max_doppler_ppm", ppm])
         rows.append([idx, orbit_cfg.kind, "max_doppler_hz", ppm * 1e-6 * fc])
@@ -187,10 +187,9 @@ def cmd_doppler_trace(config: ScenarioConfig, args) -> int:
         if orbit.kind is not OrbitKind.GEOSYNCHRONOUS:
             raise ConfigError(["config.constellation[0]: inclined_geo mode needs a geosynchronous orbit"])
         obs = _observer(config)
-        rows = []
-        for t in np.arange(0.0, SIDEREAL_DAY_S + 1.0, 60.0):
-            sample = geometry_sample(propagate(orbit, orbit.epoch_s + t), obs, fc)
-            rows.append([float(t), sample.doppler_hz])
+        t = np.arange(0.0, SIDEREAL_DAY_S + 1.0, 60.0)
+        _, _, rr = geometry_samples(*propagate_many(orbit, orbit.epoch_s + t), obs)
+        rows = [list(row) for row in zip(t.tolist(), doppler_hz(rr, fc).tolist())]
         _emit(args, "doppler_trace_inclined_geo", ["time_of_day_s", "doppler_hz"], rows)
     else:
         if not config.beams:
@@ -273,6 +272,13 @@ def cmd_rank_cells(config: ScenarioConfig, args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ntnsim",
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--format", choices=("csv", "text"), default="text")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent seeds (simulate)")
+        p.add_argument("--jobs", type=_positive_int, default=1, help="concurrent seeds (simulate)")
         if name == "doppler-trace":
             p.add_argument(
                 "--mode", choices=("inclined_geo", "beam_profile"), default="inclined_geo"

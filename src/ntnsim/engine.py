@@ -12,16 +12,22 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import ScenarioConfig
 from .constants import SPEED_OF_LIGHT_KM_S, SPEED_OF_LIGHT_M_S
 from .errors import ConfigError, DomainError
-from .events import EventKind, SimEvent, Simulator, ms_to_us, us_to_ms
-from .geometry import (
+from .events import EventKind, Simulator, ms_to_us, us_to_ms
+# geometry_sample and propagate stay importable from this module (unused
+# here): perfbench/tracing.py patches them to count scalar geometry calls.
+from .geometry import (  # noqa: F401
     GroundPosition,
     OrbitKind,
     OrbitSpec,
     geometry_sample,
+    geometry_samples,
     propagate,
+    propagate_many,
     slant_range,
 )
 from .linkbudget import LinkBudgetParams, fspl, snr
@@ -47,29 +53,6 @@ def repetition_gain_db(repetitions: int) -> float:
 def reception_ok(snr_db: float, repetitions: int, threshold_db: float) -> bool:
     """Hard-threshold reception model (boundary inclusive)."""
     return snr_db + repetition_gain_db(repetitions) >= threshold_db
-
-
-def channel_apply(
-    sim: Simulator,
-    detail: str,
-    tx_time_us: int,
-    one_way_delay_ms: float,
-    snr_db: float,
-    repetitions: int,
-    threshold_db: float,
-    tx_entity: str = "device",
-    rx_entity: str = "bs",
-) -> tuple[SimEvent, bool]:
-    """Schedule a transmission and its (possibly failed) arrival."""
-    sim.schedule(tx_time_us, EventKind.TX_START, tx_entity, detail)
-    ok = reception_ok(snr_db, repetitions, threshold_db)
-    arrival = sim.schedule(
-        tx_time_us + ms_to_us(one_way_delay_ms),
-        EventKind.RX_ARRIVAL,
-        rx_entity,
-        f"{detail} success={ok}",
-    )
-    return arrival, ok
 
 
 _DL_KINDS = frozenset({MessageKind.MSG2_RAR, MessageKind.MSG4_CONTENTION_RESOLUTION})
@@ -196,41 +179,40 @@ def earth_fixed_beam_schedule(
     )
     epoch = max(o.epoch_s for o in orbits)
     if static:
-        best_idx, best_elev = None, min_elevation_deg
-        for idx, orbit in enumerate(orbits):
-            sample = geometry_sample(propagate(orbit, epoch), cell_center, 1e9)
-            if sample.elevation_deg >= best_elev:
-                best_idx, best_elev = idx, sample.elevation_deg
-        if best_idx is None:
+        serving = _serving_satellite(orbits, np.array([epoch]), cell_center, min_elevation_deg)
+        if serving[0] < 0:
             return []
-        return [ServiceInterval(epoch, math.inf, best_idx)]
+        return [ServiceInterval(epoch, math.inf, int(serving[0]))]
 
     if horizon_s is None:
         horizon_s = max(o.period_s() for o in orbits)
-    intervals: list[ServiceInterval] = []
-    current: tuple[float, int] | None = None  # (start, sat index)
     n_steps = int(math.ceil(horizon_s / step_s))
-    t = epoch
-    for i in range(n_steps + 1):
-        t = epoch + i * step_s
-        serving = None
-        best_elev = min_elevation_deg
-        for idx, orbit in enumerate(orbits):
-            sample = geometry_sample(propagate(orbit, t), cell_center, 1e9)
-            if sample.elevation_deg >= best_elev:
-                serving, best_elev = idx, sample.elevation_deg
-        if serving is None:
-            if current is not None:
-                intervals.append(ServiceInterval(current[0], t, current[1]))
-                current = None
-        elif current is None:
-            current = (t, serving)
-        elif current[1] != serving:
-            intervals.append(ServiceInterval(current[0], t, current[1]))
-            current = (t, serving)
-    if current is not None:
-        intervals.append(ServiceInterval(current[0], t, current[1]))
-    return intervals
+    t = epoch + np.arange(n_steps + 1) * step_s
+    serving = _serving_satellite(orbits, t, cell_center, min_elevation_deg)
+    # Runs of one serving index; each ends where the next starts, the last
+    # at the final step.
+    starts = np.concatenate(([0], np.flatnonzero(serving[1:] != serving[:-1]) + 1))
+    ends = np.append(starts[1:], len(t) - 1)
+    return [
+        ServiceInterval(float(t[start]), float(t[end]), int(serving[start]))
+        for start, end in zip(starts, ends)
+        if serving[start] >= 0
+    ]
+
+
+def _serving_satellite(
+    orbits: list[OrbitSpec], t: np.ndarray, cell_center: GroundPosition, min_elevation_deg: float
+) -> np.ndarray:
+    """Index of the satellite with the highest cell-center elevation at or
+    above the threshold at each time (ties go to the later index), or -1."""
+    serving = np.full(t.shape, -1)
+    best = np.full(t.shape, float(min_elevation_deg))
+    for idx, orbit in enumerate(orbits):
+        elevation, _, _ = geometry_samples(*propagate_many(orbit, t), cell_center)
+        take = elevation >= best
+        serving[take] = idx
+        best[take] = elevation[take]
+    return serving
 
 
 @dataclass

@@ -199,6 +199,39 @@ def propagate(orbit: OrbitSpec, t_s: float) -> SatelliteState:
     return SatelliteState(t_s=t_s, position_km=r_ef, velocity_km_s=v_ef)
 
 
+def propagate_many(orbit: OrbitSpec, t_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Earth-fixed positions and velocities at an array of times.
+
+    The array form of ``propagate``: for times of shape ``S`` it returns
+    ``(pos, vel)`` of shape ``S + (3,)``.
+    """
+    t = np.asarray(t_s, dtype=float)
+    if np.any(t < orbit.epoch_s):
+        raise DomainError("t must not precede the orbit epoch")
+    a = orbit.semi_major_axis_km
+    n = orbit.mean_motion_rad_s()
+    dt = t - orbit.epoch_s
+    u = math.radians(orbit.phase_deg) + n * dt
+    cos_u, sin_u = np.cos(u), np.sin(u)
+    m = _rot_z(math.radians(orbit.raan_deg)) @ _rot_x(math.radians(orbit.inclination_deg))
+    theta = -OMEGA_EARTH_RAD_S * dt
+    c, s = np.cos(theta), np.sin(theta)
+    pos = np.empty(t.shape + (3,))
+    vel = np.empty(t.shape + (3,))
+    # Inertial state (the in-plane z component is zero, so only two columns
+    # of m act), rotated into the earth-fixed frame; v_ef = rot @ v_in -
+    # omega x r_ef with omega along +z.
+    for out, p0, p1 in ((pos, a * cos_u, a * sin_u), (vel, -a * n * sin_u, a * n * cos_u)):
+        x_in = m[0, 0] * p0 + m[0, 1] * p1
+        y_in = m[1, 0] * p0 + m[1, 1] * p1
+        out[..., 0] = c * x_in - s * y_in
+        out[..., 1] = s * x_in + c * y_in
+        out[..., 2] = m[2, 0] * p0 + m[2, 1] * p1
+    vel[..., 0] += OMEGA_EARTH_RAD_S * pos[..., 1]
+    vel[..., 1] -= OMEGA_EARTH_RAD_S * pos[..., 0]
+    return pos, vel
+
+
 def subsatellite_point(state: SatelliteState) -> tuple[float, float]:
     """(latitude, longitude) of the sub-satellite point in degrees."""
     x, y, z = state.position_km
@@ -214,14 +247,13 @@ def ground_track(
     """Sub-satellite (t, lat, lon) series from the orbit epoch."""
     if duration_s <= 0 or step_s <= 0:
         raise DomainError("duration and step must be positive")
-    out = []
-    t = orbit.epoch_s
-    end = orbit.epoch_s + duration_s
-    while t <= end + 1e-9:
-        lat, lon = subsatellite_point(propagate(orbit, t))
-        out.append((t, lat, lon))
-        t += step_s
-    return out
+    t = orbit.epoch_s + np.arange(math.floor((duration_s + 1e-9) / step_s) + 1) * step_s
+    pos, _ = propagate_many(orbit, t)
+    r = np.linalg.norm(pos, axis=-1)
+    lat = np.degrees(np.arcsin(pos[:, 2] / r))
+    lon = np.degrees(np.arctan2(pos[:, 1], pos[:, 0]))
+    lon[lon <= -180.0] += 360.0  # normalize_longitude on atan2's [-180, 180]
+    return list(zip(t.tolist(), lat.tolist(), lon.tolist()))
 
 
 def geometry_sample(
@@ -240,19 +272,58 @@ def geometry_sample(
     if d < 1e-9:
         raise DomainError("ground position coincides with the satellite")
     up = ground.unit_vector()
-    elevation = math.degrees(math.asin(float(np.dot(los, up)) / d))
+    # Clipped: directly overhead the ratio can round to just above 1.
+    elevation = math.degrees(math.asin(min(1.0, max(-1.0, float(np.dot(los, up)) / d))))
     range_rate = float(np.dot(los, sat.velocity_km_s)) / d  # km/s
-    one_way_delay_ms = d / SPEED_OF_LIGHT_KM_S * 1000.0
-    doppler_hz = -range_rate / SPEED_OF_LIGHT_KM_S * fc_hz
-    delay_drift_us_s = range_rate / SPEED_OF_LIGHT_KM_S * 1e6
     return GeometrySample(
         elevation_deg=elevation,
         slant_range_km=d,
-        one_way_delay_ms=one_way_delay_ms,
+        one_way_delay_ms=one_way_delay_ms(d),
         range_rate_km_s=range_rate,
-        doppler_hz=doppler_hz,
-        delay_drift_us_s=delay_drift_us_s,
+        doppler_hz=doppler_hz(range_rate, fc_hz),
+        delay_drift_us_s=range_rate / SPEED_OF_LIGHT_KM_S * 1e6,
     )
+
+
+def geometry_samples(
+    pos: np.ndarray, vel: np.ndarray, ground: GroundPosition | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The array form of ``geometry_sample``.
+
+    ``pos`` and ``vel`` are earth-fixed satellite states with a trailing
+    axis of 3 (as from ``propagate_many``).  ``ground`` is a
+    ``GroundPosition`` or an array of earth-fixed unit vectors (trailing
+    axis 3) of points on the reference sphere.  The leading axes of the
+    two broadcast against each other, e.g. ``pos[:, None]`` against
+    ``(G, 3)`` ground points gives (time, ground point) outputs.
+
+    Returns ``(elevation_deg, slant_range_km, range_rate_km_s)``; delay
+    and Doppler follow with ``one_way_delay_ms`` and ``doppler_hz``.
+    """
+    if isinstance(ground, GroundPosition):
+        up, r_gnd = ground.unit_vector(), ground.ecef_km()
+    else:
+        up = np.asarray(ground, dtype=float)
+        r_gnd = EARTH_RADIUS_KM * up
+    los = pos - r_gnd
+    d = np.sqrt(np.einsum("...i,...i->...", los, los))
+    if np.any(d < 1e-9):
+        raise DomainError("ground position coincides with the satellite")
+    sin_elevation = np.einsum("...i,...i->...", los, up) / d
+    elevation = np.degrees(np.arcsin(np.clip(sin_elevation, -1.0, 1.0)))
+    range_rate = np.einsum("...i,...i->...", los, vel) / d
+    return elevation, d, range_rate
+
+
+def one_way_delay_ms(slant_range_km):
+    """Propagation delay (ms) over a slant range; scalar or array."""
+    return slant_range_km / SPEED_OF_LIGHT_KM_S * 1000.0
+
+
+def doppler_hz(range_rate_km_s, fc_hz: float):
+    """Doppler shift (Hz) of a carrier for a range rate (positive =
+    receding); scalar or array."""
+    return -range_rate_km_s / SPEED_OF_LIGHT_KM_S * fc_hz
 
 
 def bent_pipe_rtt(service: GeometrySample, feeder: GeometrySample) -> float:
@@ -275,18 +346,12 @@ def visibility_duration(
     """
     if not 0.0 < min_elevation_deg <= 90.0:
         raise DomainError("min_elevation must lie in (0, 90]")
-    period = orbit.period_s()
-    n_steps = int(math.ceil(period / step_s))
-    best = 0
-    run = 0
-    for i in range(n_steps + 1):
-        t = orbit.epoch_s + i * step_s
-        sample = geometry_sample(propagate(orbit, t), ground, 1e9)
-        if sample.elevation_deg >= min_elevation_deg:
-            run += 1
-            best = max(best, run)
-        else:
-            run = 0
+    n_steps = int(math.ceil(orbit.period_s() / step_s))
+    t = orbit.epoch_s + np.arange(n_steps + 1) * step_s
+    elevation, _, _ = geometry_samples(*propagate_many(orbit, t), ground)
+    above = np.concatenate(([0], (elevation >= min_elevation_deg).astype(np.int8), [0]))
+    edges = np.flatnonzero(np.diff(above))  # alternating run starts and ends
+    best = int((edges[1::2] - edges[::2]).max(initial=0))
     return best * step_s
 
 
@@ -379,12 +444,6 @@ def _tangent_basis(center: GroundPosition, along: np.ndarray | None) -> tuple[np
     return e1, e2
 
 
-def _ground_point_at(u: np.ndarray) -> GroundPosition:
-    lat = math.degrees(math.asin(max(-1.0, min(1.0, float(u[2])))))
-    lon = math.degrees(math.atan2(float(u[1]), float(u[0])))
-    return GroundPosition(lat, lon)
-
-
 def beam_doppler_profile(
     sat: SatelliteState, beam: BeamSpec, fc_hz: float, n: int
 ) -> list[tuple[float, float]]:
@@ -393,13 +452,11 @@ def beam_doppler_profile(
         raise DomainError("need at least three samples")
     u0 = beam.center.unit_vector()
     e1, _ = _tangent_basis(beam.center, sat.velocity_km_s)
-    out = []
-    for offset in np.linspace(-beam.diameter_km / 2.0, beam.diameter_km / 2.0, n):
-        angle = offset / EARTH_RADIUS_KM
-        u = u0 * math.cos(angle) + e1 * math.sin(angle)
-        sample = geometry_sample(sat, _ground_point_at(u), fc_hz)
-        out.append((float(offset), sample.doppler_hz))
-    return out
+    offsets = np.linspace(-beam.diameter_km / 2.0, beam.diameter_km / 2.0, n)
+    angle = (offsets / EARTH_RADIUS_KM)[:, None]
+    points = u0 * np.cos(angle) + e1 * np.sin(angle)
+    _, _, range_rate = geometry_samples(sat.position_km, sat.velocity_km_s, points)
+    return list(zip(offsets.tolist(), doppler_hz(range_rate, fc_hz).tolist()))
 
 
 def differential_delay(
@@ -407,34 +464,26 @@ def differential_delay(
 ) -> float:
     """Max minus min one-way delay (ms) over the beam footprint.
 
-    The footprint is a geodesic disc; raises if any point of it is below
-    the horizon as seen from the satellite.
+    The footprint is a geodesic disc sampled on a grid_n x grid_n grid of
+    tangent-plane offsets (a zero-diameter beam is its centre); raises if
+    any point of it is below the horizon as seen from the satellite.
     """
     if grid_n < 2:
         raise DomainError("grid must be at least 2x2")
     radius = beam.diameter_km / 2.0
-    if radius == 0.0:
-        sample = geometry_sample(sat, beam.center, 1e9)
-        if sample.elevation_deg < 0:
-            raise DomainError("beam center below the horizon")
-        return 0.0
     u0 = beam.center.unit_vector()
     e1, e2 = _tangent_basis(beam.center, sat.velocity_km_s)
     xs = np.linspace(-radius, radius, grid_n)
-    delays = []
-    for x in xs:
-        for y in xs:
-            if x * x + y * y > radius * radius:
-                continue
-            s = math.hypot(x, y)
-            angle = s / EARTH_RADIUS_KM
-            if s > 0:
-                direction = (e1 * x + e2 * y) / s
-            else:
-                direction = e1
-            u = u0 * math.cos(angle) + direction * math.sin(angle)
-            sample = geometry_sample(sat, _ground_point_at(u), 1e9)
-            if sample.elevation_deg < 0:
-                raise DomainError("beam footprint extends below the horizon")
-            delays.append(sample.one_way_delay_ms)
-    return max(delays) - min(delays)
+    x, y = (g.ravel() for g in np.meshgrid(xs, xs))
+    inside = x * x + y * y <= radius * radius
+    x, y = x[inside, None], y[inside, None]
+    s = np.hypot(x, y)
+    # Geodesic offset s along (e1 x + e2 y) / s; sin(0) / 1 = 0 at the centre.
+    points = u0 * np.cos(s / EARTH_RADIUS_KM) + (e1 * x + e2 * y) * (
+        np.sin(s / EARTH_RADIUS_KM) / np.where(s > 0, s, 1.0)
+    )
+    elevation, distance, _ = geometry_samples(sat.position_km, sat.velocity_km_s, points)
+    if np.any(elevation < 0):
+        raise DomainError("beam footprint extends below the horizon")
+    delays = one_way_delay_ms(distance)
+    return float(delays.max() - delays.min())

@@ -19,8 +19,6 @@ DL_REFERENCE_BW_HZ = 180e3
 UL_SNR_FLOOR_DB = -13.8
 UL_REFERENCE_BW_HZ = 15e3
 
-MAX_COUPLING_LOSS_DB = 164.0
-
 
 class LinkDirection(Enum):
     DOWNLINK = "downlink"

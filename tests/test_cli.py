@@ -104,3 +104,16 @@ def test_csv_output_byte_stable(config_dir, tmp_path):
         ]) == 0
     assert (out1 / "report_seed9.json").read_bytes() == (out2 / "report_seed9.json").read_bytes()
     assert (out1 / "trace_seed9.csv").read_bytes() == (out2 / "trace_seed9.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_simulate_rejects_bad_jobs_at_argparse(config_dir, tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "simulate", "--config", str(config_dir / "leo600_sband.json"),
+            "--out", str(tmp_path), "--jobs", jobs,
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())

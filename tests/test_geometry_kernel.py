@@ -1,0 +1,351 @@
+"""The array geometry kernel against the scalar path it replaces in sweeps.
+
+``propagate`` + ``geometry_sample`` are the oracle: the kernel must match
+them sample by sample, and every ported sweep must return what a plain
+loop over the scalar functions returns.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ntnsim.config import load_config
+from ntnsim.constants import EARTH_RADIUS_KM
+from ntnsim.engine import ServiceInterval, earth_fixed_beam_schedule
+from ntnsim.errors import DomainError
+from ntnsim.geometry import (
+    BeamSpec,
+    GroundPosition,
+    OrbitKind,
+    OrbitSpec,
+    beam_doppler_profile,
+    differential_delay,
+    doppler_hz,
+    geometry_sample,
+    geometry_samples,
+    ground_track,
+    one_way_delay_ms,
+    overhead_pass_orbit,
+    propagate,
+    propagate_many,
+    satellite_state_over,
+    subsatellite_point,
+    visibility_duration,
+)
+from ntnsim.geometry import _tangent_basis
+
+RTOL = 1e-9
+
+
+def close(got, want, scale):
+    """Within RTOL relative, with an absolute floor of RTOL x the
+    quantity's natural scale (for values that cross zero)."""
+    return math.isclose(got, want, rel_tol=RTOL, abs_tol=RTOL * scale)
+
+
+# -- scalar-loop references -------------------------------------------------
+
+
+def visibility_reference(orbit, ground, min_elevation_deg, step_s=1.0):
+    n_steps = int(math.ceil(orbit.period_s() / step_s))
+    best = run = 0
+    for i in range(n_steps + 1):
+        sample = geometry_sample(propagate(orbit, orbit.epoch_s + i * step_s), ground, 1e9)
+        if sample.elevation_deg >= min_elevation_deg:
+            run += 1
+            best = max(best, run)
+        else:
+            run = 0
+    return best * step_s
+
+
+def schedule_reference(orbits, cell, min_elevation_deg, horizon_s=None, step_s=1.0):
+    static = all(
+        o.kind is OrbitKind.GEOSYNCHRONOUS and o.inclination_deg == 0.0 for o in orbits
+    )
+    epoch = max(o.epoch_s for o in orbits)
+
+    def serving_at(t):
+        serving, best = None, min_elevation_deg
+        for idx, orbit in enumerate(orbits):
+            elevation = geometry_sample(propagate(orbit, t), cell, 1e9).elevation_deg
+            if elevation >= best:
+                serving, best = idx, elevation
+        return serving
+
+    if static:
+        serving = serving_at(epoch)
+        return [] if serving is None else [ServiceInterval(epoch, math.inf, serving)]
+    if horizon_s is None:
+        horizon_s = max(o.period_s() for o in orbits)
+    intervals, current = [], None
+    for i in range(int(math.ceil(horizon_s / step_s)) + 1):
+        t = epoch + i * step_s
+        serving = serving_at(t)
+        if serving is None:
+            if current is not None:
+                intervals.append(ServiceInterval(current[0], t, current[1]))
+                current = None
+        elif current is None:
+            current = (t, serving)
+        elif current[1] != serving:
+            intervals.append(ServiceInterval(current[0], t, current[1]))
+            current = (t, serving)
+    if current is not None:
+        intervals.append(ServiceInterval(current[0], t, current[1]))
+    return intervals
+
+
+def _footprint_points(sat, beam, grid_n):
+    radius = beam.diameter_km / 2.0
+    u0 = beam.center.unit_vector()
+    e1, e2 = _tangent_basis(beam.center, sat.velocity_km_s)
+    for x in np.linspace(-radius, radius, grid_n):
+        for y in np.linspace(-radius, radius, grid_n):
+            if x * x + y * y > radius * radius:
+                continue
+            s = math.hypot(x, y)
+            direction = (e1 * x + e2 * y) / s if s > 0 else e1
+            u = u0 * math.cos(s / EARTH_RADIUS_KM) + direction * math.sin(s / EARTH_RADIUS_KM)
+            yield GroundPosition(
+                math.degrees(math.asin(max(-1.0, min(1.0, u[2])))),
+                math.degrees(math.atan2(u[1], u[0])),
+            )
+
+
+def differential_delay_reference(sat, beam, grid_n=64):
+    delays = []
+    for ground in _footprint_points(sat, beam, grid_n):
+        sample = geometry_sample(sat, ground, 1e9)
+        if sample.elevation_deg < 0:
+            raise DomainError("beam footprint extends below the horizon")
+        delays.append(sample.one_way_delay_ms)
+    return max(delays) - min(delays)
+
+
+def walker(planes=6, per_plane=4, inclination_deg=53.0):
+    return [
+        OrbitSpec(
+            kind=OrbitKind.LEO_CIRCULAR,
+            altitude_km=600.0,
+            inclination_deg=inclination_deg,
+            raan_deg=360.0 * p / planes,
+            phase_deg=(360.0 * s / per_plane + 15.0 * p) % 360.0,
+        )
+        for p in range(planes)
+        for s in range(per_plane)
+    ]
+
+
+@pytest.fixture
+def leo_config(config_dir):
+    return load_config(config_dir / "leo600_sband.json")
+
+
+# -- the kernel against the scalar functions --------------------------------
+
+orbits = st.one_of(
+    st.builds(
+        OrbitSpec,
+        kind=st.just(OrbitKind.LEO_CIRCULAR),
+        altitude_km=st.floats(500.0, 2000.0),
+        inclination_deg=st.floats(0.0, 179.9),
+        raan_deg=st.floats(-180.0, 360.0),
+        phase_deg=st.floats(0.0, 360.0),
+        epoch_s=st.floats(0.0, 1e5),
+    ),
+    st.builds(
+        OrbitSpec,
+        kind=st.just(OrbitKind.GEOSYNCHRONOUS),
+        inclination_deg=st.floats(0.0, 20.0),
+        raan_deg=st.floats(-180.0, 180.0),
+        phase_deg=st.floats(0.0, 360.0),
+        epoch_s=st.floats(0.0, 1e5),
+    ),
+)
+grounds = st.builds(
+    GroundPosition,
+    latitude_deg=st.floats(-90.0, 90.0),
+    longitude_deg=st.floats(-180.0, 180.0),
+    altitude_m=st.floats(0.0, 5000.0),
+)
+
+
+@given(
+    orbits,
+    st.lists(st.floats(0.0, 2e5), min_size=1, max_size=8),
+    st.lists(grounds, min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_scalar_oracle(orbit, offsets, ground_points):
+    t = orbit.epoch_s + np.array(offsets)
+    pos, vel = propagate_many(orbit, t)
+    assert pos.shape == vel.shape == (len(offsets), 3)
+    a = orbit.semi_major_axis_km
+    speed = orbit.inertial_speed_km_s() + 0.5  # plus the earth-rotation term
+    for i, ti in enumerate(t):
+        state = propagate(orbit, float(ti))
+        for k in range(3):
+            assert close(pos[i, k], state.position_km[k], a)
+            assert close(vel[i, k], state.velocity_km_s[k], speed)
+    for ground in ground_points:
+        elevation, distance, range_rate = geometry_samples(pos, vel, ground)
+        for i, ti in enumerate(t):
+            want = geometry_sample(propagate(orbit, float(ti)), ground, 2e9)
+            assert close(elevation[i], want.elevation_deg, 90.0)
+            assert close(distance[i], want.slant_range_km, a)
+            assert close(range_rate[i], want.range_rate_km_s, speed)
+            assert close(one_way_delay_ms(distance[i]), want.one_way_delay_ms, one_way_delay_ms(a))
+            assert close(doppler_hz(range_rate[i], 2e9), want.doppler_hz, -doppler_hz(speed, 2e9))
+
+
+def test_kernel_broadcasts_time_against_ground_points():
+    orbit = walker()[5]
+    t = np.arange(0.0, 600.0, 60.0)
+    points = [GroundPosition(lat, lon) for lat, lon in ((0.0, 0.0), (30.0, 45.0), (-60.0, 170.0))]
+    units = np.array([g.unit_vector() for g in points])
+    pos, vel = propagate_many(orbit, t)
+    elevation, distance, range_rate = geometry_samples(pos[:, None], vel[:, None], units)
+    assert elevation.shape == distance.shape == range_rate.shape == (len(t), len(points))
+    for j, ground in enumerate(points):
+        column = geometry_samples(pos, vel, ground)
+        for got, want in zip((elevation, distance, range_rate), column):
+            np.testing.assert_allclose(got[:, j], want, rtol=RTOL, atol=RTOL)
+
+
+def test_propagate_many_keeps_epoch_check_and_scalar_times():
+    orbit = OrbitSpec(kind=OrbitKind.LEO_CIRCULAR, altitude_km=600.0, epoch_s=100.0)
+    with pytest.raises(DomainError):
+        propagate_many(orbit, np.array([100.0, 99.0]))
+    pos, vel = propagate_many(orbit, 150.0)
+    assert pos.shape == vel.shape == (3,)
+    np.testing.assert_allclose(pos, propagate(orbit, 150.0).position_km, rtol=RTOL)
+
+
+def test_geometry_samples_rejects_coincident_ground():
+    ground = GroundPosition(0.0, 0.0)
+    sat = satellite_state_over(ground, 600.0)
+    with pytest.raises(DomainError):
+        # A ground point 600 km up is the satellite's own position.
+        geometry_samples(sat.position_km, sat.velocity_km_s, GroundPosition(0.0, 0.0, 600e3))
+    elevation, _, _ = geometry_samples(sat.position_km, sat.velocity_km_s, ground.unit_vector()[None])
+    assert elevation.shape == (1,) and elevation[0] == pytest.approx(90.0)
+
+
+def test_overhead_sample_does_not_leave_asin_domain():
+    # Exactly overhead, dot(los, up) / d rounds to just above 1 at this
+    # longitude; both paths clip it.
+    ground = GroundPosition(0.0, -179.0)
+    orbit = overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 53.0, ground, overhead_at_s=3000.0)
+    assert geometry_sample(propagate(orbit, 3000.0), ground, 2e9).elevation_deg == pytest.approx(90.0)
+    elevation, _, _ = geometry_samples(*propagate_many(orbit, 3000.0), ground)
+    assert elevation == pytest.approx(90.0)
+    duration = visibility_duration(orbit, ground, 10.0)
+    assert duration == visibility_reference(orbit, ground, 10.0)
+    assert 400.0 < duration < 600.0
+
+
+# -- every ported sweep against its scalar loop -----------------------------
+
+
+def test_visibility_matches_scalar_loop(leo_config):
+    observer = leo_config.observer.to_ground()
+    bundled = leo_config.constellation[0].to_orbit_spec()
+    min_el = leo_config.min_elevation_deg
+    cases = [(bundled, observer, 1.0, min_el)]
+    for lon in (0.0, 33.5, -120.0):
+        ground = GroundPosition(0.0, lon)
+        orbit = overhead_pass_orbit(bundled.kind, 600.0, 53.0, ground, overhead_at_s=3000.0)
+        cases += [(orbit, ground, 4.0, min_el), (orbit, ground, 4.0, 45.0)]
+    cases += [(orbit, GroundPosition(20.0, 10.0), 10.0, min_el) for orbit in walker()[::5]]
+    for orbit, ground, step, threshold in cases:
+        got = visibility_duration(orbit, ground, threshold, step)
+        assert got == visibility_reference(orbit, ground, threshold, step)
+
+
+def test_beam_schedule_matches_scalar_loop(leo_config):
+    cell = leo_config.cells[0].center()
+    bundled = [o.to_orbit_spec() for o in leo_config.constellation]
+    got = earth_fixed_beam_schedule(bundled, cell, 10.0, horizon_s=6 * 3600.0, step_s=10.0)
+    assert got == schedule_reference(bundled, cell, 10.0, horizon_s=6 * 3600.0, step_s=10.0)
+    assert got  # the bundled orbit passes over its own cells
+
+    constellation = walker()
+    for cell in (GroundPosition(0.0, 0.0), GroundPosition(40.0, -75.0)):
+        got = earth_fixed_beam_schedule(constellation, cell, 10.0, step_s=20.0)
+        assert got == schedule_reference(constellation, cell, 10.0, step_s=20.0)
+        assert len({iv.satellite_index for iv in got}) > 1
+
+    # Service that lasts to the end closes at the final step.
+    inclined = [OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS, inclination_deg=5.0)]
+    equator = GroundPosition(0.0, 0.0)
+    got = earth_fixed_beam_schedule(inclined, equator, 10.0, horizon_s=3590.0, step_s=60.0)
+    assert got == schedule_reference(inclined, equator, 10.0, horizon_s=3590.0, step_s=60.0)
+    assert got == [ServiceInterval(0.0, 3600.0, 0)]
+
+
+def test_beam_schedule_ties_go_to_the_later_satellite():
+    # Identical orbits tie at every step: the later index serves.
+    leo = walker()[0]
+    got = earth_fixed_beam_schedule([leo, leo], GroundPosition(0.0, 0.0), 10.0, step_s=20.0)
+    assert got and {iv.satellite_index for iv in got} == {1}
+    geo = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS)
+    cell = GroundPosition(30.0, 0.0)
+    assert earth_fixed_beam_schedule([geo, geo], cell, 10.0) == [ServiceInterval(0.0, math.inf, 1)]
+    # The threshold is inclusive: a satellite exactly at it serves.
+    elevation = geometry_sample(propagate(geo, 0.0), cell, 1e9).elevation_deg
+    assert earth_fixed_beam_schedule([geo], cell, elevation) == [ServiceInterval(0.0, math.inf, 0)]
+
+
+def test_ground_track_matches_scalar_loop():
+    orbit = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS, inclination_deg=10.0, epoch_s=50.0)
+    for duration, step in ((86164.0905, 60.0), (1.0, 0.1), (600.0, 7.0)):
+        want, t = [], orbit.epoch_s
+        while t <= orbit.epoch_s + duration + 1e-9:
+            want.append((t, *subsatellite_point(propagate(orbit, t))))
+            t += step
+        got = ground_track(orbit, duration, step)
+        assert len(got) == len(want)
+        for (tg, lat_g, lon_g), (tw, lat_w, lon_w) in zip(got, want):
+            assert close(tg, tw, duration)
+            assert close(lat_g, lat_w, 90.0)
+            assert close(lon_g, lon_w, 180.0)
+
+
+def test_differential_delay_matches_scalar_loop(leo_config):
+    leo_beam = leo_config.beams[0].to_beam()
+    leo_sat = satellite_state_over(leo_beam.center, 600.0)
+    geo_sat = propagate(OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS), 0.0)
+    cases = [
+        (leo_sat, leo_beam, 64),
+        (leo_sat, BeamSpec(GroundPosition(3.0, 2.0), 300.0), 17),
+        (geo_sat, BeamSpec(GroundPosition(57.0, 5.0), 3500.0), 64),
+    ]
+    for sat, beam, grid_n in cases:
+        got = differential_delay(sat, beam, grid_n)
+        assert close(got, differential_delay_reference(sat, beam, grid_n), 1.0)
+
+
+def test_differential_delay_zero_radius_beam():
+    geo_sat = propagate(OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS), 0.0)
+    assert differential_delay(geo_sat, BeamSpec(GroundPosition(30.0, 0.0), 0.0)) == 0.0
+    with pytest.raises(DomainError):
+        differential_delay(geo_sat, BeamSpec(GroundPosition(85.0, 0.0), 0.0))
+
+
+def test_beam_doppler_profile_matches_scalar_loop():
+    center = GroundPosition(10.0, 20.0)
+    sat = satellite_state_over(GroundPosition(12.0, 21.0), 600.0, azimuth_deg=30.0)
+    beam = BeamSpec(center, 200.0)
+    got = beam_doppler_profile(sat, beam, 2e9, n=11)
+    u0 = center.unit_vector()
+    e1, _ = _tangent_basis(center, sat.velocity_km_s)
+    scale = max(abs(d) for _, d in got)
+    for (offset, doppler), want_offset in zip(got, np.linspace(-100.0, 100.0, 11)):
+        u = u0 * math.cos(want_offset / EARTH_RADIUS_KM) + e1 * math.sin(want_offset / EARTH_RADIUS_KM)
+        ground = GroundPosition(math.degrees(math.asin(u[2])), math.degrees(math.atan2(u[1], u[0])))
+        assert offset == want_offset
+        assert close(doppler, geometry_sample(sat, ground, 2e9).doppler_hz, scale)
