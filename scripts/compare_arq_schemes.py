@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Compare HARQ and RLC-ARQ uplink goodput across the GEO/LEO RTT range.
 
-Prints both the closed-form rates and the event-driven simulation so the
-two can be eyeballed side by side.
+Prints both the closed-form rates and the transfer models, which log
+each block on the integer-µs append-only event trace, so the two can be
+eyeballed side by side.
 """
 
 import numpy as np
@@ -23,7 +24,6 @@ def simulated(kind, rtt_ms):
         end = harq_transfer(sim, 0, N_BLOCKS, 2, TTI_MS, rtt_ms)
     else:
         end = rlc_transfer(sim, 0, N_BLOCKS, WINDOW, TTI_MS, rtt_ms)
-    sim.run()
     return N_BLOCKS * TBS_BITS / (us_to_ms(end) / 1000.0)
 
 

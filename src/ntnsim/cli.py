@@ -8,7 +8,6 @@ CSV output uses fixed formatting so re-running any command is byte-stable.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import math
@@ -207,27 +206,18 @@ def cmd_simulate(config: ScenarioConfig, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base_seed = config.seed if args.seed is None else args.seed
-    seeds = [base_seed + i for i in range(args.jobs)]
-
-    def one(seed: int):
+    reports = []
+    for seed in range(base_seed, base_seed + args.jobs):
         result = run_scenario(config, seed=seed)
-        report_path = out_dir / f"report_seed{seed}.json"
-        report_path.write_text(
+        (out_dir / f"report_seed{seed}.json").write_text(
             json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n"
         )
-        trace_path = out_dir / f"trace_seed{seed}.csv"
         _write_csv(
-            trace_path,
+            out_dir / f"trace_seed{seed}.csv",
             ["time_ms", "seq", "entity", "kind", "detail"],
             [list(row) for row in result.trace_rows],
         )
-        return result.report
-
-    if len(seeds) == 1:
-        reports = [one(seeds[0])]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(seeds)) as pool:
-            reports = list(pool.map(one, seeds))
+        reports.append(result.report)
     header = ["seed", "attempts", "successes", "latency_p50_ms", "goodput_bps"]
     rows = [
         [r.seed, r.access_attempts, r.access_successes, r.access_latency_p50_ms, r.goodput_bps]
@@ -291,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--format", choices=("csv", "text"), default="text")
-        p.add_argument("--jobs", type=_positive_int, default=1, help="concurrent seeds (simulate)")
+        p.add_argument(
+            "--jobs", type=_positive_int, default=1, help="number of consecutive seeds (simulate)"
+        )
         if name == "doppler-trace":
             p.add_argument(
                 "--mode", choices=("inclined_geo", "beam_profile"), default="inclined_geo"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,6 +16,7 @@ from typing import Optional
 
 from .errors import ConfigError, DomainError
 from .geometry import BeamSpec, GroundPosition, OrbitKind, OrbitSpec
+from .protocol import MessageKind
 
 _MISSING = dataclasses.MISSING
 
@@ -40,6 +42,9 @@ def _coerce(tp, value, path, errors):
     if tp is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{path}: expected a number")
+            return 0.0
+        if not math.isfinite(value):
+            errors.append(f"{path}: expected a finite number")
             return 0.0
         return float(value)
     if tp is int:
@@ -178,7 +183,6 @@ class TimerCfg:
 class HarqCfg:
     n_processes: int = 2
     enabled: bool = True
-    target_bler: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -222,6 +226,8 @@ class AccessCfg:
     def __post_init__(self):
         if self.max_rtt_ms <= 0:
             raise DomainError("max RTT must be positive")
+        if self.gnss_error_m < 0:
+            raise DomainError("GNSS error must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -237,6 +243,9 @@ class ChannelCfg:
             raise DomainError("repetitions must be >= 1")
         if self.fading_sigma_db < 0:
             raise DomainError("fading sigma must be non-negative")
+        unknown = sorted(set(self.drop_kinds) - {k.value for k in MessageKind})
+        if unknown:
+            raise DomainError(f"unknown drop kinds {unknown}")
 
 
 @dataclass(frozen=True)
@@ -263,6 +272,11 @@ class ScenarioConfig:
             raise DomainError("constellation must contain at least one orbit")
         if self.carrier_frequency_hz <= 0:
             raise DomainError("carrier frequency must be positive")
+        for link in self.links:
+            if link is not None and not 0 <= link.orbit_index < len(self.constellation):
+                raise DomainError(
+                    f"link {link.name!r}: orbit_index {link.orbit_index} outside the constellation"
+                )
 
 
 def load_config_dict(data: dict) -> ScenarioConfig:

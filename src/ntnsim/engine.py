@@ -287,7 +287,13 @@ def _link_snrs(config: ScenarioConfig, elevation_deg: float) -> tuple[float, flo
 
 
 def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioResult:
-    """Run the access + data-transfer scenario; deterministic per seed."""
+    """Run the access + data-transfer scenario; deterministic per seed.
+
+    Message ``i`` starts an independent access attempt, with its own device
+    context, at ``i * inter_arrival_ms``.  Attempts may overlap in time when
+    the spacing is shorter than one access plus transfer; the trace is then
+    the time-merged union of the attempts.
+    """
     if config.access is None:
         raise ConfigError(["config.access: required to run a scenario"])
     if config.traffic is None:
@@ -416,7 +422,6 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
                 config.transfer.tti_ms,
                 rtt_true,
             )
-        sim.run()
         report.transferred_bits += traffic.message_size_bits
         report.transfer_time_ms += us_to_ms(end_us - transfer_start)
 
@@ -426,4 +431,5 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     report.access_latency_max_ms = latencies[-1] if latencies else 0.0
     if report.transfer_time_ms > 0:
         report.goodput_bps = report.transferred_bits / (report.transfer_time_ms / 1000.0)
+    sim.run()
     return ScenarioResult(report=report, trace_rows=sim.trace_rows(), outcomes=outcomes)

@@ -1,16 +1,15 @@
-"""Deterministic discrete-event queue.
+"""Deterministic append-only event trace.
 
 Time is carried as integer microseconds so long GEO scenarios never
-accumulate float drift in timer arithmetic.  Events are processed in
-(time, seq) order; seq is a monotonically increasing tiebreaker.
+accumulate float drift in timer arithmetic.  The protocol and transfer
+models compute every event time in closed form and only log it here;
+``run`` sorts the log once into (time, seq) order, seq being the log
+position, so events at equal times keep the order they were logged in.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
 
 US_PER_MS = 1000
 
@@ -30,63 +29,22 @@ class EventKind(Enum):
     MEASUREMENT = "measurement"
 
 
-@dataclass(order=True)
-class SimEvent:
-    time_us: int
-    seq: int
-    kind: EventKind = field(compare=False)
-    entity: str = field(compare=False)
-    detail: str = field(compare=False, default="")
-    callback: Optional[Callable[["Simulator", "SimEvent"], None]] = field(
-        compare=False, default=None, repr=False
-    )
-
-
 class Simulator:
-    """Single-threaded event queue with a CSV-able trace."""
+    """Event log with a CSV-able trace."""
 
     def __init__(self):
-        self._heap: list[SimEvent] = []
-        self._seq = 0
-        self.now_us = 0
-        self.trace: list[SimEvent] = []
+        self._log: list[tuple[int, int, str, str, str]] = []
 
-    def schedule(
-        self,
-        time_us: int,
-        kind: EventKind,
-        entity: str,
-        detail: str = "",
-        callback=None,
-    ) -> SimEvent:
-        if time_us < self.now_us:
-            raise ValueError("cannot schedule an event in the past")
-        ev = SimEvent(
-            time_us=int(time_us),
-            seq=self._seq,
-            kind=kind,
-            entity=entity,
-            detail=detail,
-            callback=callback,
-        )
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
+    def schedule(self, time_us: int, kind: EventKind, entity: str, detail: str = "") -> None:
+        self._log.append((int(time_us), len(self._log), entity, kind.value, detail))
 
-    def run(self, until_us: int | None = None) -> None:
-        while self._heap:
-            if until_us is not None and self._heap[0].time_us > until_us:
-                break
-            ev = heapq.heappop(self._heap)
-            assert ev.time_us >= self.now_us
-            self.now_us = ev.time_us
-            self.trace.append(ev)
-            if ev.callback is not None:
-                ev.callback(self, ev)
+    def run(self) -> None:
+        """Sort the log by (time, seq); (time, seq) pairs are unique."""
+        self._log.sort()
 
     def trace_rows(self) -> list[tuple[float, int, str, str, str]]:
         """(time_ms, seq, entity, kind, detail) rows of the event trace."""
         return [
-            (us_to_ms(ev.time_us), ev.seq, ev.entity, ev.kind.value, ev.detail)
-            for ev in self.trace
+            (us_to_ms(time_us), seq, entity, kind, detail)
+            for time_us, seq, entity, kind, detail in self._log
         ]

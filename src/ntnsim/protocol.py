@@ -43,14 +43,10 @@ class SystemInformation:
     max_rtt_ms: float
     cell_center: GroundPosition
     carrier_frequency_hz: float
-    ul_bandwidths_hz: tuple[float, ...] = (3750.0, 15000.0, 180000.0)
-    measurement_frequencies: int = 3
 
     def __post_init__(self):
         if self.max_rtt_ms <= 0:
             raise DomainError("max RTT must be positive")
-        if self.measurement_frequencies < 1:
-            raise DomainError("measurement frequencies must be >= 1")
 
 
 class RrcState(Enum):
@@ -104,7 +100,6 @@ class TimerConfig:
 class HarqConfig:
     n_processes: int = 2
     enabled: bool = True
-    target_bler: float = 0.1
 
     def __post_init__(self):
         if not 0 <= self.n_processes <= 2:
@@ -228,8 +223,7 @@ def run_random_access(
     """
     if device.rrc_state is not RrcState.IDLE:
         raise DomainError("random access requires an idle device")
-    own_sim = sim is None
-    if own_sim:
+    if sim is None:
         sim = Simulator()
 
     one_way = ms_to_us(channel.service_delay_ms + channel.feeder_delay_ms)
@@ -250,11 +244,7 @@ def run_random_access(
     messages: list[RaMessage] = []
     times: dict = {"msg1_tx": us_to_ms(t1)}
 
-    def log(time_us, kind, entity, detail):
-        sim.schedule(time_us, kind, entity, detail)
-
     def finish(success, cause, latency_us, monitoring_us, ta=None):
-        sim.run()
         return AccessOutcome(
             success=success,
             cause=cause,
@@ -269,21 +259,23 @@ def run_random_access(
     messages.append(
         RaMessage(MessageKind.MSG1_PREAMBLE, us_to_ms(t1), {"precompensation_ms": advance_ms})
     )
-    log(t1, EventKind.TX_START, "device", "msg1_preamble")
+    sim.schedule(t1, EventKind.TX_START, "device", "msg1_preamble")
 
     window_len = window_end - window_start
     if not channel.delivers(MessageKind.MSG1_PREAMBLE):
-        log(window_end, EventKind.TIMER_FIRE, "device", "rar_window_expiry")
+        sim.schedule(window_end, EventKind.TIMER_FIRE, "device", "rar_window_expiry")
         return finish(False, FailureCause.RAR_TIMEOUT, None, window_len)
 
     msg1_arr = t1 + one_way
-    log(msg1_arr, EventKind.RX_ARRIVAL, "bs", f"msg1_preamble residual_us={residual_us:.3f}")
+    sim.schedule(
+        msg1_arr, EventKind.RX_ARRIVAL, "bs", f"msg1_preamble residual_us={residual_us:.3f}"
+    )
     times["msg1_arrival"] = us_to_ms(msg1_arr)
 
     try:
         ta = build_ta_command(residual_us)
     except DomainError:
-        log(
+        sim.schedule(
             msg1_arr + ms_to_us(timing.bs_processing_ms),
             EventKind.MEASUREMENT,
             "bs",
@@ -300,13 +292,13 @@ def run_random_access(
             {"ta_steps": ta.steps, "ul_grant_ms": us_to_ms(msg2_tx) + si.max_rtt_ms},
         )
     )
-    log(msg2_tx, EventKind.TX_START, "bs", "msg2_rar")
+    sim.schedule(msg2_tx, EventKind.TX_START, "bs", "msg2_rar")
 
     if not channel.delivers(MessageKind.MSG2_RAR) or msg2_arr > window_end:
-        log(window_end, EventKind.TIMER_FIRE, "device", "rar_window_expiry")
+        sim.schedule(window_end, EventKind.TIMER_FIRE, "device", "rar_window_expiry")
         return finish(False, FailureCause.RAR_TIMEOUT, None, window_len, ta)
 
-    log(msg2_arr, EventKind.RX_ARRIVAL, "device", f"msg2_rar ta_steps={ta.steps}")
+    sim.schedule(msg2_arr, EventKind.RX_ARRIVAL, "device", f"msg2_rar ta_steps={ta.steps}")
     times["msg2_arrival"] = us_to_ms(msg2_arr)
     rar_monitoring = msg2_arr - window_start
 
@@ -325,7 +317,9 @@ def run_random_access(
             {"reported_delay_ms": reported_delay_ms},
         )
     )
-    log(msg3_tx, EventKind.TX_START, "device", f"msg3 reported_delay_ms={reported_delay_ms:.1f}")
+    sim.schedule(
+        msg3_tx, EventKind.TX_START, "device", f"msg3 reported_delay_ms={reported_delay_ms:.1f}"
+    )
     times["msg3_tx"] = us_to_ms(msg3_tx)
 
     cr_start = msg3_tx + ms_to_us(timers.ntn_start_offset_ms)
@@ -334,27 +328,27 @@ def run_random_access(
     times["cr_timer_start"] = us_to_ms(cr_start)
 
     if not channel.delivers(MessageKind.MSG3_RRC_CONNECTION_REQUEST):
-        log(cr_end, EventKind.TIMER_FIRE, "device", "contention_resolution_expiry")
+        sim.schedule(cr_end, EventKind.TIMER_FIRE, "device", "contention_resolution_expiry")
         return finish(
             False, FailureCause.CR_TIMEOUT, None, rar_monitoring + (cr_end - cr_start), ta
         )
 
-    log(msg3_arr, EventKind.RX_ARRIVAL, "bs", "msg3_rrc_connection_request")
+    sim.schedule(msg3_arr, EventKind.RX_ARRIVAL, "bs", "msg3_rrc_connection_request")
 
     msg4_tx = msg3_arr + ms_to_us(timing.bs_processing_ms)
     msg4_arr = msg4_tx + one_way
     messages.append(
         RaMessage(MessageKind.MSG4_CONTENTION_RESOLUTION, us_to_ms(msg4_tx), {"contention_id": 0})
     )
-    log(msg4_tx, EventKind.TX_START, "bs", "msg4_contention_resolution")
+    sim.schedule(msg4_tx, EventKind.TX_START, "bs", "msg4_contention_resolution")
 
     if not channel.delivers(MessageKind.MSG4_CONTENTION_RESOLUTION) or msg4_arr > cr_end:
-        log(cr_end, EventKind.TIMER_FIRE, "device", "contention_resolution_expiry")
+        sim.schedule(cr_end, EventKind.TIMER_FIRE, "device", "contention_resolution_expiry")
         return finish(
             False, FailureCause.CR_TIMEOUT, None, rar_monitoring + (cr_end - cr_start), ta
         )
 
-    log(msg4_arr, EventKind.RX_ARRIVAL, "device", "msg4_contention_resolution")
+    sim.schedule(msg4_arr, EventKind.RX_ARRIVAL, "device", "msg4_contention_resolution")
     times["msg4_arrival"] = us_to_ms(msg4_arr)
     device.rrc_state = RrcState.CONNECTED
     device.active_timers.pop("contention_resolution", None)

@@ -55,6 +55,13 @@ def test_simulate_jobs_runs_multiple_seeds(config_dir, tmp_path):
     ]) == 0
     for seed in (11, 12, 13):
         assert (tmp_path / f"report_seed{seed}.json").exists()
+    single = tmp_path / "single"
+    assert main([
+        "simulate", "--config", str(config_dir / "leo600_sband.json"),
+        "--out", str(single), "--seed", "12",
+    ]) == 0
+    for name in ("report_seed12.json", "trace_seed12.csv"):
+        assert (tmp_path / name).read_bytes() == (single / name).read_bytes()
 
 
 def test_rank_cells_command(config_dir, tmp_path):
@@ -117,3 +124,67 @@ def test_simulate_rejects_bad_jobs_at_argparse(config_dir, tmp_path, capsys, job
     err = capsys.readouterr().err
     assert "--jobs" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def _edited_leo_config(config_dir, tmp_path, edit) -> str:
+    data = json.loads((config_dir / "leo600_sband.json").read_text())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _exits_2_at_load(config_path, tmp_path, capsys, message):
+    out = tmp_path / "out"
+    for command in ("simulate", "linkbudget"):
+        assert main([command, "--config", config_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unknown_drop_kind_exits_2(config_dir, tmp_path, capsys):
+    path = _edited_leo_config(
+        config_dir, tmp_path, lambda d: d["channel"].update(drop_kinds=["msg2_rar", "bogus"])
+    )
+    _exits_2_at_load(path, tmp_path, capsys, "config.channel: unknown drop kinds ['bogus']")
+
+
+def test_link_orbit_index_outside_constellation_exits_2(config_dir, tmp_path, capsys):
+    path = _edited_leo_config(config_dir, tmp_path, lambda d: d["links"][1].update(orbit_index=7))
+    _exits_2_at_load(path, tmp_path, capsys, "orbit_index 7 outside the constellation")
+
+
+def test_non_finite_number_exits_2(config_dir, tmp_path, capsys):
+    path = _edited_leo_config(
+        config_dir, tmp_path, lambda d: d["access"].update(gnss_error_m=float("nan"))
+    )
+    _exits_2_at_load(path, tmp_path, capsys, "config.access.gnss_error_m: expected a finite number")
+
+
+def test_negative_gnss_error_exits_2(config_dir, tmp_path, capsys):
+    path = _edited_leo_config(config_dir, tmp_path, lambda d: d["access"].update(gnss_error_m=-1.0))
+    _exits_2_at_load(path, tmp_path, capsys, "GNSS error must be non-negative")
+
+
+def _read_trace(path):
+    rows = [line.split(",", 4) for line in path.read_text().splitlines()[1:]]
+    return [(float(t), int(seq), entity, kind, detail) for t, seq, entity, kind, detail in rows]
+
+
+def test_overlapping_traffic_is_the_time_merged_union_of_attempts(config_dir, tmp_path):
+    runs = {}
+    for spacing in (10.0, 5000.0):
+        path = _edited_leo_config(
+            config_dir, tmp_path, lambda d: d["traffic"].update(inter_arrival_ms=spacing)
+        )
+        out = tmp_path / f"spacing{spacing:g}"
+        assert main(["simulate", "--config", path, "--out", str(out), "--seed", "3"]) == 0
+        report = json.loads((out / "report_seed3.json").read_text())
+        runs[spacing] = report, _read_trace(out / "trace_seed3.csv")
+    (report, trace), (spaced_report, spaced_trace) = runs[10.0], runs[5000.0]
+    assert report == spaced_report
+    assert report["access_successes"] == 5
+    assert trace == sorted(trace, key=lambda row: (row[0], row[1]))
+    assert trace != spaced_trace  # the attempts really interleave
+    assert sorted(row[2:] for row in trace) == sorted(row[2:] for row in spaced_trace)

@@ -25,20 +25,28 @@ from ntnsim.protocol import HarqConfig, harq_throughput, rlc_arq_throughput
 
 def test_event_queue_fifo_at_equal_times():
     sim = Simulator()
-    order = []
-    sim.schedule(100, EventKind.TIMER_FIRE, "a", callback=lambda s, e: order.append("a"))
-    sim.schedule(100, EventKind.TIMER_FIRE, "b", callback=lambda s, e: order.append("b"))
-    sim.schedule(50, EventKind.TIMER_FIRE, "c", callback=lambda s, e: order.append("c"))
+    sim.schedule(100, EventKind.TIMER_FIRE, "a")
+    sim.schedule(100, EventKind.TIMER_FIRE, "b")
+    sim.schedule(50, EventKind.TIMER_FIRE, "c")
     sim.run()
-    assert order == ["c", "a", "b"]
+    assert sim.trace_rows() == [
+        (0.05, 2, "c", "timer_fire", ""),
+        (0.1, 0, "a", "timer_fire", ""),
+        (0.1, 1, "b", "timer_fire", ""),
+    ]
 
 
-def test_event_queue_rejects_past():
+def test_event_logged_before_a_later_timed_one_sorts_into_place():
     sim = Simulator()
-    sim.schedule(10, EventKind.TIMER_FIRE, "x")
+    sim.schedule(10_000, EventKind.RX_ARRIVAL, "bs", "late")
+    sim.schedule(5_000, EventKind.TX_START, "device", "early")
+    sim.schedule(10_000, EventKind.TIMER_FIRE, "device", "late_too")
     sim.run()
-    with pytest.raises(ValueError):
-        sim.schedule(5, EventKind.TIMER_FIRE, "y")
+    assert [(row[0], row[1], row[4]) for row in sim.trace_rows()] == [
+        (5.0, 1, "early"),
+        (10.0, 0, "late"),
+        (10.0, 2, "late_too"),
+    ]
 
 
 def test_repetition_gain():
@@ -74,13 +82,13 @@ def test_harq_outstanding_bound_never_exceeded():
         sim.run()
         outstanding = 0
         peak = 0
-        for ev in sim.trace:
-            if ev.kind is EventKind.TX_START and ev.detail.startswith("harq_data"):
+        for _, _, _, kind, detail in sim.trace_rows():
+            if kind == EventKind.TX_START.value and detail.startswith("harq_data"):
                 outstanding += 1
                 peak = max(peak, outstanding)
-            elif ev.kind is EventKind.RX_ARRIVAL and ev.detail.startswith("harq_ack"):
+            elif kind == EventKind.RX_ARRIVAL.value and detail.startswith("harq_ack"):
                 outstanding -= 1
-        assert peak <= n_proc
+        assert peak == n_proc
 
 
 def test_rlc_transfer_matches_throughput_formula():
