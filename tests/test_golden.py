@@ -11,7 +11,6 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -85,4 +84,3 @@ def regenerate() -> dict:
 if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(regenerate(), indent=2, sort_keys=True) + "\n")
-    sys.exit(0)
