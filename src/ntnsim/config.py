@@ -20,6 +20,15 @@ from .protocol import MessageKind
 
 _MISSING = dataclasses.MISSING
 
+# Most HARQ blocks or RLC PDUs one message may need; a transfer logs four
+# (HARQ) or two (RLC) events per unit and caches its event template.
+MAX_TRANSFER_UNITS = 1_000_000
+
+
+def _check_elevation(name: str, value: float) -> None:
+    if not 0.0 <= value <= 90.0:
+        raise DomainError(f"{name} must lie in [0, 90] degrees")
+
 
 def _coerce(tp, value, path, errors):
     origin = typing.get_origin(tp)
@@ -184,6 +193,10 @@ class HarqCfg:
     n_processes: int = 2
     enabled: bool = True
 
+    def __post_init__(self):
+        if self.enabled and not 1 <= self.n_processes <= 2:
+            raise DomainError("HARQ needs one or two processes")
+
 
 @dataclass(frozen=True)
 class TransferCfg:
@@ -196,6 +209,8 @@ class TransferCfg:
     def __post_init__(self):
         if self.tti_ms <= 0:
             raise DomainError("TTI must be positive")
+        if self.tbs_bits <= 0 or self.rlc_pdu_bits <= 0:
+            raise DomainError("transport block and RLC PDU sizes must be positive")
         if self.rlc_window_pdus < 1:
             raise DomainError("RLC window must be at least one PDU")
 
@@ -228,6 +243,8 @@ class AccessCfg:
             raise DomainError("max RTT must be positive")
         if self.gnss_error_m < 0:
             raise DomainError("GNSS error must be non-negative")
+        _check_elevation("service elevation", self.service_elevation_deg)
+        _check_elevation("feeder elevation", self.feeder_elevation_deg)
 
 
 @dataclass(frozen=True)
@@ -272,11 +289,31 @@ class ScenarioConfig:
             raise DomainError("constellation must contain at least one orbit")
         if self.carrier_frequency_hz <= 0:
             raise DomainError("carrier frequency must be positive")
+        _check_elevation("min elevation", self.min_elevation_deg)
+        _check_elevation("max elevation", self.max_elevation_deg)
+        if self.min_elevation_deg > self.max_elevation_deg:
+            raise DomainError("min elevation exceeds max elevation")
         for link in self.links:
             if link is not None and not 0 <= link.orbit_index < len(self.constellation):
                 raise DomainError(
                     f"link {link.name!r}: orbit_index {link.orbit_index} outside the constellation"
                 )
+        # harq/transfer are None only when they failed to load.  The ratio is
+        # compared before rounding up, because two finite sizes may give inf.
+        if (
+            self.traffic is not None
+            and self.harq is not None
+            and self.transfer is not None
+            and self.traffic.message_size_bits / self._unit_bits() > MAX_TRANSFER_UNITS
+        ):
+            raise DomainError(f"a message needs more than {MAX_TRANSFER_UNITS} transfer units")
+
+    def _unit_bits(self) -> float:
+        return self.transfer.tbs_bits if self.harq.enabled else self.transfer.rlc_pdu_bits
+
+    def transfer_units(self) -> int:
+        """HARQ blocks (HARQ enabled) or RLC PDUs one message needs."""
+        return math.ceil(self.traffic.message_size_bits / self._unit_bits())
 
 
 def load_config_dict(data: dict) -> ScenarioConfig:

@@ -8,6 +8,7 @@ only source of randomness.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -96,27 +97,11 @@ def harq_transfer(
     blocks; returns the time the last acknowledgment arrives."""
     if n_blocks < 1 or n_processes < 1:
         raise DomainError("need at least one block and one process")
-    tti = ms_to_us(tti_ms)
-    one_way = ms_to_us(rtt_ms) // 2
-    ack_proc = ms_to_us(ack_processing_ms)
-    proc_free = [start_us] * n_processes
-    tx_free = start_us
-    last_ack = start_us
-    for block in range(n_blocks):
-        p = min(range(n_processes), key=lambda i: proc_free[i])
-        t_tx = max(tx_free, proc_free[p])
-        sim.schedule(t_tx, EventKind.TX_START, "device", f"harq_data block={block} proc={p}")
-        tx_end = t_tx + tti
-        tx_free = tx_end
-        data_arr = tx_end + one_way
-        sim.schedule(data_arr, EventKind.RX_ARRIVAL, "bs", f"harq_data block={block} proc={p}")
-        ack_tx = data_arr + ack_proc
-        sim.schedule(ack_tx, EventKind.TX_START, "bs", f"harq_ack block={block} proc={p}")
-        ack_arr = ack_tx + one_way
-        sim.schedule(ack_arr, EventKind.RX_ARRIVAL, "device", f"harq_ack block={block} proc={p}")
-        proc_free[p] = ack_arr
-        last_ack = max(last_ack, ack_arr)
-    return last_ack
+    events, end = _harq_events(
+        n_blocks, n_processes, ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2, ms_to_us(ack_processing_ms)
+    )
+    sim.replay(start_us, events)
+    return start_us + end
 
 
 def rlc_transfer(
@@ -131,23 +116,65 @@ def rlc_transfer(
     window; returns the arrival time of the final status report."""
     if n_pdus < 1:
         raise DomainError("need at least one PDU")
-    tti = ms_to_us(tti_ms)
-    one_way = ms_to_us(rtt_ms) // 2
-    t = start_us
+    events, end = _rlc_events(n_pdus, window_pdus, ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2)
+    sim.replay(start_us, events)
+    return start_us + end
+
+
+# A transfer's event times are its start plus offsets that depend only on
+# these integer-us parameters (every process is free at the start), so each
+# parameter set is worked out once, relative to 0, and replayed per message.
+_TX, _RX = EventKind.TX_START.value, EventKind.RX_ARRIVAL.value
+
+
+@functools.lru_cache(maxsize=64)
+def _harq_events(n_blocks: int, n_processes: int, tti: int, one_way: int, ack_proc: int):
+    """((offset_us, entity, kind, detail), ...) of a HARQ transfer started
+    at 0, and the offset of its last acknowledgment."""
+    events = []
+    proc_free = [0] * n_processes
+    tx_free = 0
+    last_ack = 0
+    for block in range(n_blocks):
+        p = min(range(n_processes), key=lambda i: proc_free[i])
+        t_tx = max(tx_free, proc_free[p])
+        data, ack = f"harq_data block={block} proc={p}", f"harq_ack block={block} proc={p}"
+        tx_end = t_tx + tti
+        tx_free = tx_end
+        data_arr = tx_end + one_way
+        ack_tx = data_arr + ack_proc
+        ack_arr = ack_tx + one_way
+        events += [
+            (t_tx, "device", _TX, data),
+            (data_arr, "bs", _RX, data),
+            (ack_tx, "bs", _TX, ack),
+            (ack_arr, "device", _RX, ack),
+        ]
+        proc_free[p] = ack_arr
+        last_ack = max(last_ack, ack_arr)
+    return tuple(events), last_ack
+
+
+@functools.lru_cache(maxsize=64)
+def _rlc_events(n_pdus: int, window_pdus: int, tti: int, one_way: int):
+    """((offset_us, entity, kind, detail), ...) of an RLC transfer started
+    at 0, and the offset of its final status report."""
+    events = []
+    t = 0
     sent = 0
     while sent < n_pdus:
         batch = min(window_pdus, n_pdus - sent)
         for j in range(batch):
             tx = t + j * tti
-            sim.schedule(tx, EventKind.TX_START, "device", f"rlc_pdu sn={sent + j}")
-            sim.schedule(tx + tti + one_way, EventKind.RX_ARRIVAL, "bs", f"rlc_pdu sn={sent + j}")
+            pdu = f"rlc_pdu sn={sent + j}"
+            events += [(tx, "device", _TX, pdu), (tx + tti + one_way, "bs", _RX, pdu)]
         last_arr = t + batch * tti + one_way
-        sim.schedule(last_arr, EventKind.TX_START, "bs", f"rlc_status upto={sent + batch}")
+        status = f"rlc_status upto={sent + batch}"
         status_arr = last_arr + one_way
-        sim.schedule(status_arr, EventKind.RX_ARRIVAL, "device", f"rlc_status upto={sent + batch}")
+        events += [(last_arr, "bs", _TX, status), (status_arr, "device", _RX, status)]
         sent += batch
         t = status_arr
-    return t
+    return tuple(events), t
 
 
 @dataclass(frozen=True)
@@ -342,6 +369,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         carrier_frequency_hz=config.carrier_frequency_hz,
     )
 
+    n_units = config.transfer_units()
+
     sim = Simulator()
     report = MetricsReport(scenario=config.name, seed=seed)
     outcomes: list[AccessOutcome] = []
@@ -400,24 +429,20 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
             outcome.times_ms["msg4_arrival"] + access.device_processing_ms
         )
         if config.harq.enabled:
-            n_blocks = int(math.ceil(traffic.message_size_bits / config.transfer.tbs_bits))
             end_us = harq_transfer(
                 sim,
                 transfer_start,
-                n_blocks,
+                n_units,
                 config.harq.n_processes,
                 config.transfer.tti_ms,
                 rtt_true,
                 config.transfer.ack_processing_ms,
             )
         else:
-            n_pdus = int(
-                math.ceil(traffic.message_size_bits / config.transfer.rlc_pdu_bits)
-            )
             end_us = rlc_transfer(
                 sim,
                 transfer_start,
-                n_pdus,
+                n_units,
                 config.transfer.rlc_window_pdus,
                 config.transfer.tti_ms,
                 rtt_true,

@@ -2,9 +2,11 @@
 
 Time is carried as integer microseconds so long GEO scenarios never
 accumulate float drift in timer arithmetic.  The protocol and transfer
-models compute every event time in closed form and only log it here;
-``run`` sorts the log once into (time, seq) order, seq being the log
-position, so events at equal times keep the order they were logged in.
+models compute every event time in closed form and only log it here,
+one event at a time (``schedule``) or a whole transfer from a template of
+offsets (``replay``); ``run`` sorts the log once into (time, seq) order,
+seq being the log position, so events at equal times keep the order they
+were logged in.
 """
 
 from __future__ import annotations
@@ -36,7 +38,16 @@ class Simulator:
         self._log: list[tuple[int, int, str, str, str]] = []
 
     def schedule(self, time_us: int, kind: EventKind, entity: str, detail: str = "") -> None:
-        self._log.append((int(time_us), len(self._log), entity, kind.value, detail))
+        self._log.append((int(time_us), len(self._log), entity, kind._value_, detail))
+
+    def replay(self, start_us: int, events) -> None:
+        """Log ``(offset_us, entity, kind_value, detail)`` template entries at
+        ``start_us + offset_us``, in template order."""
+        base = len(self._log)
+        self._log += [
+            (start_us + offset, base + k, entity, kind, detail)
+            for k, (offset, entity, kind, detail) in enumerate(events)
+        ]
 
     def run(self) -> None:
         """Sort the log by (time, seq); (time, seq) pairs are unique."""

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from ntnsim.cli import main
+from ntnsim.cli import _write_csv, _write_trace, main
+from ntnsim.config import load_config
+from ntnsim.engine import run_scenario
 
 
 def test_linkbudget_text_and_csv(config_dir, tmp_path, capsys):
@@ -136,7 +138,8 @@ def _edited_leo_config(config_dir, tmp_path, edit) -> str:
 
 def _exits_2_at_load(config_path, tmp_path, capsys, message):
     out = tmp_path / "out"
-    for command in ("simulate", "linkbudget"):
+    # linkbudget first: it never transfers, so a missing check fails fast.
+    for command in ("linkbudget", "simulate"):
         assert main([command, "--config", config_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
@@ -165,6 +168,53 @@ def test_non_finite_number_exits_2(config_dir, tmp_path, capsys):
 def test_negative_gnss_error_exits_2(config_dir, tmp_path, capsys):
     path = _edited_leo_config(config_dir, tmp_path, lambda d: d["access"].update(gnss_error_m=-1.0))
     _exits_2_at_load(path, tmp_path, capsys, "GNSS error must be non-negative")
+
+
+OUT_OF_RANGE = [
+    ({"transfer.tbs_bits": 0.0}, "transport block and RLC PDU sizes must be positive"),
+    ({"transfer.rlc_pdu_bits": -1.0}, "transport block and RLC PDU sizes must be positive"),
+    ({"traffic.message_size_bits": 1e300}, "more than 1000000 transfer units"),
+    # The size ratio overflows to inf.
+    (
+        {"traffic.message_size_bits": 1e300, "transfer.tbs_bits": 1e-10},
+        "more than 1000000 transfer units",
+    ),
+    ({"harq.n_processes": 0}, "HARQ needs one or two processes"),
+    ({"harq.n_processes": 5}, "HARQ needs one or two processes"),
+    ({"access.service_elevation_deg": -30.0}, "service elevation must lie in [0, 90] degrees"),
+    ({"access.feeder_elevation_deg": 90.5}, "feeder elevation must lie in [0, 90] degrees"),
+    ({"min_elevation_deg": 120.0}, "min elevation must lie in [0, 90] degrees"),
+    ({"max_elevation_deg": -1.0}, "max elevation must lie in [0, 90] degrees"),
+    (
+        {"min_elevation_deg": 85.0, "max_elevation_deg": 80.0},
+        "min elevation exceeds max elevation",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    OUT_OF_RANGE,
+    ids=[",".join(f"{k}={v:g}" for k, v in edits.items()) for edits, _ in OUT_OF_RANGE],
+)
+def test_out_of_range_transfer_harq_or_elevation_exits_2(
+    config_dir, tmp_path, capsys, edits, message
+):
+    def edit(data):
+        for dotted, value in edits.items():
+            *section, field = dotted.split(".")
+            (data[section[0]] if section else data)[field] = value
+
+    _exits_2_at_load(_edited_leo_config(config_dir, tmp_path, edit), tmp_path, capsys, message)
+
+
+def test_trace_writer_matches_generic_csv_writer(config_dir, tmp_path):
+    header = ["time_ms", "seq", "entity", "kind", "detail"]
+    rows = run_scenario(load_config(config_dir / "geo_sband.json"), seed=4).trace_rows
+    rows = rows + [(0.0, 7, "bs", "timer_fire", ""), (1e-4, 8, "device", "measurement", "x=1,y")]
+    _write_trace(tmp_path / "trace.csv", rows)
+    _write_csv(tmp_path / "generic.csv", header, [list(row) for row in rows])
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
 
 
 def _read_trace(path):

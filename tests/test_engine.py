@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntnsim.config import load_config, load_config_dict
+from ntnsim.config import MAX_TRANSFER_UNITS, load_config, load_config_dict
 from ntnsim.engine import (
     BentPipeChannel,
     MetricsReport,
@@ -115,6 +115,107 @@ def test_rlc_transfer_monotone_in_rtt(n_pdus, window, rtt):
     assert end2 >= end1
 
 
+# One schedule call per event, with every time worked out from start_us:
+# the reference that the cached-template replay must match.
+def harq_transfer_reference(
+    sim, start_us, n_blocks, n_processes, tti_ms, rtt_ms, ack_processing_ms=0.0
+):
+    if n_blocks < 1 or n_processes < 1:
+        raise DomainError("need at least one block and one process")
+    tti = ms_to_us(tti_ms)
+    one_way = ms_to_us(rtt_ms) // 2
+    ack_proc = ms_to_us(ack_processing_ms)
+    proc_free = [start_us] * n_processes
+    tx_free = start_us
+    last_ack = start_us
+    for block in range(n_blocks):
+        p = min(range(n_processes), key=lambda i: proc_free[i])
+        t_tx = max(tx_free, proc_free[p])
+        sim.schedule(t_tx, EventKind.TX_START, "device", f"harq_data block={block} proc={p}")
+        tx_end = t_tx + tti
+        tx_free = tx_end
+        data_arr = tx_end + one_way
+        sim.schedule(data_arr, EventKind.RX_ARRIVAL, "bs", f"harq_data block={block} proc={p}")
+        ack_tx = data_arr + ack_proc
+        sim.schedule(ack_tx, EventKind.TX_START, "bs", f"harq_ack block={block} proc={p}")
+        ack_arr = ack_tx + one_way
+        sim.schedule(ack_arr, EventKind.RX_ARRIVAL, "device", f"harq_ack block={block} proc={p}")
+        proc_free[p] = ack_arr
+        last_ack = max(last_ack, ack_arr)
+    return last_ack
+
+
+def rlc_transfer_reference(sim, start_us, n_pdus, window_pdus, tti_ms, rtt_ms):
+    if n_pdus < 1:
+        raise DomainError("need at least one PDU")
+    tti = ms_to_us(tti_ms)
+    one_way = ms_to_us(rtt_ms) // 2
+    t = start_us
+    sent = 0
+    while sent < n_pdus:
+        batch = min(window_pdus, n_pdus - sent)
+        for j in range(batch):
+            tx = t + j * tti
+            sim.schedule(tx, EventKind.TX_START, "device", f"rlc_pdu sn={sent + j}")
+            sim.schedule(tx + tti + one_way, EventKind.RX_ARRIVAL, "bs", f"rlc_pdu sn={sent + j}")
+        last_arr = t + batch * tti + one_way
+        sim.schedule(last_arr, EventKind.TX_START, "bs", f"rlc_status upto={sent + batch}")
+        status_arr = last_arr + one_way
+        sim.schedule(status_arr, EventKind.RX_ARRIVAL, "device", f"rlc_status upto={sent + batch}")
+        sent += batch
+        t = status_arr
+    return t
+
+
+rtts = st.floats(min_value=0.0, max_value=600.0)
+transfers = st.one_of(
+    # (harq?, units, processes or window, tti_ms, rtt_ms, ack_processing_ms)
+    st.tuples(st.just(True), st.integers(1, 40), st.integers(1, 3),
+              st.floats(0.001, 20.0), rtts, st.floats(0.0, 20.0)),
+    st.tuples(st.just(False), st.integers(1, 60), st.integers(1, 20),
+              st.floats(0.001, 20.0), rtts, st.just(0.0)),
+)
+
+
+def _transfer(sim, start_us, params, reference):
+    harq, units, width, tti, rtt, ack = params
+    if harq:
+        fn = harq_transfer_reference if reference else harq_transfer
+        return fn(sim, start_us, units, width, tti, rtt, ack)
+    fn = rlc_transfer_reference if reference else rlc_transfer
+    return fn(sim, start_us, units, width, tti, rtt)
+
+
+@given(
+    prefix=st.lists(st.integers(0, 10**7), min_size=1, max_size=5),
+    first=transfers,
+    second=transfers,
+    start_us=st.integers(0, 10**9),
+    overlap=st.floats(0.0, 1.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_transfer_replay_matches_per_event_loop(prefix, first, second, start_us, overlap):
+    """Two transfers with different parameters, the second starting while
+    the first runs, after some unrelated events, and the first again (a
+    template cache hit): the same trace and end times as the loops."""
+    if first == second:
+        second = (*second[:3], second[3] + 1.0, *second[4:])
+    traces, ends = [], []
+    for reference in (True, False):
+        sim = Simulator()
+        for k, t in enumerate(prefix):
+            sim.schedule(t, EventKind.TIMER_FIRE, "device", f"before {k}")
+        end1 = _transfer(sim, start_us, first, reference)
+        start2 = start_us + int(overlap * (end1 - start_us))
+        end2 = _transfer(sim, start2, second, reference)
+        end3 = _transfer(sim, end2, first, reference)
+        sim.run()
+        traces.append(sim.trace_rows())
+        ends.append((end1, end2, end3))
+    assert traces[1] == traces[0]
+    assert ends[1] == ends[0]
+
+
 def test_beam_schedule_static_geo():
     geo = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS)
     intervals = earth_fixed_beam_schedule(geo, GroundPosition(30.0, 0.0), 10.0)
@@ -196,6 +297,20 @@ def test_config_rejects_out_of_range_values():
     bad["constellation"][0]["altitude_km"] = 100.0
     with pytest.raises(ConfigError):
         load_config_dict(bad)
+
+
+def test_transfer_unit_bound_counts_blocks_or_pdus():
+    data = json.loads(json.dumps(MINIMAL))
+    data["transfer"] = {"tbs_bits": 1000.0, "rlc_pdu_bits": 10.0}
+    data["traffic"]["message_size_bits"] = 1000.0 * MAX_TRANSFER_UNITS
+    assert load_config_dict(data).transfer_units() == MAX_TRANSFER_UNITS
+    data["harq"] = {"enabled": False}  # now counted in 10-bit PDUs
+    with pytest.raises(ConfigError, match="more than 1000000 transfer units"):
+        load_config_dict(data)
+    data["harq"] = {"enabled": True}
+    data["traffic"]["message_size_bits"] += 1.0
+    with pytest.raises(ConfigError, match="more than 1000000 transfer units"):
+        load_config_dict(data)
 
 
 def test_load_config_missing_file():
