@@ -92,12 +92,6 @@ def _emit(args, name: str, header: list[str], rows: list[list]) -> Path:
     return path
 
 
-def _observer(config: ScenarioConfig) -> GroundPosition:
-    if config.observer is not None:
-        return config.observer.to_ground()
-    return GroundPosition(0.0, 0.0)
-
-
 def cmd_linkbudget(config: ScenarioConfig, args) -> int:
     if not config.links:
         raise ConfigError(["config.links: required for the linkbudget command"])
@@ -156,7 +150,7 @@ def cmd_geometry(config: ScenarioConfig, args) -> int:
 
         if orbit.kind is OrbitKind.GEOSYNCHRONOUS:
             t = np.arange(orbit.epoch_s, orbit.epoch_s + SIDEREAL_DAY_S, 60.0)
-            _, _, rr = geometry_samples(*propagate_many(orbit, t), _observer(config))
+            _, _, rr = geometry_samples(*propagate_many(orbit, t), config.observer.to_ground())
             visibility = math.inf
         else:
             equator = GroundPosition(0.0, 0.0)
@@ -195,7 +189,7 @@ def cmd_doppler_trace(config: ScenarioConfig, args) -> int:
         orbit = config.constellation[0].to_orbit_spec()
         if orbit.kind is not OrbitKind.GEOSYNCHRONOUS:
             raise ConfigError(["config.constellation[0]: inclined_geo mode needs a geosynchronous orbit"])
-        obs = _observer(config)
+        obs = config.observer.to_ground()
         t = np.arange(0.0, SIDEREAL_DAY_S + 1.0, 60.0)
         _, _, rr = geometry_samples(*propagate_many(orbit, orbit.epoch_s + t), obs)
         rows = [list(row) for row in zip(t.tolist(), doppler_hz(rr, fc).tolist())]
@@ -236,7 +230,7 @@ def cmd_simulate(config: ScenarioConfig, args) -> int:
 def cmd_rank_cells(config: ScenarioConfig, args) -> int:
     if not config.cells:
         raise ConfigError(["config.cells: required for the rank-cells command"])
-    device = _observer(config)
+    device = config.observer.to_ground()
     orbit = config.constellation[0].to_orbit_spec()
     sat = propagate(orbit, orbit.epoch_s)
     candidates = []

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import ConfigError, DomainError
 from .geometry import BeamSpec, GroundPosition, OrbitKind, OrbitSpec
-from .protocol import MessageKind
+from .protocol import AccessTiming, HarqConfig, MessageKind, TimerConfig
 
 _MISSING = dataclasses.MISSING
 
@@ -52,10 +52,14 @@ def _coerce(tp, value, path, errors):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{path}: expected a number")
             return 0.0
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
         if not math.isfinite(value):
             errors.append(f"{path}: expected a finite number")
             return 0.0
-        return float(value)
+        return value
     if tp is int:
         if isinstance(value, bool) or not isinstance(value, int):
             errors.append(f"{path}: expected an integer")
@@ -131,6 +135,9 @@ class ObserverCfg:
     longitude_deg: float
     altitude_m: float = 0.0
 
+    def __post_init__(self):
+        self.to_ground()  # surface latitude errors at load time
+
     def to_ground(self) -> GroundPosition:
         return GroundPosition(self.latitude_deg, self.longitude_deg, self.altitude_m)
 
@@ -140,6 +147,9 @@ class BeamCfg:
     center_latitude_deg: float
     center_longitude_deg: float
     diameter_km: float
+
+    def __post_init__(self):
+        self.to_beam()  # surface latitude and diameter errors at load time
 
     def to_beam(self) -> BeamSpec:
         return BeamSpec(
@@ -154,6 +164,9 @@ class CellCfg:
     center_latitude_deg: float
     center_longitude_deg: float
     max_rtt_ms: float
+
+    def __post_init__(self):
+        self.center()  # surface latitude errors at load time
 
     def center(self) -> GroundPosition:
         return GroundPosition(self.center_latitude_deg, self.center_longitude_deg)
@@ -175,27 +188,10 @@ class LinkCfg:
     def __post_init__(self):
         if self.direction not in ("downlink", "uplink"):
             raise DomainError(f"unknown link direction {self.direction!r}")
+        if self.bandwidth_hz <= 0:
+            raise DomainError("bandwidth must be positive")
         if self.atmospheric_db_min > self.atmospheric_db_max:
             raise DomainError("atmospheric loss bounds out of order")
-
-
-@dataclass(frozen=True)
-class TimerCfg:
-    contention_resolution_ms: float = 10240.0
-    harq_rtt_ms: float = 0.0
-    t_reordering_ms: float = 1600.0
-    ntn_start_offset_ms: float = 0.0
-    t_reordering_extension_ms: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class HarqCfg:
-    n_processes: int = 2
-    enabled: bool = True
-
-    def __post_init__(self):
-        if self.enabled and not 1 <= self.n_processes <= 2:
-            raise DomainError("HARQ needs one or two processes")
 
 
 @dataclass(frozen=True)
@@ -228,17 +224,17 @@ class TrafficCfg:
             raise DomainError("need at least one message")
 
 
-@dataclass(frozen=True)
-class AccessCfg:
+@dataclass(frozen=True, kw_only=True)
+class AccessCfg(AccessTiming):
+    """The access timing plus the geometry and GNSS error of a scenario."""
+
     max_rtt_ms: float
     service_elevation_deg: float = 10.0
     feeder_elevation_deg: float = 10.0
-    bs_processing_ms: float = 4.0
-    device_processing_ms: float = 8.0
-    rar_window_length_ms: float = 10240.0
     gnss_error_m: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.max_rtt_ms <= 0:
             raise DomainError("max RTT must be positive")
         if self.gnss_error_m < 0:
@@ -273,18 +269,20 @@ class ScenarioConfig:
     seed: int = 0
     min_elevation_deg: float = 10.0
     max_elevation_deg: float = 90.0
-    observer: Optional[ObserverCfg] = None
+    observer: Optional[ObserverCfg] = None  # absent or null: (0, 0)
     beams: list[BeamCfg] = field(default_factory=list)
     cells: list[CellCfg] = field(default_factory=list)
     links: list[LinkCfg] = field(default_factory=list)
-    timers: TimerCfg = field(default_factory=TimerCfg)
-    harq: HarqCfg = field(default_factory=HarqCfg)
+    timers: TimerConfig = field(default_factory=TimerConfig)
+    harq: HarqConfig = field(default_factory=HarqConfig)
     transfer: TransferCfg = field(default_factory=TransferCfg)
     traffic: Optional[TrafficCfg] = None
     access: Optional[AccessCfg] = None
     channel: ChannelCfg = field(default_factory=ChannelCfg)
 
     def __post_init__(self):
+        if self.observer is None:
+            object.__setattr__(self, "observer", ObserverCfg(0.0, 0.0))
         if not self.constellation:
             raise DomainError("constellation must contain at least one orbit")
         if self.carrier_frequency_hz <= 0:
@@ -327,6 +325,6 @@ def load_config_dict(data: dict) -> ScenarioConfig:
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ConfigError([f"config: {exc}"])
     return load_config_dict(data)

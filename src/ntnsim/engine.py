@@ -34,13 +34,11 @@ from .geometry import (  # noqa: F401
 from .linkbudget import LinkBudgetParams, fspl, snr
 from .protocol import (
     AccessOutcome,
-    AccessTiming,
     DeviceContext,
     Ephemeris,
     FailureCause,
     MessageKind,
     SystemInformation,
-    TimerConfig,
     run_random_access,
 )
 
@@ -114,8 +112,8 @@ def rlc_transfer(
 ) -> int:
     """Windowed transfer with a status poll on the last PDU of each
     window; returns the arrival time of the final status report."""
-    if n_pdus < 1:
-        raise DomainError("need at least one PDU")
+    if n_pdus < 1 or window_pdus < 1:
+        raise DomainError("need at least one PDU and a window of at least one PDU")
     events, end = _rlc_events(n_pdus, window_pdus, ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2)
     sim.replay(start_us, events)
     return start_us + end
@@ -347,21 +345,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     snr_dl, snr_ul = _link_snrs(config, access.service_elevation_deg)
     drop_kinds = frozenset(MessageKind(k) for k in config.channel.drop_kinds)
 
-    observer = (
-        config.observer.to_ground() if config.observer else GroundPosition(0.0, 0.0)
-    )
-    timers = TimerConfig(
-        contention_resolution_ms=config.timers.contention_resolution_ms,
-        harq_rtt_ms=config.timers.harq_rtt_ms,
-        t_reordering_ms=config.timers.t_reordering_ms,
-        ntn_start_offset_ms=config.timers.ntn_start_offset_ms,
-        t_reordering_extension_ms=config.timers.t_reordering_extension_ms,
-    )
-    timing = AccessTiming(
-        bs_processing_ms=access.bs_processing_ms,
-        device_processing_ms=access.device_processing_ms,
-        rar_window_length_ms=access.rar_window_length_ms,
-    )
+    observer = config.observer.to_ground()
     si = SystemInformation(
         ephemeris=Ephemeris(orbits=(orbit,)),
         max_rtt_ms=access.max_rtt_ms,
@@ -402,8 +386,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
             device,
             si,
             channel,
-            timers=timers,
-            timing=timing,
+            timers=config.timers,
+            timing=access,
             sim=sim,
             start_ms=start_ms,
             delay_est_ms=delay_est,

@@ -344,8 +344,8 @@ def visibility_duration(
     Fixed-step numeric sweep; returns 0 if the satellite never rises above
     the threshold.
     """
-    if not 0.0 < min_elevation_deg <= 90.0:
-        raise DomainError("min_elevation must lie in (0, 90]")
+    if not 0.0 <= min_elevation_deg <= 90.0:
+        raise DomainError("min_elevation must lie in [0, 90]")
     n_steps = int(math.ceil(orbit.period_s() / step_s))
     t = orbit.epoch_s + np.arange(n_steps + 1) * step_s
     elevation, _, _ = geometry_samples(*propagate_many(orbit, t), ground)

@@ -64,6 +64,12 @@ class DeviceContext:
     active_timers: dict = field(default_factory=dict)
 
 
+def _check_non_negative(*named: tuple[str, float]) -> None:
+    for name, value in named:
+        if value < 0:
+            raise DomainError(f"{name} must be non-negative")
+
+
 @dataclass(frozen=True)
 class TimingAdvanceCommand:
     steps: int
@@ -83,17 +89,17 @@ class TimerConfig:
     t_reordering_extension_ms: Optional[float] = None
 
     def __post_init__(self):
+        _check_non_negative(
+            ("contention resolution timer", self.contention_resolution_ms),
+            ("HARQ RTT timer", self.harq_rtt_ms),
+            ("base t-reordering", self.t_reordering_ms),
+            ("timer start offset", self.ntn_start_offset_ms),
+            ("t-reordering extension", self.t_reordering_extension_ms or 0.0),
+        )
         if self.contention_resolution_ms > MAX_CONTENTION_RESOLUTION_MS:
             raise DomainError("contention resolution timer exceeds 10.24 s")
         if self.t_reordering_ms > MAX_T_REORDERING_MS:
             raise DomainError("base t-reordering exceeds 1600 ms")
-        if self.ntn_start_offset_ms < 0:
-            raise DomainError("timer start offset must be non-negative")
-        if (
-            self.t_reordering_extension_ms is not None
-            and self.t_reordering_extension_ms < 0
-        ):
-            raise DomainError("t-reordering extension must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,8 @@ class HarqConfig:
     enabled: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.n_processes <= 2:
-            raise DomainError("at most two HARQ processes are supported")
+        if not 1 <= self.n_processes <= 2:
+            raise DomainError("HARQ needs one or two processes")
 
 
 class MessageKind(Enum):
@@ -131,6 +137,13 @@ class AccessTiming:
     bs_processing_ms: float = 4.0
     device_processing_ms: float = 8.0
     rar_window_length_ms: float = MAX_CONTENTION_RESOLUTION_MS
+
+    def __post_init__(self):
+        _check_non_negative(
+            ("base-station processing time", self.bs_processing_ms),
+            ("device processing time", self.device_processing_ms),
+            ("RAR window length", self.rar_window_length_ms),
+        )
 
 
 @dataclass
@@ -397,8 +410,6 @@ def harq_throughput(
     """Stop-and-wait ceiling: one transport block per process per RTT."""
     if not cfg.enabled:
         raise DomainError("HARQ throughput requires HARQ enabled")
-    if cfg.n_processes == 0:
-        raise DomainError("need at least one HARQ process")
     if rtt_ms <= 0:
         raise DomainError("RTT must be positive")
     return cfg.n_processes * tbs_bits / ((rtt_ms + proc_delay_ms) / 1000.0)

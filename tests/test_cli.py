@@ -27,6 +27,14 @@ def test_geometry_command(config_dir, tmp_path):
     assert "max_doppler_ppm" in body and "visibility_s" in body
 
 
+def test_geometry_accepts_a_zero_min_elevation(config_dir, tmp_path):
+    path = _edited_leo_config(config_dir, tmp_path, lambda d: d.update(min_elevation_deg=0.0))
+    assert main(["geometry", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "geometry.csv").read_text().splitlines()]
+    visibility = next(float(row[3]) for row in rows if row[2] == "visibility_s")
+    assert visibility > 600.0  # a 600 km pass lasts about 12 minutes from horizon to horizon
+
+
 def test_doppler_trace_modes(config_dir, tmp_path):
     assert main([
         "doppler-trace", "--config", str(config_dir / "inclined_geo.json"),
@@ -85,6 +93,19 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main([
         "simulate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)
     ]) == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"name": "\xff"}', b"[" * 100000],
+    ids=["invalid_utf8", "deeply_nested"],
+)
+def test_unreadable_config_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["linkbudget", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config fields: config: ") and "Traceback" not in err
 
 
 def test_missing_section_exits_2(config_dir, tmp_path):
@@ -181,6 +202,7 @@ OUT_OF_RANGE = [
     ),
     ({"harq.n_processes": 0}, "HARQ needs one or two processes"),
     ({"harq.n_processes": 5}, "HARQ needs one or two processes"),
+    ({"harq.enabled": False, "harq.n_processes": 0}, "HARQ needs one or two processes"),
     ({"access.service_elevation_deg": -30.0}, "service elevation must lie in [0, 90] degrees"),
     ({"access.feeder_elevation_deg": 90.5}, "feeder elevation must lie in [0, 90] degrees"),
     ({"min_elevation_deg": 120.0}, "min elevation must lie in [0, 90] degrees"),
@@ -189,6 +211,24 @@ OUT_OF_RANGE = [
         {"min_elevation_deg": 85.0, "max_elevation_deg": 80.0},
         "min elevation exceeds max elevation",
     ),
+    ({"timers.contention_resolution_ms": 20000.0}, "contention resolution timer exceeds 10.24 s"),
+    ({"timers.t_reordering_ms": 2000.0}, "base t-reordering exceeds 1600 ms"),
+    ({"timers.ntn_start_offset_ms": -5.0}, "timer start offset must be non-negative"),
+    ({"timers.t_reordering_extension_ms": -1.0}, "t-reordering extension must be non-negative"),
+    (
+        {"timers.contention_resolution_ms": -5.0},
+        "contention resolution timer must be non-negative",
+    ),
+    ({"timers.harq_rtt_ms": -1.0}, "HARQ RTT timer must be non-negative"),
+    ({"timers.t_reordering_ms": -1.0}, "base t-reordering must be non-negative"),
+    ({"access.bs_processing_ms": -100.0}, "base-station processing time must be non-negative"),
+    ({"access.device_processing_ms": -1e6}, "device processing time must be non-negative"),
+    ({"access.rar_window_length_ms": -1.0}, "RAR window length must be non-negative"),
+    ({"observer.latitude_deg": 100.0}, "config.observer: latitude 100.0 outside [-90, 90]"),
+    ({"cells.0.center_latitude_deg": 100.0}, "config.cells[0]: latitude 100.0 outside [-90, 90]"),
+    ({"beams.0.center_latitude_deg": 100.0}, "config.beams[0]: latitude 100.0 outside [-90, 90]"),
+    ({"beams.0.diameter_km": -5.0}, "config.beams[0]: beam diameter must be non-negative"),
+    ({"links.0.bandwidth_hz": 0.0}, "config.links[0]: bandwidth must be positive"),
 ]
 
 
@@ -202,8 +242,11 @@ def test_out_of_range_transfer_harq_or_elevation_exits_2(
 ):
     def edit(data):
         for dotted, value in edits.items():
-            *section, field = dotted.split(".")
-            (data[section[0]] if section else data)[field] = value
+            *path, field = dotted.split(".")
+            target = data
+            for key in path:  # a list index is a number, such as cells.0
+                target = target[int(key)] if isinstance(target, list) else target[key]
+            target[field] = value
 
     _exits_2_at_load(_edited_leo_config(config_dir, tmp_path, edit), tmp_path, capsys, message)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntnsim.config import MAX_TRANSFER_UNITS, load_config, load_config_dict
+from ntnsim.config import MAX_TRANSFER_UNITS, ObserverCfg, load_config, load_config_dict
 from ntnsim.engine import (
     BentPipeChannel,
     MetricsReport,
@@ -113,6 +113,11 @@ def test_rlc_transfer_monotone_in_rtt(n_pdus, window, rtt):
     end1 = rlc_transfer(sim1, 0, n_pdus, window, 4.0, rtt)
     end2 = rlc_transfer(sim2, 0, n_pdus, window, 4.0, rtt + 50.0)
     assert end2 >= end1
+
+
+def test_rlc_transfer_rejects_an_empty_window():
+    with pytest.raises(DomainError):
+        rlc_transfer(Simulator(), 0, 5, 0, 4.0, 10.0)
 
 
 # One schedule call per event, with every time worked out from start_us:
@@ -256,6 +261,13 @@ def test_run_scenario_deterministic_per_seed():
     assert r1.trace_rows == r2.trace_rows
 
 
+def test_absent_or_null_observer_loads_as_the_origin():
+    data = json.loads(json.dumps(MINIMAL))
+    assert load_config_dict(data).observer == ObserverCfg(0.0, 0.0)
+    data["observer"] = None
+    assert load_config_dict(data).observer == ObserverCfg(0.0, 0.0)
+
+
 def test_run_scenario_requires_access_and_traffic():
     bare = {k: v for k, v in MINIMAL.items() if k not in ("access", "traffic")}
     cfg = load_config_dict(bare)
@@ -290,6 +302,13 @@ def test_config_unknown_field_and_type_errors_collected():
         load_config_dict(bad)
     joined = " ".join(exc.value.fields)
     assert "bogus" in joined and "n_messages" in joined
+
+
+def test_config_rejects_an_integer_beyond_the_float_range():
+    bad = json.loads(json.dumps(MINIMAL))
+    bad["carrier_frequency_hz"] = 10**400
+    with pytest.raises(ConfigError, match="carrier_frequency_hz: expected a finite number"):
+        load_config_dict(bad)
 
 
 def test_config_rejects_out_of_range_values():

@@ -217,6 +217,16 @@ def test_visibility_duration_zero_when_never_visible():
     assert visibility_duration(orbit, obs, 10.0, step_s=10.0) == 0.0
 
 
+def test_visibility_duration_threshold_range():
+    obs = GroundPosition(0.0, 0.0)
+    orbit = overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 90.0, obs, overhead_at_s=3000.0)
+    horizon = visibility_duration(orbit, obs, 0.0, step_s=10.0)
+    assert horizon > visibility_duration(orbit, obs, 10.0, step_s=10.0) > 0.0
+    for bad in (-0.5, 90.5):
+        with pytest.raises(DomainError):
+            visibility_duration(orbit, obs, bad, step_s=10.0)
+
+
 def test_differential_delay_requires_visible_footprint():
     # A 3500 km beam whose far edge dips below the horizon must be
     # rejected rather than silently clipped.
