@@ -233,18 +233,17 @@ def cmd_rank_cells(config: ScenarioConfig, args) -> int:
     device = config.observer.to_ground()
     orbit = config.constellation[0].to_orbit_spec()
     sat = propagate(orbit, orbit.epoch_s)
-    candidates = []
-    for cell in config.cells:
-        sample = geometry_sample(sat, device, config.carrier_frequency_hz)
-        est_rtt = 4.0 * sample.one_way_delay_ms
-        candidates.append(
-            CellCandidate(
-                cell_id=cell.cell_id,
-                cell_center=cell.center(),
-                max_rtt_ms=cell.max_rtt_ms,
-                estimated_rtt_ms=est_rtt,
-            )
+    # The device's own round trip: the same for every cell.
+    est_rtt = 4.0 * geometry_sample(sat, device, config.carrier_frequency_hz).one_way_delay_ms
+    candidates = [
+        CellCandidate(
+            cell_id=cell.cell_id,
+            cell_center=cell.center(),
+            max_rtt_ms=cell.max_rtt_ms,
+            estimated_rtt_ms=est_rtt,
         )
+        for cell in config.cells
+    ]
     suitable = [c for c in candidates if cell_suitability(c)]
     if not suitable:
         raise NoCellError("no suitable cells")
@@ -269,6 +268,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _u64(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ntnsim",
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", type=_u64, default=None, help="seed override (u64)")
         p.add_argument("--format", choices=("csv", "text"), default="text")
         p.add_argument(
             "--jobs", type=_positive_int, default=1, help="number of consecutive seeds (simulate)"
@@ -301,8 +307,21 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("NTNSIM_LOG", "WARNING").upper())
+    level = os.environ.get("NTNSIM_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"NTNSIM_LOG: unknown level {level!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level)
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # a bug: one line, the traceback only at DEBUG
+        log.debug("unexpected failure", exc_info=True)
+        print(f"runtime failure: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+
+
+def _run(args) -> int:
     try:
         config = load_config(args.config)
     except ConfigError as exc:

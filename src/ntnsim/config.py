@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import ConfigError, DomainError
 from .geometry import BeamSpec, GroundPosition, OrbitKind, OrbitSpec
-from .protocol import AccessTiming, HarqConfig, MessageKind, TimerConfig
+from .protocol import AccessTiming, HarqConfig, MessageKind, TimerConfig, _check_non_negative
 
 _MISSING = dataclasses.MISSING
 
@@ -190,6 +190,12 @@ class LinkCfg:
             raise DomainError(f"unknown link direction {self.direction!r}")
         if self.bandwidth_hz <= 0:
             raise DomainError("bandwidth must be positive")
+        _check_non_negative(
+            ("shadow fading loss", self.shadow_fading_db),
+            ("scintillation loss", self.scintillation_db),
+            ("maximum atmospheric loss", self.atmospheric_db_max),
+            ("minimum atmospheric loss", self.atmospheric_db_min),
+        )
         if self.atmospheric_db_min > self.atmospheric_db_max:
             raise DomainError("atmospheric loss bounds out of order")
 

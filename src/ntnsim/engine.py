@@ -19,8 +19,8 @@ from .config import ScenarioConfig
 from .constants import SPEED_OF_LIGHT_KM_S, SPEED_OF_LIGHT_M_S
 from .errors import ConfigError, DomainError
 from .events import EventKind, Simulator, ms_to_us, us_to_ms
-# geometry_sample and propagate stay importable from this module (unused
-# here): perfbench/tracing.py patches them to count scalar geometry calls.
+# geometry_sample, propagate and run_random_access stay importable from this
+# module (unused here): perfbench/tracing.py patches them to count calls.
 from .geometry import (  # noqa: F401
     GroundPosition,
     OrbitKind,
@@ -32,13 +32,12 @@ from .geometry import (  # noqa: F401
     slant_range,
 )
 from .linkbudget import LinkBudgetParams, fspl, snr
-from .protocol import (
+from .protocol import (  # noqa: F401
     AccessOutcome,
-    DeviceContext,
-    Ephemeris,
-    FailureCause,
     MessageKind,
-    SystemInformation,
+    access_outcome,
+    access_timeline,
+    delay_residual,
     run_random_access,
 )
 
@@ -276,7 +275,12 @@ class MetricsReport:
 class ScenarioResult:
     report: MetricsReport
     trace_rows: list[tuple]
-    outcomes: list[AccessOutcome]
+    # (access_timeline result, reported delay in ms) of each message.
+    records: list[tuple]
+
+    @property
+    def outcomes(self) -> list[AccessOutcome]:
+        return [access_outcome(timeline, reported) for timeline, reported in self.records]
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -314,10 +318,13 @@ def _link_snrs(config: ScenarioConfig, elevation_deg: float) -> tuple[float, flo
 def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioResult:
     """Run the access + data-transfer scenario; deterministic per seed.
 
-    Message ``i`` starts an independent access attempt, with its own device
-    context, at ``i * inter_arrival_ms``.  Attempts may overlap in time when
-    the spacing is shorter than one access plus transfer; the trace is then
-    the time-merged union of the attempts.
+    Message ``i`` starts an independent access attempt at
+    ``i * inter_arrival_ms``: its GNSS error and fade are drawn, its access
+    exchange is worked out in closed form (``access_timeline``), and a
+    successful attempt's transfer is replayed from the scenario's one
+    transfer template.  Attempts may overlap in time when the spacing is
+    shorter than one access plus transfer; the trace is then the
+    time-merged union of the attempts.
     """
     if config.access is None:
         raise ConfigError(["config.access: required to run a scenario"])
@@ -325,114 +332,74 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         raise ConfigError(["config.traffic: required to run a scenario"])
     if seed is None:
         seed = config.seed
-    rng = random.Random(seed)
+    gauss = random.Random(seed).gauss
     access = config.access
     traffic = config.traffic
-    orbit_cfg = config.constellation[0]
-    orbit = orbit_cfg.to_orbit_spec()
+    channel = config.channel
+    timers = config.timers
+    altitude_km = config.constellation[0].altitude_km
 
     service_delay = (
-        slant_range(access.service_elevation_deg, orbit_cfg.altitude_km)
-        / SPEED_OF_LIGHT_KM_S
-        * 1000.0
+        slant_range(access.service_elevation_deg, altitude_km) / SPEED_OF_LIGHT_KM_S * 1000.0
     )
     feeder_delay = (
-        slant_range(access.feeder_elevation_deg, orbit_cfg.altitude_km)
-        / SPEED_OF_LIGHT_KM_S
-        * 1000.0
+        slant_range(access.feeder_elevation_deg, altitude_km) / SPEED_OF_LIGHT_KM_S * 1000.0
     )
+    one_way = ms_to_us(service_delay + feeder_delay)
     rtt_true = 2.0 * (service_delay + feeder_delay)
     snr_dl, snr_ul = _link_snrs(config, access.service_elevation_deg)
-    drop_kinds = frozenset(MessageKind(k) for k in config.channel.drop_kinds)
-
-    observer = config.observer.to_ground()
-    si = SystemInformation(
-        ephemeris=Ephemeris(orbits=(orbit,)),
-        max_rtt_ms=access.max_rtt_ms,
-        cell_center=observer,
-        carrier_frequency_hz=config.carrier_frequency_hz,
-    )
-
-    n_units = config.transfer_units()
+    gain = repetition_gain_db(channel.repetitions)
+    keep1, keep2, keep3, keep4 = (kind.value not in channel.drop_kinds for kind in MessageKind)
+    gnss_sigma, fading_sigma = access.gnss_error_m, channel.fading_sigma_db
+    max_rtt = access.max_rtt_ms
 
     sim = Simulator()
     report = MetricsReport(scenario=config.name, seed=seed)
-    outcomes: list[AccessOutcome] = []
+    causes = report.failure_causes
+    records: list[tuple] = []
     latencies: list[float] = []
+    transfer = None  # (events, end offset) of one message's transfer
 
     for i in range(traffic.n_messages):
         start_ms = i * traffic.inter_arrival_ms
-        gnss_err_m = (
-            rng.gauss(0.0, access.gnss_error_m) if access.gnss_error_m > 0 else 0.0
+        gnss_err_m = gauss(0.0, gnss_sigma) if gnss_sigma > 0 else 0.0
+        fade_db = gauss(0.0, fading_sigma) if fading_sigma > 0 else 0.0
+        residual_us, reported = delay_residual(
+            service_delay, service_delay - gnss_err_m / SPEED_OF_LIGHT_M_S * 1000.0
         )
-        fade_db = (
-            rng.gauss(0.0, config.channel.fading_sigma_db)
-            if config.channel.fading_sigma_db > 0
-            else 0.0
+        # reception_ok with the faded SNRs, as BentPipeChannel.delivers does.
+        ul_ok = snr_ul - fade_db + gain >= channel.snr_threshold_ul_db
+        dl_ok = snr_dl - fade_db + gain >= channel.snr_threshold_dl_db
+        timeline = access_timeline(
+            sim,
+            ms_to_us(start_ms),
+            one_way,
+            residual_us,
+            reported,
+            (keep1 and ul_ok, keep2 and dl_ok, keep3 and ul_ok, keep4 and dl_ok),
+            max_rtt,
+            timers,
+            access,
         )
-        delay_est = service_delay - gnss_err_m / SPEED_OF_LIGHT_M_S * 1000.0
-        channel = BentPipeChannel(
-            service_delay_ms=service_delay,
-            feeder_delay_ms=feeder_delay,
-            snr_dl_db=snr_dl - fade_db,
-            snr_ul_db=snr_ul - fade_db,
-            snr_threshold_dl_db=config.channel.snr_threshold_dl_db,
-            snr_threshold_ul_db=config.channel.snr_threshold_ul_db,
-            repetitions=config.channel.repetitions,
-            drop_kinds=drop_kinds,
-        )
-        device = DeviceContext(gnss_position=observer, gnss_error_radial_m=gnss_err_m)
-        outcome = run_random_access(
-            device,
-            si,
-            channel,
-            timers=config.timers,
-            timing=access,
-            sim=sim,
-            start_ms=start_ms,
-            delay_est_ms=delay_est,
-        )
-        outcomes.append(outcome)
+        records.append((timeline, reported))
+        cause, latency_us, monitoring_us, _, msg4_arr = timeline
         report.access_attempts += 1
-        report.monitoring_time_ms += outcome.monitoring_ms
-        if not outcome.success:
-            cause = outcome.cause.value
-            report.failure_causes[cause] = report.failure_causes.get(cause, 0) + 1
+        report.monitoring_time_ms += us_to_ms(monitoring_us)
+        if cause is not None:
+            causes[cause.value] = causes.get(cause.value, 0) + 1
             continue
         report.access_successes += 1
-        latencies.append(outcome.latency_ms)
-
-        if not reception_ok(
-            channel.snr_ul_db, channel.repetitions, channel.snr_threshold_ul_db
-        ):
-            report.failure_causes["data_snr"] = (
-                report.failure_causes.get("data_snr", 0) + 1
-            )
+        latencies.append(us_to_ms(latency_us))
+        if not ul_ok:
+            causes["data_snr"] = causes.get("data_snr", 0) + 1
             continue
-        transfer_start = ms_to_us(
-            outcome.times_ms["msg4_arrival"] + access.device_processing_ms
-        )
-        if config.harq.enabled:
-            end_us = harq_transfer(
-                sim,
-                transfer_start,
-                n_units,
-                config.harq.n_processes,
-                config.transfer.tti_ms,
-                rtt_true,
-                config.transfer.ack_processing_ms,
-            )
-        else:
-            end_us = rlc_transfer(
-                sim,
-                transfer_start,
-                n_units,
-                config.transfer.rlc_window_pdus,
-                config.transfer.tti_ms,
-                rtt_true,
-            )
+        if transfer is None:
+            transfer = _transfer_events(config, rtt_true)
+        events, end = transfer
+        transfer_start = ms_to_us(us_to_ms(msg4_arr) + access.device_processing_ms)
+        sim.replay(transfer_start, events)
         report.transferred_bits += traffic.message_size_bits
-        report.transfer_time_ms += us_to_ms(end_us - transfer_start)
+        report.transfer_time_ms += us_to_ms(end)
 
     latencies.sort()
     report.access_latency_p50_ms = _percentile(latencies, 0.50)
@@ -441,4 +408,20 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     if report.transfer_time_ms > 0:
         report.goodput_bps = report.transferred_bits / (report.transfer_time_ms / 1000.0)
     sim.run()
-    return ScenarioResult(report=report, trace_rows=sim.trace_rows(), outcomes=outcomes)
+    return ScenarioResult(report=report, trace_rows=sim.trace_rows(), records=records)
+
+
+def _transfer_events(config: ScenarioConfig, rtt_ms: float):
+    """The HARQ or RLC template of one message's transfer, as
+    ``harq_transfer``/``rlc_transfer`` replay it."""
+    transfer = config.transfer
+    tti, one_way = ms_to_us(transfer.tti_ms), ms_to_us(rtt_ms) // 2
+    if config.harq.enabled:
+        return _harq_events(
+            config.transfer_units(),
+            config.harq.n_processes,
+            tti,
+            one_way,
+            ms_to_us(transfer.ack_processing_ms),
+        )
+    return _rlc_events(config.transfer_units(), transfer.rlc_window_pdus, tti, one_way)

@@ -3,8 +3,8 @@
 Time is carried as integer microseconds so long GEO scenarios never
 accumulate float drift in timer arithmetic.  The protocol and transfer
 models compute every event time in closed form and only log it here,
-one event at a time (``schedule``) or a whole transfer from a template of
-offsets (``replay``); ``run`` sorts the log once into (time, seq) order,
+one event at a time (``schedule``) or a whole access attempt or transfer
+at once (``replay``); ``run`` sorts the log once into (time, seq) order,
 seq being the log position, so events at equal times keep the order they
 were logged in.
 """
@@ -56,6 +56,6 @@ class Simulator:
     def trace_rows(self) -> list[tuple[float, int, str, str, str]]:
         """(time_ms, seq, entity, kind, detail) rows of the event trace."""
         return [
-            (us_to_ms(time_us), seq, entity, kind, detail)
+            (time_us / US_PER_MS, seq, entity, kind, detail)  # us_to_ms, inlined
             for time_us, seq, entity, kind, detail in self._log
         ]

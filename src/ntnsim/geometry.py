@@ -26,6 +26,9 @@ from .errors import DomainError
 GEO_ALTITUDE_KM = 35786.0
 LEO_ALTITUDE_MIN_KM = 500.0
 LEO_ALTITUDE_MAX_KM = 2000.0
+# Ground points: from below the Dead Sea shore to the edge of space.
+GROUND_ALTITUDE_MIN_M = -500.0
+GROUND_ALTITUDE_MAX_M = 100_000.0
 
 
 def normalize_longitude(lon_deg: float) -> float:
@@ -49,6 +52,11 @@ class GroundPosition:
     def __post_init__(self):
         if not -90.0 <= self.latitude_deg <= 90.0:
             raise DomainError(f"latitude {self.latitude_deg} outside [-90, 90]")
+        if not GROUND_ALTITUDE_MIN_M <= self.altitude_m <= GROUND_ALTITUDE_MAX_M:
+            raise DomainError(
+                f"altitude {self.altitude_m} m outside "
+                f"[{GROUND_ALTITUDE_MIN_M:g}, {GROUND_ALTITUDE_MAX_M:g}] m"
+            )
         object.__setattr__(
             self, "longitude_deg", normalize_longitude(self.longitude_deg)
         )

@@ -8,12 +8,12 @@ Doppler tracking, and the HARQ / RLC-ARQ throughput models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .errors import DomainError, NotReachableError
-from .events import EventKind, Simulator, ms_to_us, us_to_ms
+from .events import US_PER_MS, EventKind, Simulator, ms_to_us, us_to_ms
 from .geometry import GroundPosition, OrbitSpec, geometry_sample, propagate
 
 TA_STEP_US = 0.52
@@ -61,7 +61,6 @@ class DeviceContext:
     rrc_state: RrcState = RrcState.IDLE
     timing_advance_us: float = 0.0
     frequency_offset_hz: float = 0.0
-    active_timers: dict = field(default_factory=dict)
 
 
 def _check_non_negative(*named: tuple[str, float]) -> None:
@@ -119,13 +118,6 @@ class MessageKind(Enum):
     MSG4_CONTENTION_RESOLUTION = "msg4_contention_resolution"
 
 
-@dataclass(frozen=True)
-class RaMessage:
-    kind: MessageKind
-    tx_time_ms: float
-    payload: dict
-
-
 class FailureCause(Enum):
     RAR_TIMEOUT = "rar_timeout"
     CR_TIMEOUT = "cr_timeout"
@@ -154,8 +146,6 @@ class AccessOutcome:
     monitoring_ms: float
     ta_command: Optional[TimingAdvanceCommand]
     reported_delay_ms: Optional[float]
-    messages: list[RaMessage]
-    times_ms: dict
 
 
 def estimate_service_delay(
@@ -192,6 +182,16 @@ def precompensate_preamble(delay_est_ms: float) -> float:
     return 2.0 * delay_est_ms
 
 
+def delay_residual(service_delay_ms: float, delay_est_ms: float) -> tuple[float, float]:
+    """(residual_us, reported_delay_ms) of a delay estimate: the round-trip
+    misalignment left after pre-compensating it, and the delay the device
+    reports in Msg3, quantized to 0.1 ms."""
+    if delay_est_ms < 0:
+        raise DomainError("delay estimate must be non-negative")
+    residual_us = 2.0 * (service_delay_ms - delay_est_ms) * 1000.0
+    return residual_us, round(delay_est_ms / REPORTED_DELAY_QUANTUM_MS) * REPORTED_DELAY_QUANTUM_MS
+
+
 def build_ta_command(
     residual_us: float,
     step_us: float = TA_STEP_US,
@@ -218,6 +218,96 @@ def schedule_rar_window(
     return start, start + window_length_ms
 
 
+_TX, _RX = EventKind.TX_START.value, EventKind.RX_ARRIVAL.value
+_TIMER, _MEASUREMENT = EventKind.TIMER_FIRE.value, EventKind.MEASUREMENT.value
+
+
+def access_timeline(
+    sim: Simulator,
+    t1: int,
+    one_way: int,
+    residual_us: float,
+    reported_delay_ms: float,
+    delivered: tuple[bool, bool, bool, bool],
+    max_rtt_ms: float,
+    timers: TimerConfig,
+    timing: AccessTiming,
+) -> tuple[Optional[FailureCause], Optional[int], int, Optional[int], Optional[int]]:
+    """The four-message exchange of one attempt, in closed form.
+
+    ``t1`` is the preamble transmit time and ``one_way`` the true one-way
+    delay (both integer us), ``residual_us`` the round-trip misalignment
+    left after pre-compensation, and ``delivered`` whether Msg1..Msg4 get
+    through.  The attempt's events are logged to ``sim`` in the order the
+    exchange decides them.  Returns ``(cause, latency_us, monitoring_us,
+    ta_steps, msg4_arrival_us)``: cause is None on success; latency and
+    the Msg4 arrival are None unless it succeeded, and ta_steps is None
+    unless the base station built a TA command.
+    """
+    d1, d2, d3, d4 = delivered
+    bs_proc = ms_to_us(timing.bs_processing_ms)
+    window_start_ms, window_end_ms = schedule_rar_window(
+        t1 / US_PER_MS, max_rtt_ms, timing.bs_processing_ms, timing.rar_window_length_ms
+    )
+    window_start, window_end = ms_to_us(window_start_ms), ms_to_us(window_end_ms)
+    window_len = window_end - window_start
+    events = [(t1, "device", _TX, "msg1_preamble")]
+    emit = events.append
+    try:  # every path logs its events in one replay
+        if not d1:
+            emit((window_end, "device", _TIMER, "rar_window_expiry"))
+            return FailureCause.RAR_TIMEOUT, None, window_len, None, None
+        msg1_arr = t1 + one_way
+        emit((msg1_arr, "bs", _RX, f"msg1_preamble residual_us={residual_us:.3f}"))
+        if abs(residual_us) > TA_BIPOLAR_RANGE_US:  # build_ta_command's range check
+            emit((msg1_arr + bs_proc, "bs", _MEASUREMENT, "ta_out_of_range"))
+            return FailureCause.TA_RANGE, None, window_len, None, None
+        ta_steps = round(residual_us / TA_STEP_US)
+
+        msg2_tx = max(msg1_arr + bs_proc, window_start - one_way)
+        msg2_arr = msg2_tx + one_way
+        emit((msg2_tx, "bs", _TX, "msg2_rar"))
+        if not d2 or msg2_arr > window_end:
+            emit((window_end, "device", _TIMER, "rar_window_expiry"))
+            return FailureCause.RAR_TIMEOUT, None, window_len, ta_steps, None
+        emit((msg2_arr, "device", _RX, f"msg2_rar ta_steps={ta_steps}"))
+        rar_monitoring = msg2_arr - window_start
+
+        # Msg3 grant dimensioned by the cell's maximum supported RTT.
+        msg3_tx = msg2_tx + ms_to_us(max_rtt_ms + timing.device_processing_ms) - one_way
+        msg3_arr = msg3_tx + one_way
+        emit((msg3_tx, "device", _TX, f"msg3 reported_delay_ms={reported_delay_ms:.1f}"))
+        cr_start = msg3_tx + ms_to_us(timers.ntn_start_offset_ms)
+        cr_len = ms_to_us(timers.contention_resolution_ms)
+        cr_end = cr_start + cr_len
+        if d3:
+            emit((msg3_arr, "bs", _RX, "msg3_rrc_connection_request"))
+            msg4_tx = msg3_arr + bs_proc
+            msg4_arr = msg4_tx + one_way
+            emit((msg4_tx, "bs", _TX, "msg4_contention_resolution"))
+            if d4 and msg4_arr <= cr_end:
+                emit((msg4_arr, "device", _RX, "msg4_contention_resolution"))
+                monitoring = rar_monitoring + (msg4_arr - cr_start)
+                return None, msg4_arr - t1, monitoring, ta_steps, msg4_arr
+        emit((cr_end, "device", _TIMER, "contention_resolution_expiry"))
+        return FailureCause.CR_TIMEOUT, None, rar_monitoring + cr_len, ta_steps, None
+    finally:
+        sim.replay(0, events)
+
+
+def access_outcome(timeline, reported_delay_ms: float) -> AccessOutcome:
+    """The :class:`AccessOutcome` of an ``access_timeline`` result."""
+    cause, latency_us, monitoring_us, ta_steps, _ = timeline
+    return AccessOutcome(
+        success=cause is None,
+        cause=cause,
+        latency_ms=None if latency_us is None else us_to_ms(latency_us),
+        monitoring_ms=us_to_ms(monitoring_us),
+        ta_command=None if ta_steps is None else TimingAdvanceCommand(ta_steps),
+        reported_delay_ms=reported_delay_ms if cause is None else None,
+    )
+
+
 def run_random_access(
     device: DeviceContext,
     si: SystemInformation,
@@ -238,136 +328,30 @@ def run_random_access(
         raise DomainError("random access requires an idle device")
     if sim is None:
         sim = Simulator()
-
-    one_way = ms_to_us(channel.service_delay_ms + channel.feeder_delay_ms)
     if delay_est_ms is None:
         delay_est_ms = estimate_service_delay(device, si.ephemeris, start_ms / 1000.0)
     advance_ms = precompensate_preamble(delay_est_ms)
-    residual_us = 2.0 * (channel.service_delay_ms - delay_est_ms) * 1000.0
-    reported_delay_ms = (
-        round(delay_est_ms / REPORTED_DELAY_QUANTUM_MS) * REPORTED_DELAY_QUANTUM_MS
+    residual_us, reported_delay_ms = delay_residual(channel.service_delay_ms, delay_est_ms)
+    timeline = access_timeline(
+        sim,
+        ms_to_us(start_ms),
+        ms_to_us(channel.service_delay_ms + channel.feeder_delay_ms),
+        residual_us,
+        reported_delay_ms,
+        tuple(channel.delivers(kind) for kind in MessageKind),
+        si.max_rtt_ms,
+        timers,
+        timing,
     )
-
-    t1 = ms_to_us(start_ms)
-    window_start_ms, window_end_ms = schedule_rar_window(
-        us_to_ms(t1), si.max_rtt_ms, timing.bs_processing_ms, timing.rar_window_length_ms
-    )
-    window_start, window_end = ms_to_us(window_start_ms), ms_to_us(window_end_ms)
-
-    messages: list[RaMessage] = []
-    times: dict = {"msg1_tx": us_to_ms(t1)}
-
-    def finish(success, cause, latency_us, monitoring_us, ta=None):
-        return AccessOutcome(
-            success=success,
-            cause=cause,
-            latency_ms=None if latency_us is None else us_to_ms(latency_us),
-            monitoring_ms=us_to_ms(monitoring_us),
-            ta_command=ta,
-            reported_delay_ms=reported_delay_ms if success else None,
-            messages=messages,
-            times_ms=times,
-        )
-
-    messages.append(
-        RaMessage(MessageKind.MSG1_PREAMBLE, us_to_ms(t1), {"precompensation_ms": advance_ms})
-    )
-    sim.schedule(t1, EventKind.TX_START, "device", "msg1_preamble")
-
-    window_len = window_end - window_start
-    if not channel.delivers(MessageKind.MSG1_PREAMBLE):
-        sim.schedule(window_end, EventKind.TIMER_FIRE, "device", "rar_window_expiry")
-        return finish(False, FailureCause.RAR_TIMEOUT, None, window_len)
-
-    msg1_arr = t1 + one_way
-    sim.schedule(
-        msg1_arr, EventKind.RX_ARRIVAL, "bs", f"msg1_preamble residual_us={residual_us:.3f}"
-    )
-    times["msg1_arrival"] = us_to_ms(msg1_arr)
-
-    try:
-        ta = build_ta_command(residual_us)
-    except DomainError:
-        sim.schedule(
-            msg1_arr + ms_to_us(timing.bs_processing_ms),
-            EventKind.MEASUREMENT,
-            "bs",
-            "ta_out_of_range",
-        )
-        return finish(False, FailureCause.TA_RANGE, None, window_len)
-
-    msg2_tx = max(msg1_arr + ms_to_us(timing.bs_processing_ms), window_start - one_way)
-    msg2_arr = msg2_tx + one_way
-    messages.append(
-        RaMessage(
-            MessageKind.MSG2_RAR,
-            us_to_ms(msg2_tx),
-            {"ta_steps": ta.steps, "ul_grant_ms": us_to_ms(msg2_tx) + si.max_rtt_ms},
-        )
-    )
-    sim.schedule(msg2_tx, EventKind.TX_START, "bs", "msg2_rar")
-
-    if not channel.delivers(MessageKind.MSG2_RAR) or msg2_arr > window_end:
-        sim.schedule(window_end, EventKind.TIMER_FIRE, "device", "rar_window_expiry")
-        return finish(False, FailureCause.RAR_TIMEOUT, None, window_len, ta)
-
-    sim.schedule(msg2_arr, EventKind.RX_ARRIVAL, "device", f"msg2_rar ta_steps={ta.steps}")
-    times["msg2_arrival"] = us_to_ms(msg2_arr)
-    rar_monitoring = msg2_arr - window_start
-
-    total_advance_us = advance_ms * 1000.0 + ta.advance_us
-    if total_advance_us < 0:
-        raise DomainError("aggregate timing advance became negative")
-    device.timing_advance_us = total_advance_us
-
-    # Msg3 grant dimensioned by the cell's maximum supported RTT.
-    msg3_tx = msg2_tx + ms_to_us(si.max_rtt_ms + timing.device_processing_ms) - one_way
-    msg3_arr = msg3_tx + one_way
-    messages.append(
-        RaMessage(
-            MessageKind.MSG3_RRC_CONNECTION_REQUEST,
-            us_to_ms(msg3_tx),
-            {"reported_delay_ms": reported_delay_ms},
-        )
-    )
-    sim.schedule(
-        msg3_tx, EventKind.TX_START, "device", f"msg3 reported_delay_ms={reported_delay_ms:.1f}"
-    )
-    times["msg3_tx"] = us_to_ms(msg3_tx)
-
-    cr_start = msg3_tx + ms_to_us(timers.ntn_start_offset_ms)
-    cr_end = cr_start + ms_to_us(timers.contention_resolution_ms)
-    device.active_timers["contention_resolution"] = (us_to_ms(cr_start), us_to_ms(cr_end))
-    times["cr_timer_start"] = us_to_ms(cr_start)
-
-    if not channel.delivers(MessageKind.MSG3_RRC_CONNECTION_REQUEST):
-        sim.schedule(cr_end, EventKind.TIMER_FIRE, "device", "contention_resolution_expiry")
-        return finish(
-            False, FailureCause.CR_TIMEOUT, None, rar_monitoring + (cr_end - cr_start), ta
-        )
-
-    sim.schedule(msg3_arr, EventKind.RX_ARRIVAL, "bs", "msg3_rrc_connection_request")
-
-    msg4_tx = msg3_arr + ms_to_us(timing.bs_processing_ms)
-    msg4_arr = msg4_tx + one_way
-    messages.append(
-        RaMessage(MessageKind.MSG4_CONTENTION_RESOLUTION, us_to_ms(msg4_tx), {"contention_id": 0})
-    )
-    sim.schedule(msg4_tx, EventKind.TX_START, "bs", "msg4_contention_resolution")
-
-    if not channel.delivers(MessageKind.MSG4_CONTENTION_RESOLUTION) or msg4_arr > cr_end:
-        sim.schedule(cr_end, EventKind.TIMER_FIRE, "device", "contention_resolution_expiry")
-        return finish(
-            False, FailureCause.CR_TIMEOUT, None, rar_monitoring + (cr_end - cr_start), ta
-        )
-
-    sim.schedule(msg4_arr, EventKind.RX_ARRIVAL, "device", "msg4_contention_resolution")
-    times["msg4_arrival"] = us_to_ms(msg4_arr)
-    device.rrc_state = RrcState.CONNECTED
-    device.active_timers.pop("contention_resolution", None)
-
-    monitoring = rar_monitoring + (msg4_arr - cr_start)
-    return finish(True, None, msg4_arr - t1, monitoring, ta)
+    cause, _, _, ta_steps, _ = timeline
+    if cause is None or cause is FailureCause.CR_TIMEOUT:  # the RAR arrived
+        total_advance_us = advance_ms * 1000.0 + ta_steps * TA_STEP_US
+        if total_advance_us < 0:
+            raise DomainError("aggregate timing advance became negative")
+        device.timing_advance_us = total_advance_us
+    if cause is None:
+        device.rrc_state = RrcState.CONNECTED
+    return access_outcome(timeline, reported_delay_ms)
 
 
 def autonomous_ta_update(

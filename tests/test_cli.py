@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ntnsim import cli
 from ntnsim.cli import _write_csv, _write_trace, main
 from ntnsim.config import load_config
 from ntnsim.engine import run_scenario
@@ -229,6 +234,27 @@ OUT_OF_RANGE = [
     ({"beams.0.center_latitude_deg": 100.0}, "config.beams[0]: latitude 100.0 outside [-90, 90]"),
     ({"beams.0.diameter_km": -5.0}, "config.beams[0]: beam diameter must be non-negative"),
     ({"links.0.bandwidth_hz": 0.0}, "config.links[0]: bandwidth must be positive"),
+    (
+        {"links.0.shadow_fading_db": -1.0},
+        "config.links[0]: shadow fading loss must be non-negative",
+    ),
+    (
+        {"links.1.scintillation_db": -0.5},
+        "config.links[1]: scintillation loss must be non-negative",
+    ),
+    (
+        {"links.0.atmospheric_db_min": -1.0},
+        "config.links[0]: minimum atmospheric loss must be non-negative",
+    ),
+    # Both bounds negative, so that they stay in order.
+    (
+        {"links.0.atmospheric_db_min": -2.0, "links.0.atmospheric_db_max": -1.0},
+        "config.links[0]: maximum atmospheric loss must be non-negative",
+    ),
+    (
+        {"observer.altitude_m": -1e7},
+        "config.observer: altitude -10000000.0 m outside [-500, 100000] m",
+    ),
 ]
 
 
@@ -281,3 +307,70 @@ def test_overlapping_traffic_is_the_time_merged_union_of_attempts(config_dir, tm
     assert trace == sorted(trace, key=lambda row: (row[0], row[1]))
     assert trace != spaced_trace  # the attempts really interleave
     assert sorted(row[2:] for row in trace) == sorted(row[2:] for row in spaced_trace)
+
+
+def test_unknown_log_level_exits_2(config_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NTNSIM_LOG", "bogus")
+    out = tmp_path / "out"
+    assert main(["linkbudget", "--config", str(config_dir / "leo600_sband.json"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "NTNSIM_LOG: unknown level 'BOGUS'\n"
+    assert not out.exists()
+
+
+def _crash(config, args):
+    raise ZeroDivisionError("division by zero")
+
+
+def test_unexpected_exception_exits_3_with_one_line(config_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "linkbudget", _crash)
+    assert main(["linkbudget", "--config", str(config_dir / "leo600_sband.json"),
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "runtime failure: unexpected ZeroDivisionError: division by zero\n"
+
+
+@pytest.mark.parametrize("level", ["WARNING", "DEBUG"])
+def test_unexpected_exception_traceback_only_at_debug(config_dir, tmp_path, level):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, NTNSIM_LOG=level)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    script = (
+        "import sys; from ntnsim import cli\n"
+        "def crash(config, args): raise ZeroDivisionError('division by zero')\n"
+        "cli._COMMANDS['linkbudget'] = crash\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "linkbudget",
+         "--config", str(config_dir / "leo600_sband.json"), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert lines[-1] == "runtime failure: unexpected ZeroDivisionError: division by zero"
+    assert ("Traceback (most recent call last):" in lines) == (level == "DEBUG")
+    if level != "DEBUG":
+        assert len(lines) == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize(
+    "command", ["linkbudget", "geometry", "doppler-trace", "simulate", "rank-cells"]
+)
+def test_seed_outside_u64_exits_2_at_argparse(config_dir, tmp_path, capsys, command, seed):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config_dir / "leo600_sband.json"),
+              "--out", str(tmp_path), "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_largest_u64_seed_is_accepted(config_dir, tmp_path):
+    seed = str(2**64 - 1)
+    assert main(["simulate", "--config", str(config_dir / "leo600_sband.json"),
+                 "--out", str(tmp_path), "--seed", seed]) == 0
+    assert (tmp_path / f"report_seed{seed}.json").exists()

@@ -78,6 +78,14 @@ def test_ground_position_validation():
     assert GroundPosition(0.0, 180.0).longitude_deg == pytest.approx(180.0)
 
 
+def test_ground_position_altitude_range():
+    assert GroundPosition(0.0, 0.0, -500.0).altitude_m == -500.0
+    assert GroundPosition(0.0, 0.0, 100_000.0).altitude_m == 100_000.0
+    for altitude in (-500.1, 100_000.1, -1e7):
+        with pytest.raises(DomainError, match="outside \\[-500, 100000\\] m"):
+            GroundPosition(0.0, 0.0, altitude)
+
+
 def test_orbit_validation():
     with pytest.raises(DomainError):
         OrbitSpec(kind=OrbitKind.LEO_CIRCULAR, altitude_km=300.0)

@@ -103,9 +103,15 @@ def test_estimate_service_delay_matches_geometry():
 def test_access_success_timeline():
     si = _si(max_rtt_ms=545.0)
     ch = _channel()
-    out = _run(ch, si=si, delay_est_ms=ch.service_delay_ms)
+    sim = Simulator()
+    out = _run(ch, si=si, delay_est_ms=ch.service_delay_ms, sim=sim)
     assert out.success
-    t = out.times_ms
+    sim.run()
+    # The time of each message's transmission and arrival, from the trace.
+    t = {
+        f"{detail[:4]}_{'tx' if kind == 'tx_start' else 'arrival'}": time_ms
+        for time_ms, _, _, kind, detail in sim.trace_rows()
+    }
     one_way = ch.service_delay_ms + ch.feeder_delay_ms
     assert t["msg1_arrival"] == pytest.approx(one_way)
     # Msg2 is timed so it arrives exactly at the window start.
