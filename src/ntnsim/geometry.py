@@ -280,8 +280,11 @@ def geometry_sample(
     if d < 1e-9:
         raise DomainError("ground position coincides with the satellite")
     up = ground.unit_vector()
-    # Clipped: directly overhead the ratio can round to just above 1.
-    elevation = math.degrees(math.asin(min(1.0, max(-1.0, float(np.dot(los, up)) / d))))
+    # atan2 of the vertical over the horizontal part: asin(vertical / d)
+    # loses half the digits near the zenith, where its slope is infinite.
+    vertical = float(np.dot(los, up))
+    horizontal = float(np.linalg.norm(los - vertical * up))
+    elevation = math.degrees(math.atan2(vertical, horizontal))
     range_rate = float(np.dot(los, sat.velocity_km_s)) / d  # km/s
     return GeometrySample(
         elevation_deg=elevation,
@@ -317,8 +320,19 @@ def geometry_samples(
     d = np.sqrt(np.einsum("...i,...i->...", los, los))
     if np.any(d < 1e-9):
         raise DomainError("ground position coincides with the satellite")
-    sin_elevation = np.einsum("...i,...i->...", los, up) / d
-    elevation = np.degrees(np.arcsin(np.clip(sin_elevation, -1.0, 1.0)))
+    vertical = np.einsum("...i,...i->...", los, up)
+    sin_elevation = np.clip(vertical / d, -1.0, 1.0)
+    elevation = np.asarray(np.arcsin(sin_elevation))
+    # Near the zenith asin loses half the digits; redo those samples the
+    # way geometry_sample does all of them.
+    steep = sin_elevation > 0.99
+    if np.any(steep):
+        steep_los = los[steep]
+        steep_up = np.broadcast_to(up, los.shape)[steep]
+        horizontal = steep_los - vertical[steep][:, None] * steep_up
+        horizontal_km = np.sqrt(np.einsum("...i,...i->...", horizontal, horizontal))
+        elevation[steep] = np.arctan2(vertical[steep], horizontal_km)
+    elevation = np.degrees(elevation)
     range_rate = np.einsum("...i,...i->...", los, vel) / d
     return elevation, d, range_rate
 

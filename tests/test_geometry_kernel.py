@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ntnsim.config import load_config
@@ -178,6 +178,13 @@ grounds = st.builds(
     orbits,
     st.lists(st.floats(0.0, 2e5), min_size=1, max_size=8),
     st.lists(grounds, min_size=1, max_size=4),
+)
+# A GEO satellite straight overhead, where asin(vertical / range) would put
+# the two paths a microdegree apart.
+@example(
+    OrbitSpec(OrbitKind.GEOSYNCHRONOUS, raan_deg=106.0, phase_deg=5.0),
+    [0.125],
+    [GroundPosition(0.0, 111.0)],
 )
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_scalar_oracle(orbit, offsets, ground_points):
