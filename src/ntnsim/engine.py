@@ -94,9 +94,7 @@ def harq_transfer(
     blocks; returns the time the last acknowledgment arrives."""
     if n_blocks < 1 or n_processes < 1:
         raise DomainError("need at least one block and one process")
-    events, end = _harq_events(
-        n_blocks, n_processes, ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2, ms_to_us(ack_processing_ms)
-    )
+    events, end = _transfer_template(True, n_blocks, n_processes, tti_ms, rtt_ms, ack_processing_ms)
     sim.replay(start_us, events)
     return start_us + end
 
@@ -113,7 +111,7 @@ def rlc_transfer(
     window; returns the arrival time of the final status report."""
     if n_pdus < 1 or window_pdus < 1:
         raise DomainError("need at least one PDU and a window of at least one PDU")
-    events, end = _rlc_events(n_pdus, window_pdus, ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2)
+    events, end = _transfer_template(False, n_pdus, window_pdus, tti_ms, rtt_ms)
     sim.replay(start_us, events)
     return start_us + end
 
@@ -122,6 +120,18 @@ def rlc_transfer(
 # these integer-us parameters (every process is free at the start), so each
 # parameter set is worked out once, relative to 0, and replayed per message.
 _TX, _RX = EventKind.TX_START.value, EventKind.RX_ARRIVAL.value
+
+
+def _transfer_template(
+    harq: bool, n: int, width: int, tti_ms: float, rtt_ms: float, ack_processing_ms: float = 0.0
+):
+    """(events, end offset) of a HARQ transfer of ``n`` blocks over
+    ``width`` processes, or of an RLC transfer of ``n`` PDUs in windows of
+    ``width``; the one place the ms timings become integer us."""
+    tti, one_way = ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2
+    if harq:
+        return _harq_events(n, width, tti, one_way, ms_to_us(ack_processing_ms))
+    return _rlc_events(n, width, tti, one_way)
 
 
 @functools.lru_cache(maxsize=64)
@@ -364,7 +374,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         start_ms = i * traffic.inter_arrival_ms
         gnss_err_m = gauss(0.0, gnss_sigma) if gnss_sigma > 0 else 0.0
         fade_db = gauss(0.0, fading_sigma) if fading_sigma > 0 else 0.0
-        residual_us, reported = delay_residual(
+        _, residual_us, reported = delay_residual(
             service_delay, service_delay - gnss_err_m / SPEED_OF_LIGHT_M_S * 1000.0
         )
         # reception_ok with the faded SNRs, as BentPipeChannel.delivers does.
@@ -394,7 +404,15 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
             causes["data_snr"] = causes.get("data_snr", 0) + 1
             continue
         if transfer is None:
-            transfer = _transfer_events(config, rtt_true)
+            harq = config.harq
+            transfer = _transfer_template(
+                harq.enabled,
+                config.transfer_units(),
+                harq.n_processes if harq.enabled else config.transfer.rlc_window_pdus,
+                config.transfer.tti_ms,
+                rtt_true,
+                config.transfer.ack_processing_ms,
+            )
         events, end = transfer
         transfer_start = ms_to_us(us_to_ms(msg4_arr) + access.device_processing_ms)
         sim.replay(transfer_start, events)
@@ -410,18 +428,3 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     sim.run()
     return ScenarioResult(report=report, trace_rows=sim.trace_rows(), records=records)
 
-
-def _transfer_events(config: ScenarioConfig, rtt_ms: float):
-    """The HARQ or RLC template of one message's transfer, as
-    ``harq_transfer``/``rlc_transfer`` replay it."""
-    transfer = config.transfer
-    tti, one_way = ms_to_us(transfer.tti_ms), ms_to_us(rtt_ms) // 2
-    if config.harq.enabled:
-        return _harq_events(
-            config.transfer_units(),
-            config.harq.n_processes,
-            tti,
-            one_way,
-            ms_to_us(transfer.ack_processing_ms),
-        )
-    return _rlc_events(config.transfer_units(), transfer.rlc_window_pdus, tti, one_way)

@@ -320,19 +320,11 @@ def geometry_samples(
     d = np.sqrt(np.einsum("...i,...i->...", los, los))
     if np.any(d < 1e-9):
         raise DomainError("ground position coincides with the satellite")
+    # atan2 of the vertical over the horizontal part, as geometry_sample.
     vertical = np.einsum("...i,...i->...", los, up)
-    sin_elevation = np.clip(vertical / d, -1.0, 1.0)
-    elevation = np.asarray(np.arcsin(sin_elevation))
-    # Near the zenith asin loses half the digits; redo those samples the
-    # way geometry_sample does all of them.
-    steep = sin_elevation > 0.99
-    if np.any(steep):
-        steep_los = los[steep]
-        steep_up = np.broadcast_to(up, los.shape)[steep]
-        horizontal = steep_los - vertical[steep][:, None] * steep_up
-        horizontal_km = np.sqrt(np.einsum("...i,...i->...", horizontal, horizontal))
-        elevation[steep] = np.arctan2(vertical[steep], horizontal_km)
-    elevation = np.degrees(elevation)
+    horizontal = los - vertical[..., None] * up
+    horizontal_km = np.sqrt(np.einsum("...i,...i->...", horizontal, horizontal))
+    elevation = np.degrees(np.arctan2(vertical, horizontal_km))
     range_rate = np.einsum("...i,...i->...", los, vel) / d
     return elevation, d, range_rate
 

@@ -182,14 +182,14 @@ def precompensate_preamble(delay_est_ms: float) -> float:
     return 2.0 * delay_est_ms
 
 
-def delay_residual(service_delay_ms: float, delay_est_ms: float) -> tuple[float, float]:
-    """(residual_us, reported_delay_ms) of a delay estimate: the round-trip
-    misalignment left after pre-compensating it, and the delay the device
-    reports in Msg3, quantized to 0.1 ms."""
-    if delay_est_ms < 0:
-        raise DomainError("delay estimate must be non-negative")
+def delay_residual(service_delay_ms: float, delay_est_ms: float) -> tuple[float, float, float]:
+    """(advance_ms, residual_us, reported_delay_ms) of a delay estimate:
+    the preamble advance, the round-trip misalignment left after it, and
+    the delay the device reports in Msg3, quantized to 0.1 ms."""
+    advance_ms = precompensate_preamble(delay_est_ms)
     residual_us = 2.0 * (service_delay_ms - delay_est_ms) * 1000.0
-    return residual_us, round(delay_est_ms / REPORTED_DELAY_QUANTUM_MS) * REPORTED_DELAY_QUANTUM_MS
+    reported_delay_ms = round(delay_est_ms / REPORTED_DELAY_QUANTUM_MS) * REPORTED_DELAY_QUANTUM_MS
+    return advance_ms, residual_us, reported_delay_ms
 
 
 def build_ta_command(
@@ -330,8 +330,9 @@ def run_random_access(
         sim = Simulator()
     if delay_est_ms is None:
         delay_est_ms = estimate_service_delay(device, si.ephemeris, start_ms / 1000.0)
-    advance_ms = precompensate_preamble(delay_est_ms)
-    residual_us, reported_delay_ms = delay_residual(channel.service_delay_ms, delay_est_ms)
+    advance_ms, residual_us, reported_delay_ms = delay_residual(
+        channel.service_delay_ms, delay_est_ms
+    )
     timeline = access_timeline(
         sim,
         ms_to_us(start_ms),

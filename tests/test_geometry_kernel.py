@@ -235,16 +235,18 @@ def test_propagate_many_keeps_epoch_check_and_scalar_times():
 def test_geometry_samples_rejects_coincident_ground():
     ground = GroundPosition(0.0, 0.0)
     sat = satellite_state_over(ground, 600.0)
-    with pytest.raises(DomainError):
-        # A ground point 600 km up is the satellite's own position.
-        geometry_samples(sat.position_km, sat.velocity_km_s, GroundPosition(0.0, 0.0, 600e3))
+    # Ground vectors are scaled by the Earth's radius, so this one puts the
+    # ground point at the satellite's own position.
+    on_satellite = (sat.position_km / EARTH_RADIUS_KM)[None]
+    with pytest.raises(DomainError, match="coincides"):
+        geometry_samples(sat.position_km, sat.velocity_km_s, on_satellite)
     elevation, _, _ = geometry_samples(sat.position_km, sat.velocity_km_s, ground.unit_vector()[None])
     assert elevation.shape == (1,) and elevation[0] == pytest.approx(90.0)
 
 
 def test_overhead_sample_does_not_leave_asin_domain():
-    # Exactly overhead, dot(los, up) / d rounds to just above 1 at this
-    # longitude; both paths clip it.
+    # Exactly overhead at this longitude, where dot(los, up) / d rounds to
+    # just above 1, so an asin of that ratio would leave its domain.
     ground = GroundPosition(0.0, -179.0)
     orbit = overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 53.0, ground, overhead_at_s=3000.0)
     assert geometry_sample(propagate(orbit, 3000.0), ground, 2e9).elevation_deg == pytest.approx(90.0)
