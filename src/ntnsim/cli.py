@@ -57,16 +57,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_trace(path: Path, rows) -> None:
-    """The trace CSV: the bytes ``_write_csv`` writes for these rows, with
-    one format per row (the time is the only float)."""
-    with path.open("w") as fh:
-        fh.write("time_ms,seq,entity,kind,detail\n")
-        fh.writelines(
-            f"{t:.6f},{seq},{entity},{kind},{detail}\n" for t, seq, entity, kind, detail in rows
-        )
-
-
 def _emit(args, name: str, header: list[str], rows: list[list]) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -207,16 +197,20 @@ def cmd_doppler_trace(config: ScenarioConfig, args) -> int:
 
 
 def cmd_simulate(config: ScenarioConfig, args) -> int:
+    base_seed = config.seed if args.seed is None else args.seed
+    if base_seed + args.jobs - 1 >= 2**64:
+        print(f"--jobs {args.jobs}: seeds from {base_seed} run past 2**64 - 1", file=sys.stderr)
+        return EXIT_CONFIG
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_seed = config.seed if args.seed is None else args.seed
     reports = []
     for seed in range(base_seed, base_seed + args.jobs):
         result = run_scenario(config, seed=seed)
         (out_dir / f"report_seed{seed}.json").write_text(
             json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n"
         )
-        _write_trace(out_dir / f"trace_seed{seed}.csv", result.trace_rows)
+        with (out_dir / f"trace_seed{seed}.csv").open("w") as fh:
+            result.trace.write_csv(fh)
         reports.append(result.report)
     header = ["seed", "attempts", "successes", "latency_p50_ms", "goodput_bps"]
     rows = [

@@ -293,6 +293,8 @@ class ScenarioConfig:
             raise DomainError("constellation must contain at least one orbit")
         if self.carrier_frequency_hz <= 0:
             raise DomainError("carrier frequency must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed {self.seed} outside [0, 2**64)")
         _check_elevation("min elevation", self.min_elevation_deg)
         _check_elevation("max elevation", self.max_elevation_deg)
         if self.min_elevation_deg > self.max_elevation_deg:

@@ -18,7 +18,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .constants import SPEED_OF_LIGHT_KM_S, SPEED_OF_LIGHT_M_S
 from .errors import ConfigError, DomainError
-from .events import EventKind, Simulator, ms_to_us, us_to_ms
+from .events import EventKind, Simulator, ms_to_us, record, us_to_ms
 # geometry_sample, propagate and run_random_access stay importable from this
 # module (unused here): perfbench/tracing.py patches them to count calls.
 from .geometry import (  # noqa: F401
@@ -136,8 +136,8 @@ def _transfer_template(
 
 @functools.lru_cache(maxsize=64)
 def _harq_events(n_blocks: int, n_processes: int, tti: int, one_way: int, ack_proc: int):
-    """((offset_us, entity, kind, detail), ...) of a HARQ transfer started
-    at 0, and the offset of its last acknowledgment."""
+    """((offset_us, record), ...) of a HARQ transfer started at 0, and the
+    offset of its last acknowledgment."""
     events = []
     proc_free = [0] * n_processes
     tx_free = 0
@@ -152,10 +152,10 @@ def _harq_events(n_blocks: int, n_processes: int, tti: int, one_way: int, ack_pr
         ack_tx = data_arr + ack_proc
         ack_arr = ack_tx + one_way
         events += [
-            (t_tx, "device", _TX, data),
-            (data_arr, "bs", _RX, data),
-            (ack_tx, "bs", _TX, ack),
-            (ack_arr, "device", _RX, ack),
+            (t_tx, record("device", _TX, data)),
+            (data_arr, record("bs", _RX, data)),
+            (ack_tx, record("bs", _TX, ack)),
+            (ack_arr, record("device", _RX, ack)),
         ]
         proc_free[p] = ack_arr
         last_ack = max(last_ack, ack_arr)
@@ -164,8 +164,8 @@ def _harq_events(n_blocks: int, n_processes: int, tti: int, one_way: int, ack_pr
 
 @functools.lru_cache(maxsize=64)
 def _rlc_events(n_pdus: int, window_pdus: int, tti: int, one_way: int):
-    """((offset_us, entity, kind, detail), ...) of an RLC transfer started
-    at 0, and the offset of its final status report."""
+    """((offset_us, record), ...) of an RLC transfer started at 0, and the
+    offset of its final status report."""
     events = []
     t = 0
     sent = 0
@@ -174,11 +174,17 @@ def _rlc_events(n_pdus: int, window_pdus: int, tti: int, one_way: int):
         for j in range(batch):
             tx = t + j * tti
             pdu = f"rlc_pdu sn={sent + j}"
-            events += [(tx, "device", _TX, pdu), (tx + tti + one_way, "bs", _RX, pdu)]
+            events += [
+                (tx, record("device", _TX, pdu)),
+                (tx + tti + one_way, record("bs", _RX, pdu)),
+            ]
         last_arr = t + batch * tti + one_way
         status = f"rlc_status upto={sent + batch}"
         status_arr = last_arr + one_way
-        events += [(last_arr, "bs", _TX, status), (status_arr, "device", _RX, status)]
+        events += [
+            (last_arr, record("bs", _TX, status)),
+            (status_arr, record("device", _RX, status)),
+        ]
         sent += batch
         t = status_arr
     return tuple(events), t
@@ -284,9 +290,13 @@ class MetricsReport:
 @dataclass
 class ScenarioResult:
     report: MetricsReport
-    trace_rows: list[tuple]
+    trace: Simulator  # sorted; write it with trace.write_csv
     # (access_timeline result, reported delay in ms) of each message.
     records: list[tuple]
+
+    @property
+    def trace_rows(self) -> list[tuple[float, int, str, str, str]]:
+        return self.trace.trace_rows()
 
     @property
     def outcomes(self) -> list[AccessOutcome]:
@@ -426,5 +436,5 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     if report.transfer_time_ms > 0:
         report.goodput_bps = report.transferred_bits / (report.transfer_time_ms / 1000.0)
     sim.run()
-    return ScenarioResult(report=report, trace_rows=sim.trace_rows(), records=records)
+    return ScenarioResult(report=report, trace=sim, records=records)
 

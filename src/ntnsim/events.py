@@ -7,6 +7,12 @@ one event at a time (``schedule``) or a whole access attempt or transfer
 at once (``replay``); ``run`` sorts the log once into (time, seq) order,
 seq being the log position, so events at equal times keep the order they
 were logged in.
+
+A log entry is ``(time_us, seq, record)``.  The record (see ``record``)
+is built once per distinct event and shared by every entry that logs it,
+and it carries its CSV line tail, so ``write_csv`` formats only the time
+and seq of each entry.  The log stays in integer us until it is written;
+``trace_rows`` builds float rows only when asked.
 """
 
 from __future__ import annotations
@@ -31,22 +37,28 @@ class EventKind(Enum):
     MEASUREMENT = "measurement"
 
 
+def record(entity: str, kind: str, detail: str = "") -> tuple[str, str, str, str]:
+    """``(entity, kind, detail, csv_tail)`` of one event; ``kind`` is an
+    ``EventKind`` value and ``csv_tail`` the event's trace line after its
+    time and seq."""
+    return entity, kind, detail, f",{entity},{kind},{detail}\n"
+
+
 class Simulator:
     """Event log with a CSV-able trace."""
 
     def __init__(self):
-        self._log: list[tuple[int, int, str, str, str]] = []
+        self._log: list[tuple[int, int, tuple[str, str, str, str]]] = []
 
     def schedule(self, time_us: int, kind: EventKind, entity: str, detail: str = "") -> None:
-        self._log.append((int(time_us), len(self._log), entity, kind._value_, detail))
+        self._log.append((int(time_us), len(self._log), record(entity, kind._value_, detail)))
 
     def replay(self, start_us: int, events) -> None:
-        """Log ``(offset_us, entity, kind_value, detail)`` template entries at
+        """Log ``(offset_us, record)`` template entries at
         ``start_us + offset_us``, in template order."""
         base = len(self._log)
         self._log += [
-            (start_us + offset, base + k, entity, kind, detail)
-            for k, (offset, entity, kind, detail) in enumerate(events)
+            (start_us + offset, base + k, rec) for k, (offset, rec) in enumerate(events)
         ]
 
     def run(self) -> None:
@@ -57,5 +69,11 @@ class Simulator:
         """(time_ms, seq, entity, kind, detail) rows of the event trace."""
         return [
             (time_us / US_PER_MS, seq, entity, kind, detail)  # us_to_ms, inlined
-            for time_us, seq, entity, kind, detail in self._log
+            for time_us, seq, (entity, kind, detail, _) in self._log
         ]
+
+    def write_csv(self, fh) -> None:
+        """Write the trace CSV (header, then one line per entry) to ``fh``."""
+        fh.write("time_ms,seq,entity,kind,detail\n")
+        # t / 1000 is us_to_ms inlined; it formats exactly as trace_rows' time.
+        fh.write("".join([f"{t / 1000:.6f},{seq}{rec[3]}" for t, seq, rec in self._log]))

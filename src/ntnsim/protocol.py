@@ -7,13 +7,14 @@ Doppler tracking, and the HARQ / RLC-ARQ throughput models.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .errors import DomainError, NotReachableError
-from .events import US_PER_MS, EventKind, Simulator, ms_to_us, us_to_ms
+from .events import US_PER_MS, EventKind, Simulator, ms_to_us, record, us_to_ms
 from .geometry import GroundPosition, OrbitSpec, geometry_sample, propagate
 
 TA_STEP_US = 0.52
@@ -221,6 +222,19 @@ def schedule_rar_window(
 _TX, _RX = EventKind.TX_START.value, EventKind.RX_ARRIVAL.value
 _TIMER, _MEASUREMENT = EventKind.TIMER_FIRE.value, EventKind.MEASUREMENT.value
 
+# The access events with a fixed detail share one record each; the three
+# with a per-attempt detail (residual, TA steps, reported delay) share one
+# per distinct detail, so a long scenario's log holds no per-attempt copies.
+_MSG1_TX = record("device", _TX, "msg1_preamble")
+_RAR_EXPIRY = record("device", _TIMER, "rar_window_expiry")
+_TA_OUT_OF_RANGE = record("bs", _MEASUREMENT, "ta_out_of_range")
+_MSG2_TX = record("bs", _TX, "msg2_rar")
+_MSG3_RX = record("bs", _RX, "msg3_rrc_connection_request")
+_MSG4_TX = record("bs", _TX, "msg4_contention_resolution")
+_MSG4_RX = record("device", _RX, "msg4_contention_resolution")
+_CR_EXPIRY = record("device", _TIMER, "contention_resolution_expiry")
+_shared_record = functools.lru_cache(maxsize=4096)(record)
+
 
 def access_timeline(
     sim: Simulator,
@@ -251,45 +265,47 @@ def access_timeline(
     )
     window_start, window_end = ms_to_us(window_start_ms), ms_to_us(window_end_ms)
     window_len = window_end - window_start
-    events = [(t1, "device", _TX, "msg1_preamble")]
+    events = [(t1, _MSG1_TX)]
     emit = events.append
     try:  # every path logs its events in one replay
         if not d1:
-            emit((window_end, "device", _TIMER, "rar_window_expiry"))
+            emit((window_end, _RAR_EXPIRY))
             return FailureCause.RAR_TIMEOUT, None, window_len, None, None
         msg1_arr = t1 + one_way
-        emit((msg1_arr, "bs", _RX, f"msg1_preamble residual_us={residual_us:.3f}"))
+        detail = f"msg1_preamble residual_us={residual_us:.3f}"
+        emit((msg1_arr, _shared_record("bs", _RX, detail)))
         if abs(residual_us) > TA_BIPOLAR_RANGE_US:  # build_ta_command's range check
-            emit((msg1_arr + bs_proc, "bs", _MEASUREMENT, "ta_out_of_range"))
+            emit((msg1_arr + bs_proc, _TA_OUT_OF_RANGE))
             return FailureCause.TA_RANGE, None, window_len, None, None
         ta_steps = round(residual_us / TA_STEP_US)
 
         msg2_tx = max(msg1_arr + bs_proc, window_start - one_way)
         msg2_arr = msg2_tx + one_way
-        emit((msg2_tx, "bs", _TX, "msg2_rar"))
+        emit((msg2_tx, _MSG2_TX))
         if not d2 or msg2_arr > window_end:
-            emit((window_end, "device", _TIMER, "rar_window_expiry"))
+            emit((window_end, _RAR_EXPIRY))
             return FailureCause.RAR_TIMEOUT, None, window_len, ta_steps, None
-        emit((msg2_arr, "device", _RX, f"msg2_rar ta_steps={ta_steps}"))
+        emit((msg2_arr, _shared_record("device", _RX, f"msg2_rar ta_steps={ta_steps}")))
         rar_monitoring = msg2_arr - window_start
 
         # Msg3 grant dimensioned by the cell's maximum supported RTT.
         msg3_tx = msg2_tx + ms_to_us(max_rtt_ms + timing.device_processing_ms) - one_way
         msg3_arr = msg3_tx + one_way
-        emit((msg3_tx, "device", _TX, f"msg3 reported_delay_ms={reported_delay_ms:.1f}"))
+        detail = f"msg3 reported_delay_ms={reported_delay_ms:.1f}"
+        emit((msg3_tx, _shared_record("device", _TX, detail)))
         cr_start = msg3_tx + ms_to_us(timers.ntn_start_offset_ms)
         cr_len = ms_to_us(timers.contention_resolution_ms)
         cr_end = cr_start + cr_len
         if d3:
-            emit((msg3_arr, "bs", _RX, "msg3_rrc_connection_request"))
+            emit((msg3_arr, _MSG3_RX))
             msg4_tx = msg3_arr + bs_proc
             msg4_arr = msg4_tx + one_way
-            emit((msg4_tx, "bs", _TX, "msg4_contention_resolution"))
+            emit((msg4_tx, _MSG4_TX))
             if d4 and msg4_arr <= cr_end:
-                emit((msg4_arr, "device", _RX, "msg4_contention_resolution"))
+                emit((msg4_arr, _MSG4_RX))
                 monitoring = rar_monitoring + (msg4_arr - cr_start)
                 return None, msg4_arr - t1, monitoring, ta_steps, msg4_arr
-        emit((cr_end, "device", _TIMER, "contention_resolution_expiry"))
+        emit((cr_end, _CR_EXPIRY))
         return FailureCause.CR_TIMEOUT, None, rar_monitoring + cr_len, ta_steps, None
     finally:
         sim.replay(0, events)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from ntnsim import cli
-from ntnsim.cli import _write_csv, _write_trace, main
+from ntnsim.cli import _write_csv, main
 from ntnsim.config import load_config
 from ntnsim.engine import run_scenario
+from ntnsim.events import EventKind, Simulator
 
 
 def test_linkbudget_text_and_csv(config_dir, tmp_path, capsys):
@@ -255,6 +257,8 @@ OUT_OF_RANGE = [
         {"observer.altitude_m": -1e7},
         "config.observer: altitude -10000000.0 m outside [-500, 100000] m",
     ),
+    ({"seed": -5}, "config: seed -5 outside [0, 2**64)"),
+    ({"seed": 2**70}, f"config: seed {2**70} outside [0, 2**64)"),
 ]
 
 
@@ -279,11 +283,28 @@ def test_out_of_range_transfer_harq_or_elevation_exits_2(
 
 def test_trace_writer_matches_generic_csv_writer(config_dir, tmp_path):
     header = ["time_ms", "seq", "entity", "kind", "detail"]
-    rows = run_scenario(load_config(config_dir / "geo_sband.json"), seed=4).trace_rows
-    rows = rows + [(0.0, 7, "bs", "timer_fire", ""), (1e-4, 8, "device", "measurement", "x=1,y")]
-    _write_trace(tmp_path / "trace.csv", rows)
-    _write_csv(tmp_path / "generic.csv", header, [list(row) for row in rows])
+    sim = run_scenario(load_config(config_dir / "geo_sband.json"), seed=4).trace
+    # Later than every scenario event, so the log stays sorted.
+    sim.schedule(10**12, EventKind.TIMER_FIRE, "bs")
+    sim.schedule(10**12 + 1, EventKind.MEASUREMENT, "device", "x=1,y")
+    with (tmp_path / "trace.csv").open("w") as fh:
+        sim.write_csv(fh)
+    _write_csv(tmp_path / "generic.csv", header, [list(row) for row in sim.trace_rows()])
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+
+def test_simulate_builds_no_trace_rows(config_dir, tmp_path, monkeypatch):
+    def no_rows(self):
+        raise AssertionError("simulate built the float row list")
+
+    monkeypatch.setattr(Simulator, "trace_rows", no_rows)
+    assert main(["simulate", "--config", str(config_dir / "geo_sband.json"),
+                 "--out", str(tmp_path), "--seed", "1", "--jobs", "2"]) == 0
+    golden = json.loads((Path(__file__).parent / "golden" / "cli_sha256.json").read_text())
+    want = golden["geo_sband/simulate/seed1"]
+    for name in ("report_seed1.json", "trace_seed1.csv"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want[name]
+    assert (tmp_path / "trace_seed2.csv").exists()
 
 
 def _read_trace(path):
@@ -374,3 +395,18 @@ def test_largest_u64_seed_is_accepted(config_dir, tmp_path):
     assert main(["simulate", "--config", str(config_dir / "leo600_sband.json"),
                  "--out", str(tmp_path), "--seed", seed]) == 0
     assert (tmp_path / f"report_seed{seed}.json").exists()
+
+
+@pytest.mark.parametrize("seed_from", ["flag", "config"])
+def test_jobs_past_the_u64_range_exits_2(config_dir, tmp_path, capsys, seed_from):
+    last = 2**64 - 1
+    argv = ["simulate", "--out", str(tmp_path / "out"), "--jobs", "2"]
+    if seed_from == "flag":
+        argv += ["--config", str(config_dir / "geo_sband.json"), "--seed", str(last)]
+    else:
+        path = _edited_leo_config(config_dir, tmp_path, lambda d: d.update(seed=last))
+        argv += ["--config", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--jobs 2" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -1,0 +1,105 @@
+"""``Simulator.write_csv`` against the row-based trace writer it replaced.
+
+The oracle keeps the old design: a log of ``(time_us, seq, entity, kind,
+detail)`` tuples, sorted once, converted to float-ms rows and formatted
+row by row.  The writer must give the same bytes, and ``trace_rows`` the
+same rows, for any mix of single events and replayed templates.
+"""
+
+import io
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ntnsim.events import EventKind, Simulator, record
+
+HEADER = "time_ms,seq,entity,kind,detail\n"
+MAX_TIME_US = 10**12
+
+
+def oracle_csv(rows) -> str:
+    """The trace CSV as the row-based writer formatted it."""
+    return HEADER + "".join(
+        f"{t:.6f},{seq},{entity},{kind},{detail}\n" for t, seq, entity, kind, detail in rows
+    )
+
+
+class OracleLog:
+    """The event log before records: one 5-tuple per entry."""
+
+    def __init__(self):
+        self.log = []
+
+    def schedule(self, time_us, kind, entity, detail=""):
+        self.log.append((time_us, len(self.log), entity, kind.value, detail))
+
+    def replay(self, start_us, events):
+        for offset, entity, kind, detail in events:
+            self.log.append((start_us + offset, len(self.log), entity, kind, detail))
+
+    def trace_rows(self):
+        return [
+            (t / 1000, seq, entity, kind, detail)
+            for t, seq, entity, kind, detail in sorted(self.log)
+        ]
+
+
+entities = st.sampled_from(["device", "bs"])
+kinds = st.sampled_from(list(EventKind))
+details = st.sampled_from(["", "msg2_rar", "harq_ack block=3 proc=1", "x=1,y", "rlc_pdu sn=0"])
+# A few fixed times make equal-time entries common; the rest span 0..1e12 us.
+times = st.one_of(
+    st.sampled_from([0, 1, 999, 1000, 1001, 123_456_789, MAX_TIME_US]),
+    st.integers(min_value=0, max_value=MAX_TIME_US),
+)
+template_entries = st.tuples(
+    st.integers(min_value=0, max_value=2_000_000), entities, kinds, details
+)
+schedule_ops = st.tuples(st.just("schedule"), times, kinds, entities, details)
+# Replays of one short template at nearby starts overlap, as attempts do
+# when traffic is spaced closer than one access plus transfer.
+replay_ops = st.tuples(
+    st.just("replay"),
+    st.integers(min_value=0, max_value=MAX_TIME_US - 2_000_000),
+    st.lists(template_entries, max_size=6),
+)
+
+
+@given(
+    ops=st.lists(st.one_of(schedule_ops, replay_ops), max_size=25),
+    overlap_starts=st.lists(st.integers(min_value=0, max_value=3_000), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+@example(
+    ops=[
+        ("schedule", MAX_TIME_US, EventKind.TIMER_FIRE, "bs", ""),
+        ("replay", 0, [(0, "device", EventKind.TX_START, "x=1,y")]),
+        ("schedule", 0, EventKind.RX_ARRIVAL, "device", "msg2_rar"),
+    ],
+    overlap_starts=[0, 0, 1],
+)
+def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
+    sim, oracle = Simulator(), OracleLog()
+    for op in ops:
+        if op[0] == "schedule":
+            _, t, kind, entity, detail = op
+            sim.schedule(t, kind, entity, detail)
+            oracle.schedule(t, kind, entity, detail)
+        else:
+            _, start, entries = op
+            events = [(offset, entity, kind.value, detail)
+                      for offset, entity, kind, detail in entries]
+            sim.replay(start, [(offset, record(*rest)) for offset, *rest in events])
+            oracle.replay(start, events)
+    # One template replayed at close starts: its entries share records.
+    template = [(0, "device", "tx_start", "msg1_preamble"), (1500, "bs", "rx_arrival", "x=1,y")]
+    shared = [(offset, record(*rest)) for offset, *rest in template]
+    for start in overlap_starts:
+        sim.replay(start, shared)
+        oracle.replay(start, template)
+    sim.run()
+    rows = oracle.trace_rows()
+    assert sim.trace_rows() == rows
+    out = io.StringIO()
+    sim.write_csv(out)
+    assert out.getvalue() == oracle_csv(rows)
