@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ScenarioConfig, load_config
 from .constants import SIDEREAL_DAY_S, SPEED_OF_LIGHT_KM_S
-from .engine import run_scenario
+from .engine import link_snr, run_scenario
 from .errors import ConfigError, DomainError, NoCellError, NotReachableError
 from .geometry import (
     GroundPosition,
@@ -29,6 +29,7 @@ from .geometry import (
     doppler_hz,
     geometry_sample,
     geometry_samples,
+    one_way_delay_ms,
     overhead_pass_orbit,
     propagate,
     propagate_many,
@@ -36,7 +37,7 @@ from .geometry import (
     slant_range,
     visibility_duration,
 )
-from .linkbudget import LinkBudgetParams, fspl, snr
+from .linkbudget import fspl
 from .mobility import CellCandidate, cell_suitability, rank_cells
 
 log = logging.getLogger("ntnsim")
@@ -46,39 +47,29 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+def _cell(value) -> str:
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> str:
+    """Write the CSV to ``path``; returns its text."""
+    text = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows]) + "\n"
+    path.write_text(text)
+    return text
 
 
 def _emit(args, name: str, header: list[str], rows: list[list]) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.csv"
-    _write_csv(path, header, rows)
+    cells = [list(map(_cell, row)) for row in rows]
+    text = _write_csv(path, header, cells)
     if args.format == "csv":
-        sys.stdout.write(path.read_text())
+        sys.stdout.write(text)
     else:
-        widths = [
-            max(len(str(h)), *(len(_fmt(r[i]) if isinstance(r[i], float) else str(r[i])) for r in rows))
-            if rows
-            else len(str(h))
-            for i, h in enumerate(header)
-        ]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            print(
-                "  ".join(
-                    (_fmt(v) if isinstance(v, float) else str(v)).ljust(w)
-                    for v, w in zip(row, widths)
-                )
-            )
+        widths = [max(map(len, column)) for column in zip(header, *cells)]
+        for line in [header, *cells]:
+            print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
     return path
 
 
@@ -86,33 +77,19 @@ def cmd_linkbudget(config: ScenarioConfig, args) -> int:
     if not config.links:
         raise ConfigError(["config.links: required for the linkbudget command"])
     rows = []
-    fc_ghz = config.carrier_frequency_hz / 1e9
+    fc = config.carrier_frequency_hz
     for link in config.links:
         orbit = config.constellation[link.orbit_index]
         d_best = slant_range(config.max_elevation_deg, orbit.altitude_km)
         d_worst = slant_range(config.min_elevation_deg, orbit.altitude_km)
-
-        def budget(distance_km, atmospheric_db):
-            return snr(
-                LinkBudgetParams(
-                    eirp_dbw=link.eirp_dbw,
-                    g_over_t_db_k=link.g_over_t_db_k,
-                    bandwidth_hz=link.bandwidth_hz,
-                    fspl_db=fspl(distance_km, fc_ghz),
-                    shadow_fading_db=link.shadow_fading_db,
-                    scintillation_db=link.scintillation_db,
-                    atmospheric_db=atmospheric_db,
-                )
-            )
-
         rows.append(
             [
                 link.name,
                 link.direction,
-                fspl(d_worst, fc_ghz),
-                fspl(d_best, fc_ghz),
-                budget(d_worst, link.atmospheric_db_max),
-                budget(d_best, link.atmospheric_db_min),
+                fspl(d_worst, fc / 1e9),
+                fspl(d_best, fc / 1e9),
+                link_snr(link, d_worst, fc, link.atmospheric_db_max),
+                link_snr(link, d_best, fc, link.atmospheric_db_min),
             ]
         )
     _emit(
@@ -132,9 +109,8 @@ def cmd_geometry(config: ScenarioConfig, args) -> int:
     for idx, orbit_cfg in enumerate(config.constellation):
         orbit = orbit_cfg.to_orbit_spec()
         alt = orbit_cfg.altitude_km
-        delay = lambda el: slant_range(el, alt) / SPEED_OF_LIGHT_KM_S * 1000.0
-        rtt_min = 4.0 * delay(max_el)
-        rtt_max = 4.0 * delay(min_el)
+        rtt_min = 4.0 * one_way_delay_ms(slant_range(max_el, alt))
+        rtt_max = 4.0 * one_way_delay_ms(slant_range(min_el, alt))
         rows.append([idx, orbit_cfg.kind, "rtt_min_ms", rtt_min])
         rows.append([idx, orbit_cfg.kind, "rtt_max_ms", rtt_max])
 

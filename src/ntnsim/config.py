@@ -37,15 +37,12 @@ def _coerce(tp, value, path, errors):
         if value is None:
             return None
         return _coerce(args[0], value, path, errors)
-    if origin in (list, tuple):
+    if origin is list:
         if not isinstance(value, list):
             errors.append(f"{path}: expected a list")
             return []
         inner = typing.get_args(tp)[0]
-        items = [
-            _coerce(inner, v, f"{path}[{i}]", errors) for i, v in enumerate(value)
-        ]
-        return tuple(items) if origin is tuple else items
+        return [_coerce(inner, v, f"{path}[{i}]", errors) for i, v in enumerate(value)]
     if dataclasses.is_dataclass(tp):
         return _build(tp, value, path, errors)
     if tp is float:

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ScenarioConfig
-from .constants import SPEED_OF_LIGHT_KM_S, SPEED_OF_LIGHT_M_S
+from .config import LinkCfg, ScenarioConfig
+from .constants import SPEED_OF_LIGHT_M_S
 from .errors import ConfigError, DomainError
-from .events import EventKind, Simulator, ms_to_us, record, us_to_ms
+from .events import _RX, _TX, Simulator, ms_to_us, record, us_to_ms
 # geometry_sample, propagate and run_random_access stay importable from this
 # module (unused here): perfbench/tracing.py patches them to count calls.
 from .geometry import (  # noqa: F401
@@ -27,6 +27,7 @@ from .geometry import (  # noqa: F401
     OrbitSpec,
     geometry_sample,
     geometry_samples,
+    one_way_delay_ms,
     propagate,
     propagate_many,
     slant_range,
@@ -94,7 +95,7 @@ def harq_transfer(
     blocks; returns the time the last acknowledgment arrives."""
     if n_blocks < 1 or n_processes < 1:
         raise DomainError("need at least one block and one process")
-    events, end = _transfer_template(True, n_blocks, n_processes, tti_ms, rtt_ms, ack_processing_ms)
+    events, end = _harq_events(n_blocks, n_processes, tti_ms, rtt_ms, ack_processing_ms)
     sim.replay(start_us, events)
     return start_us + end
 
@@ -111,33 +112,22 @@ def rlc_transfer(
     window; returns the arrival time of the final status report."""
     if n_pdus < 1 or window_pdus < 1:
         raise DomainError("need at least one PDU and a window of at least one PDU")
-    events, end = _transfer_template(False, n_pdus, window_pdus, tti_ms, rtt_ms)
+    events, end = _rlc_events(n_pdus, window_pdus, tti_ms, rtt_ms)
     sim.replay(start_us, events)
     return start_us + end
 
 
 # A transfer's event times are its start plus offsets that depend only on
-# these integer-us parameters (every process is free at the start), so each
-# parameter set is worked out once, relative to 0, and replayed per message.
-_TX, _RX = EventKind.TX_START.value, EventKind.RX_ARRIVAL.value
-
-
-def _transfer_template(
-    harq: bool, n: int, width: int, tti_ms: float, rtt_ms: float, ack_processing_ms: float = 0.0
-):
-    """(events, end offset) of a HARQ transfer of ``n`` blocks over
-    ``width`` processes, or of an RLC transfer of ``n`` PDUs in windows of
-    ``width``; the one place the ms timings become integer us."""
-    tti, one_way = ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2
-    if harq:
-        return _harq_events(n, width, tti, one_way, ms_to_us(ack_processing_ms))
-    return _rlc_events(n, width, tti, one_way)
+# its arguments (every process is free at the start), so each argument set
+# is worked out once, relative to 0, and replayed per call.  The caches are
+# keyed on the ms arguments; the timings become integer us inside.
 
 
 @functools.lru_cache(maxsize=64)
-def _harq_events(n_blocks: int, n_processes: int, tti: int, one_way: int, ack_proc: int):
+def _harq_events(n_blocks: int, n_processes: int, tti_ms: float, rtt_ms: float, ack_ms: float):
     """((offset_us, record), ...) of a HARQ transfer started at 0, and the
     offset of its last acknowledgment."""
+    tti, one_way, ack_proc = ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2, ms_to_us(ack_ms)
     events = []
     proc_free = [0] * n_processes
     tx_free = 0
@@ -163,9 +153,10 @@ def _harq_events(n_blocks: int, n_processes: int, tti: int, one_way: int, ack_pr
 
 
 @functools.lru_cache(maxsize=64)
-def _rlc_events(n_pdus: int, window_pdus: int, tti: int, one_way: int):
+def _rlc_events(n_pdus: int, window_pdus: int, tti_ms: float, rtt_ms: float):
     """((offset_us, record), ...) of an RLC transfer started at 0, and the
     offset of its final status report."""
+    tti, one_way = ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2
     events = []
     t = 0
     sent = 0
@@ -210,6 +201,8 @@ def earth_fixed_beam_schedule(
     elevation above the threshold; a change of serving satellite starts a
     new interval (a service-link switch).
     """
+    if step_s <= 0 or (horizon_s is not None and horizon_s <= 0):
+        raise DomainError("horizon and step must be positive")
     if isinstance(orbits, OrbitSpec):
         orbits = [orbits]
     if not orbits:
@@ -310,28 +303,34 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank]
 
 
+def link_snr(link: LinkCfg, distance_km: float, carrier_hz: float, atmospheric_db: float) -> float:
+    """SNR (dB) of a configured link over a slant range."""
+    return snr(
+        LinkBudgetParams(
+            eirp_dbw=link.eirp_dbw,
+            g_over_t_db_k=link.g_over_t_db_k,
+            bandwidth_hz=link.bandwidth_hz,
+            fspl_db=fspl(distance_km, carrier_hz / 1e9),
+            shadow_fading_db=link.shadow_fading_db,
+            scintillation_db=link.scintillation_db,
+            atmospheric_db=atmospheric_db,
+        )
+    )
+
+
 def _link_snrs(config: ScenarioConfig, elevation_deg: float) -> tuple[float, float]:
     """(downlink, uplink) SNR at the service elevation, worst-case
     atmospheric loss; defaults to a link that always closes."""
-    orbit = config.constellation[0]
-    distance = slant_range(elevation_deg, orbit.altitude_km)
+    distance = slant_range(elevation_deg, config.constellation[0].altitude_km)
     dl, ul = 100.0, 100.0
     for link in config.links:
         if link.orbit_index != 0:
             continue
-        params = LinkBudgetParams(
-            eirp_dbw=link.eirp_dbw,
-            g_over_t_db_k=link.g_over_t_db_k,
-            bandwidth_hz=link.bandwidth_hz,
-            fspl_db=fspl(distance, config.carrier_frequency_hz / 1e9),
-            shadow_fading_db=link.shadow_fading_db,
-            scintillation_db=link.scintillation_db,
-            atmospheric_db=link.atmospheric_db_max,
-        )
+        value = link_snr(link, distance, config.carrier_frequency_hz, link.atmospheric_db_max)
         if link.direction == "downlink":
-            dl = snr(params)
+            dl = value
         else:
-            ul = snr(params)
+            ul = value
     return dl, ul
 
 
@@ -341,10 +340,10 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     Message ``i`` starts an independent access attempt at
     ``i * inter_arrival_ms``: its GNSS error and fade are drawn, its access
     exchange is worked out in closed form (``access_timeline``), and a
-    successful attempt's transfer is replayed from the scenario's one
-    transfer template.  Attempts may overlap in time when the spacing is
-    shorter than one access plus transfer; the trace is then the
-    time-merged union of the attempts.
+    successful attempt's data goes out through ``harq_transfer`` or
+    ``rlc_transfer``, which replay a cached template.  Attempts may overlap
+    in time when the spacing is shorter than one access plus transfer; the
+    trace is then the time-merged union of the attempts.
     """
     if config.access is None:
         raise ConfigError(["config.access: required to run a scenario"])
@@ -359,14 +358,19 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     timers = config.timers
     altitude_km = config.constellation[0].altitude_km
 
-    service_delay = (
-        slant_range(access.service_elevation_deg, altitude_km) / SPEED_OF_LIGHT_KM_S * 1000.0
-    )
-    feeder_delay = (
-        slant_range(access.feeder_elevation_deg, altitude_km) / SPEED_OF_LIGHT_KM_S * 1000.0
-    )
+    service_delay = one_way_delay_ms(slant_range(access.service_elevation_deg, altitude_km))
+    feeder_delay = one_way_delay_ms(slant_range(access.feeder_elevation_deg, altitude_km))
     one_way = ms_to_us(service_delay + feeder_delay)
     rtt_true = 2.0 * (service_delay + feeder_delay)
+    units, tti = config.transfer_units(), config.transfer.tti_ms
+    if config.harq.enabled:
+        transfer = harq_transfer
+        transfer_args = (
+            units, config.harq.n_processes, tti, rtt_true, config.transfer.ack_processing_ms
+        )
+    else:
+        transfer = rlc_transfer
+        transfer_args = (units, config.transfer.rlc_window_pdus, tti, rtt_true)
     snr_dl, snr_ul = _link_snrs(config, access.service_elevation_deg)
     gain = repetition_gain_db(channel.repetitions)
     keep1, keep2, keep3, keep4 = (kind.value not in channel.drop_kinds for kind in MessageKind)
@@ -378,7 +382,6 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     causes = report.failure_causes
     records: list[tuple] = []
     latencies: list[float] = []
-    transfer = None  # (events, end offset) of one message's transfer
 
     for i in range(traffic.n_messages):
         start_ms = i * traffic.inter_arrival_ms
@@ -388,6 +391,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
             service_delay, service_delay - gnss_err_m / SPEED_OF_LIGHT_M_S * 1000.0
         )
         # reception_ok with the faded SNRs, as BentPipeChannel.delivers does.
+        # Msg1 and Msg3 go uplink, so a successful access implies the uplink
+        # data closes too.
         ul_ok = snr_ul - fade_db + gain >= channel.snr_threshold_ul_db
         dl_ok = snr_dl - fade_db + gain >= channel.snr_threshold_dl_db
         timeline = access_timeline(
@@ -410,24 +415,10 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
             continue
         report.access_successes += 1
         latencies.append(us_to_ms(latency_us))
-        if not ul_ok:
-            causes["data_snr"] = causes.get("data_snr", 0) + 1
-            continue
-        if transfer is None:
-            harq = config.harq
-            transfer = _transfer_template(
-                harq.enabled,
-                config.transfer_units(),
-                harq.n_processes if harq.enabled else config.transfer.rlc_window_pdus,
-                config.transfer.tti_ms,
-                rtt_true,
-                config.transfer.ack_processing_ms,
-            )
-        events, end = transfer
         transfer_start = ms_to_us(us_to_ms(msg4_arr) + access.device_processing_ms)
-        sim.replay(transfer_start, events)
+        end = transfer(sim, transfer_start, *transfer_args)
         report.transferred_bits += traffic.message_size_bits
-        report.transfer_time_ms += us_to_ms(end)
+        report.transfer_time_ms += us_to_ms(end - transfer_start)
 
     latencies.sort()
     report.access_latency_p50_ms = _percentile(latencies, 0.50)

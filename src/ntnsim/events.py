@@ -37,6 +37,10 @@ class EventKind(Enum):
     MEASUREMENT = "measurement"
 
 
+# The kind strings that records carry.
+_TX, _RX, _TIMER, _MEASUREMENT = (kind.value for kind in EventKind)
+
+
 def record(entity: str, kind: str, detail: str = "") -> tuple[str, str, str, str]:
     """``(entity, kind, detail, csv_tail)`` of one event; ``kind`` is an
     ``EventKind`` value and ``csv_tail`` the event's trace line after its

@@ -360,6 +360,8 @@ def visibility_duration(
     """
     if not 0.0 <= min_elevation_deg <= 90.0:
         raise DomainError("min_elevation must lie in [0, 90]")
+    if step_s <= 0:
+        raise DomainError("step must be positive")
     n_steps = int(math.ceil(orbit.period_s() / step_s))
     t = orbit.epoch_s + np.arange(n_steps + 1) * step_s
     elevation, _, _ = geometry_samples(*propagate_many(orbit, t), ground)

@@ -14,8 +14,9 @@ from enum import Enum
 from typing import Optional
 
 from .errors import DomainError, NotReachableError
-from .events import US_PER_MS, EventKind, Simulator, ms_to_us, record, us_to_ms
-from .geometry import GroundPosition, OrbitSpec, geometry_sample, propagate
+from .events import _MEASUREMENT, _RX, _TIMER, _TX
+from .events import US_PER_MS, Simulator, ms_to_us, record, us_to_ms
+from .geometry import GeometrySample, GroundPosition, OrbitSpec, geometry_sample, propagate
 
 TA_STEP_US = 0.52
 TA_BIPOLAR_RANGE_US = 32.0
@@ -149,6 +150,20 @@ class AccessOutcome:
     reported_delay_ms: Optional[float]
 
 
+def _highest_satellite(
+    device: DeviceContext, eph: Ephemeris, fc_hz: float, t_s: float
+) -> Optional[GeometrySample]:
+    """The device's view of the ephemeris satellite highest above its GNSS
+    fix, each evaluated at ``t - staleness`` (not before its epoch); the
+    first one on a tie, None for an empty ephemeris."""
+    fix = device.gnss_position
+    samples = [
+        geometry_sample(propagate(o, max(o.epoch_s, t_s - eph.staleness_s)), fix, fc_hz)
+        for o in eph.orbits
+    ]
+    return max(samples, key=lambda sample: sample.elevation_deg, default=None)
+
+
 def estimate_service_delay(
     device: DeviceContext,
     eph: Ephemeris,
@@ -161,12 +176,7 @@ def estimate_service_delay(
     evaluated at ``t - staleness``, which bounds the estimation error by
     (gnss_error + staleness * |range rate|) / c.
     """
-    best = None
-    for orbit in eph.orbits:
-        t_eval = max(orbit.epoch_s, t_s - eph.staleness_s)
-        sample = geometry_sample(propagate(orbit, t_eval), device.gnss_position, 1e9)
-        if best is None or sample.elevation_deg > best.elevation_deg:
-            best = sample
+    best = _highest_satellite(device, eph, 1e9, t_s)
     if best is None or best.elevation_deg < min_elevation_deg:
         raise NotReachableError("no satellite above the minimum elevation")
     return best.one_way_delay_ms
@@ -218,9 +228,6 @@ def schedule_rar_window(
     start = preamble_tx_ms + max_rtt_ms + processing_delay_ms
     return start, start + window_length_ms
 
-
-_TX, _RX = EventKind.TX_START.value, EventKind.RX_ARRIVAL.value
-_TIMER, _MEASUREMENT = EventKind.TIMER_FIRE.value, EventKind.MEASUREMENT.value
 
 # The access events with a fixed detail share one record each; the three
 # with a per-attempt detail (residual, TA steps, reported delay) share one
@@ -392,12 +399,7 @@ def doppler_precompensation(
     device: DeviceContext, eph: Ephemeris, fc_hz: float, t_s: float
 ) -> float:
     """Transmit frequency offset cancelling the predicted Doppler."""
-    best = None
-    for orbit in eph.orbits:
-        t_eval = max(orbit.epoch_s, t_s - eph.staleness_s)
-        sample = geometry_sample(propagate(orbit, t_eval), device.gnss_position, fc_hz)
-        if best is None or sample.elevation_deg > best.elevation_deg:
-            best = sample
+    best = _highest_satellite(device, eph, fc_hz, t_s)
     if best is None:
         raise NotReachableError("empty ephemeris")
     offset = -best.doppler_hz

@@ -143,6 +143,37 @@ def test_csv_output_byte_stable(config_dir, tmp_path):
     assert (out1 / "trace_seed9.csv").read_bytes() == (out2 / "trace_seed9.csv").read_bytes()
 
 
+# sha256 of the stdout of one run per command in each --format.
+STDOUT_SHA256 = {
+    ("linkbudget", "csv"): "e9690699a1971f8ce7869a9bc580bd198b17ee6eea6f9e40c0766e722dd208bb",
+    ("linkbudget", "text"): "11fa5788c1e6c971e6e37768e137b23dd9b09ff5c2ef57f46b7b4a6e2ee84f33",
+    ("geometry", "csv"): "23b356ed89480032ca2c524bef4373e9d8378d538fdf5a738dc98fb28ced75d4",
+    ("geometry", "text"): "3742443ba8e14c5568e73d3684bb050da8bf825ef618b5627e3b2251d5f8cefd",
+    ("rank-cells", "csv"): "606c62fdea36df4814039c0570c1b2a202a9f50fbb0e48262bdad93c5607061c",
+    ("rank-cells", "text"): "e72f7e3483f1f2bfe25ca376676817ff11c530a006f4800b839b4ae418a3b1ba",
+    ("simulate", "csv"): "c21410c79d3e2783d0c3e3a0681d42439769a9a28d6258e8c638c072c846660d",
+    ("simulate", "text"): "2c4bc21ab255a6747dbd05a93167a35d1a5c635d7e5b3c2822a0e41c22fa8f6f",
+}
+STDOUT_ARGS = {
+    "linkbudget": ["--config", "geo_sband.json"],
+    "geometry": ["--config", "leo600_sband.json"],
+    "rank-cells": ["--config", "leo600_sband.json"],
+    "simulate": ["--config", "geo_sband.json", "--seed", "1", "--jobs", "2"],
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(STDOUT_SHA256))
+def test_stdout_is_pinned_in_both_formats(config_dir, tmp_path, capsys, command, fmt):
+    flag, config, *rest = STDOUT_ARGS[command]
+    argv = [command, flag, str(config_dir / config), *rest, "--out", str(tmp_path), "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[(command, fmt)]
+    if fmt == "csv":  # the CSV on stdout is the file's text
+        (csv_path,) = (p for p in tmp_path.glob("*.csv") if not p.name.startswith("trace_"))
+        assert out == csv_path.read_text()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
 def test_simulate_rejects_bad_jobs_at_argparse(config_dir, tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntnsim import engine
 from ntnsim.config import MAX_TRANSFER_UNITS, ObserverCfg, load_config, load_config_dict
 from ntnsim.engine import (
     BentPipeChannel,
@@ -19,7 +20,13 @@ from ntnsim.engine import (
 )
 from ntnsim.errors import ConfigError, DomainError
 from ntnsim.events import EventKind, Simulator, ms_to_us, us_to_ms
-from ntnsim.geometry import GroundPosition, OrbitKind, OrbitSpec, overhead_pass_orbit
+from ntnsim.geometry import (
+    GroundPosition,
+    OrbitKind,
+    OrbitSpec,
+    overhead_pass_orbit,
+    visibility_duration,
+)
 from ntnsim.protocol import HarqConfig, harq_throughput, rlc_arq_throughput
 
 
@@ -241,6 +248,42 @@ def test_beam_schedule_leo_switch():
     assert 0 in served_by and 1 in served_by
     for a, b in zip(intervals, intervals[1:]):
         assert a.end_s <= b.start_s + 1e-9
+
+
+@pytest.mark.parametrize(
+    "horizon_s, step_s", [(-5.0, 1.0), (100.0, 0.0), (100.0, -1.0), (None, 0.0)]
+)
+def test_sweeps_reject_a_non_positive_horizon_or_step(horizon_s, step_s):
+    obs = GroundPosition(0.0, 0.0)
+    leo = overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 90.0, obs, overhead_at_s=1500.0)
+    with pytest.raises(DomainError):
+        earth_fixed_beam_schedule([leo], obs, 10.0, horizon_s=horizon_s, step_s=step_s)
+    if step_s <= 0:
+        with pytest.raises(DomainError):
+            visibility_duration(leo, obs, 10.0, step_s=step_s)
+
+
+@pytest.mark.parametrize("harq, spied", [(True, "harq_transfer"), (False, "rlc_transfer")])
+def test_run_scenario_calls_the_public_transfer_per_delivered_message(
+    config_dir, monkeypatch, harq, spied
+):
+    data = json.loads((config_dir / "leo600_sband.json").read_text())
+    data["harq"]["enabled"] = harq
+    data["traffic"]["n_messages"] = 60
+    data["channel"]["fading_sigma_db"] = 12.0
+    calls = {"harq_transfer": [], "rlc_transfer": []}
+    for name, seen in calls.items():
+        def spy(*args, _original=getattr(engine, name), _seen=seen):
+            _seen.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(engine, name, spy)
+    report = run_scenario(load_config_dict(data), seed=3).report
+    # Some attempts fade out and transfer nothing.  Access succeeds only when
+    # the uplink closes, so every success passes the data SNR check.
+    assert "data_snr" not in report.failure_causes
+    assert 0 < len(calls[spied]) == report.access_successes < report.access_attempts
+    assert [name for name, seen in calls.items() if seen] == [spied]
 
 
 MINIMAL = {
