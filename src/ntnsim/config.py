@@ -16,6 +16,7 @@ from typing import Optional
 
 from .errors import ConfigError, DomainError
 from .geometry import BeamSpec, GroundPosition, OrbitKind, OrbitSpec
+from .linkbudget import DL_SNR_FLOOR_DB, UL_SNR_FLOOR_DB
 from .protocol import AccessTiming, HarqConfig, MessageKind, TimerConfig, _check_non_negative
 
 _MISSING = dataclasses.MISSING
@@ -248,8 +249,8 @@ class AccessCfg(AccessTiming):
 
 @dataclass(frozen=True)
 class ChannelCfg:
-    snr_threshold_dl_db: float = -14.5
-    snr_threshold_ul_db: float = -13.8
+    snr_threshold_dl_db: float = DL_SNR_FLOOR_DB
+    snr_threshold_ul_db: float = UL_SNR_FLOOR_DB
     repetitions: int = 1
     fading_sigma_db: float = 0.0
     drop_kinds: list[str] = field(default_factory=list)

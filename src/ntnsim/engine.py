@@ -32,7 +32,7 @@ from .geometry import (  # noqa: F401
     propagate_many,
     slant_range,
 )
-from .linkbudget import LinkBudgetParams, fspl, snr
+from .linkbudget import DL_SNR_FLOOR_DB, UL_SNR_FLOOR_DB, LinkBudgetParams, fspl, snr
 from .protocol import (  # noqa: F401
     AccessOutcome,
     MessageKind,
@@ -65,8 +65,8 @@ class BentPipeChannel:
     feeder_delay_ms: float
     snr_dl_db: float = 100.0
     snr_ul_db: float = 100.0
-    snr_threshold_dl_db: float = -14.5
-    snr_threshold_ul_db: float = -13.8
+    snr_threshold_dl_db: float = DL_SNR_FLOOR_DB
+    snr_threshold_ul_db: float = UL_SNR_FLOOR_DB
     repetitions: int = 1
     drop_kinds: frozenset = frozenset()
 
@@ -201,8 +201,8 @@ def earth_fixed_beam_schedule(
     elevation above the threshold; a change of serving satellite starts a
     new interval (a service-link switch).
     """
-    if step_s <= 0 or (horizon_s is not None and horizon_s <= 0):
-        raise DomainError("horizon and step must be positive")
+    if not 0 < step_s < math.inf or not (horizon_s is None or 0 < horizon_s < math.inf):
+        raise DomainError("horizon and step must be positive and finite")
     if isinstance(orbits, OrbitSpec):
         orbits = [orbits]
     if not orbits:

@@ -184,34 +184,17 @@ def slant_range(elevation_deg: float, altitude_km: float) -> float:
 
 
 def propagate(orbit: OrbitSpec, t_s: float) -> SatelliteState:
-    """Earth-fixed state of a circular orbit at time t."""
-    if t_s < orbit.epoch_s:
-        raise DomainError("t must not precede the orbit epoch")
-    a = orbit.semi_major_axis_km
-    n = orbit.mean_motion_rad_s()
-    dt = t_s - orbit.epoch_s
-    u = math.radians(orbit.phase_deg) + n * dt
-
-    pos_plane = np.array([a * math.cos(u), a * math.sin(u), 0.0])
-    vel_plane = np.array([-a * n * math.sin(u), a * n * math.cos(u), 0.0])
-    to_inertial = _rot_z(math.radians(orbit.raan_deg)) @ _rot_x(
-        math.radians(orbit.inclination_deg)
-    )
-    r_in = to_inertial @ pos_plane
-    v_in = to_inertial @ vel_plane
-
-    rot = _rot_z(-OMEGA_EARTH_RAD_S * dt)
-    r_ef = rot @ r_in
-    omega_vec = np.array([0.0, 0.0, OMEGA_EARTH_RAD_S])
-    v_ef = rot @ v_in - np.cross(omega_vec, r_ef)
-    return SatelliteState(t_s=t_s, position_km=r_ef, velocity_km_s=v_ef)
+    """Earth-fixed state of a circular orbit at time t: a 0-d call of
+    ``propagate_many``."""
+    pos, vel = propagate_many(orbit, t_s)
+    return SatelliteState(t_s=t_s, position_km=pos, velocity_km_s=vel)
 
 
 def propagate_many(orbit: OrbitSpec, t_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Earth-fixed positions and velocities at an array of times.
 
-    The array form of ``propagate``: for times of shape ``S`` it returns
-    ``(pos, vel)`` of shape ``S + (3,)``.
+    For times of shape ``S`` it returns ``(pos, vel)`` of shape
+    ``S + (3,)``; a scalar time gives one state (as ``propagate``).
     """
     t = np.asarray(t_s, dtype=float)
     if np.any(t < orbit.epoch_s):
@@ -253,8 +236,8 @@ def ground_track(
     orbit: OrbitSpec, duration_s: float, step_s: float
 ) -> list[tuple[float, float, float]]:
     """Sub-satellite (t, lat, lon) series from the orbit epoch."""
-    if duration_s <= 0 or step_s <= 0:
-        raise DomainError("duration and step must be positive")
+    if not (0 < duration_s < math.inf and 0 < step_s < math.inf):
+        raise DomainError("duration and step must be positive and finite")
     t = orbit.epoch_s + np.arange(math.floor((duration_s + 1e-9) / step_s) + 1) * step_s
     pos, _ = propagate_many(orbit, t)
     r = np.linalg.norm(pos, axis=-1)
@@ -270,22 +253,14 @@ def geometry_sample(
     """Elevation, slant range, delay, range rate, Doppler, delay drift.
 
     Ground stations are fixed in the earth-fixed frame, so the satellite's
-    earth-fixed velocity is the full relative velocity.
+    earth-fixed velocity is the full relative velocity.  A 0-d call of
+    ``geometry_samples``.
     """
     if fc_hz <= 0:
         raise DomainError("carrier frequency must be positive")
-    r_gnd = ground.ecef_km()
-    los = sat.position_km - r_gnd
-    d = float(np.linalg.norm(los))
-    if d < 1e-9:
-        raise DomainError("ground position coincides with the satellite")
-    up = ground.unit_vector()
-    # atan2 of the vertical over the horizontal part: asin(vertical / d)
-    # loses half the digits near the zenith, where its slope is infinite.
-    vertical = float(np.dot(los, up))
-    horizontal = float(np.linalg.norm(los - vertical * up))
-    elevation = math.degrees(math.atan2(vertical, horizontal))
-    range_rate = float(np.dot(los, sat.velocity_km_s)) / d  # km/s
+    elevation, d, range_rate = (
+        float(x) for x in geometry_samples(sat.position_km, sat.velocity_km_s, ground)
+    )
     return GeometrySample(
         elevation_deg=elevation,
         slant_range_km=d,
@@ -299,7 +274,8 @@ def geometry_sample(
 def geometry_samples(
     pos: np.ndarray, vel: np.ndarray, ground: GroundPosition | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The array form of ``geometry_sample``.
+    """Elevation, slant range and range rate of satellite states seen
+    from ground points.
 
     ``pos`` and ``vel`` are earth-fixed satellite states with a trailing
     axis of 3 (as from ``propagate_many``).  ``ground`` is a
@@ -320,7 +296,8 @@ def geometry_samples(
     d = np.sqrt(np.einsum("...i,...i->...", los, los))
     if np.any(d < 1e-9):
         raise DomainError("ground position coincides with the satellite")
-    # atan2 of the vertical over the horizontal part, as geometry_sample.
+    # atan2 of the vertical over the horizontal part: asin(vertical / d)
+    # loses half the digits near the zenith, where its slope is infinite.
     vertical = np.einsum("...i,...i->...", los, up)
     horizontal = los - vertical[..., None] * up
     horizontal_km = np.sqrt(np.einsum("...i,...i->...", horizontal, horizontal))
@@ -360,8 +337,8 @@ def visibility_duration(
     """
     if not 0.0 <= min_elevation_deg <= 90.0:
         raise DomainError("min_elevation must lie in [0, 90]")
-    if step_s <= 0:
-        raise DomainError("step must be positive")
+    if not 0 < step_s < math.inf:
+        raise DomainError("step must be positive and finite")
     n_steps = int(math.ceil(orbit.period_s() / step_s))
     t = orbit.epoch_s + np.arange(n_steps + 1) * step_s
     elevation, _, _ = geometry_samples(*propagate_many(orbit, t), ground)
@@ -385,20 +362,14 @@ def satellite_state_over(
     velocity is earth-fixed.
     """
     r = EARTH_RADIUS_KM + altitude_km
-    up = ground.unit_vector()
-    pos = r * up
+    pos = r * ground.unit_vector()
     if speed_km_s is None:
         speed_km_s = math.sqrt(MU_EARTH_KM3_S2 / r)
-    north = np.array([0.0, 0.0, 1.0]) - up * up[2]
-    nn = float(np.linalg.norm(north))
-    if nn < 1e-12:
-        north = np.array([1.0, 0.0, 0.0])  # pole: pick an arbitrary horizontal
-        nn = 1.0
-    north /= nn
-    east = np.cross(np.array([0.0, 0.0, 1.0]), up)
-    east /= float(np.linalg.norm(east)) or 1.0
+    # The second tangent axis, up x north, points west; at a pole the first
+    # ("north") is +x.
+    north, west = _tangent_basis(ground, np.array([0.0, 0.0, 1.0]))
     az = math.radians(azimuth_deg)
-    v_in = speed_km_s * (math.cos(az) * north + math.sin(az) * east)
+    v_in = speed_km_s * (math.cos(az) * north - math.sin(az) * west)
     omega_vec = np.array([0.0, 0.0, OMEGA_EARTH_RAD_S])
     v_ef = v_in - np.cross(omega_vec, pos)
     return SatelliteState(t_s=t_s, position_km=pos, velocity_km_s=v_ef)

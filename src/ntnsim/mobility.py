@@ -4,7 +4,7 @@ capability checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,14 +83,6 @@ def cell_model_snr(
     rolloff_db_per_km: float = DEFAULT_BEAM_ROLLOFF_DB_PER_KM,
 ) -> float:
     sample = geometry_sample(sat, device_pos, fc_hz)
-    params = LinkBudgetParams(
-        eirp_dbw=base.eirp_dbw,
-        g_over_t_db_k=base.g_over_t_db_k,
-        bandwidth_hz=base.bandwidth_hz,
-        fspl_db=fspl(sample.slant_range_km, fc_hz / 1e9),
-        shadow_fading_db=base.shadow_fading_db,
-        scintillation_db=base.scintillation_db,
-        atmospheric_db=base.atmospheric_db,
-    )
+    params = replace(base, fspl_db=fspl(sample.slant_range_km, fc_hz / 1e9))
     off_center = great_circle_distance_km(device_pos, cell_center)
     return snr(params) - rolloff_db_per_km * off_center

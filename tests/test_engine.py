@@ -24,6 +24,7 @@ from ntnsim.geometry import (
     GroundPosition,
     OrbitKind,
     OrbitSpec,
+    ground_track,
     overhead_pass_orbit,
     visibility_duration,
 )
@@ -251,14 +252,28 @@ def test_beam_schedule_leo_switch():
 
 
 @pytest.mark.parametrize(
-    "horizon_s, step_s", [(-5.0, 1.0), (100.0, 0.0), (100.0, -1.0), (None, 0.0)]
+    "horizon_s, step_s",
+    [
+        (-5.0, 1.0),
+        (100.0, 0.0),
+        (100.0, -1.0),
+        (None, 0.0),
+        (math.nan, 1.0),
+        (math.inf, 1.0),
+        (100.0, math.nan),
+        (100.0, math.inf),
+        (None, math.nan),
+        (None, math.inf),
+    ],
 )
 def test_sweeps_reject_a_non_positive_horizon_or_step(horizon_s, step_s):
     obs = GroundPosition(0.0, 0.0)
     leo = overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 90.0, obs, overhead_at_s=1500.0)
     with pytest.raises(DomainError):
         earth_fixed_beam_schedule([leo], obs, 10.0, horizon_s=horizon_s, step_s=step_s)
-    if step_s <= 0:
+    with pytest.raises(DomainError):
+        ground_track(leo, 100.0 if horizon_s is None else horizon_s, step_s)
+    if not 0 < step_s < math.inf:
         with pytest.raises(DomainError):
             visibility_duration(leo, obs, 10.0, step_s=step_s)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ntnsim.constants import (
     EARTH_RADIUS_KM,
     MU_EARTH_KM3_S2,
+    OMEGA_EARTH_RAD_S,
     SIDEREAL_DAY_S,
     SPEED_OF_LIGHT_KM_S,
 )
@@ -181,6 +182,17 @@ def test_geometry_sample_overhead():
     assert sample.one_way_delay_ms == pytest.approx(600.0 / SPEED_OF_LIGHT_KM_S * 1e3)
     # Zenith pass: range rate crosses zero directly overhead.
     assert abs(sample.doppler_hz) < 1.0
+
+
+@pytest.mark.parametrize("azimuth_deg", [0.0, 45.0, 90.0])
+@pytest.mark.parametrize("latitude_deg", [90.0, -90.0])
+def test_satellite_over_a_pole_keeps_a_circular_horizontal_velocity(latitude_deg, azimuth_deg):
+    sat = satellite_state_over(GroundPosition(latitude_deg, 10.0), 600.0, azimuth_deg=azimuth_deg)
+    r = float(np.linalg.norm(sat.position_km))
+    v_in = sat.velocity_km_s + np.cross([0.0, 0.0, OMEGA_EARTH_RAD_S], sat.position_km)
+    assert np.linalg.norm(v_in) == pytest.approx(math.sqrt(MU_EARTH_KM3_S2 / r), rel=1e-12)
+    for v in (v_in, sat.velocity_km_s):
+        assert abs(np.dot(v, sat.position_km)) <= 1e-12 * r * np.linalg.norm(v)
 
 
 def test_doppler_sign_flips_across_zenith():

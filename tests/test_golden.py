@@ -1,5 +1,6 @@
 """Golden outputs: the sha256 of every file each CLI subcommand writes for
-every bundled config that supports it, at seeds 1 and 42.
+every bundled config that supports it, at seeds 1 and 42, and of the
+stdout of each study script in ``scripts/``.
 
 A refactor that keeps behaviour must pass these unchanged.  After a
 deliberate output change, regenerate and commit the hashes with
@@ -11,6 +12,7 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
 import tempfile
 from pathlib import Path
 
@@ -19,7 +21,9 @@ import pytest
 from ntnsim.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "cli_sha256.json"
+SCRIPTS_GOLDEN_PATH = GOLDEN_PATH.with_name("scripts_sha256.json")
 SEEDS = (1, 42)
 COMMANDS = {
     "linkbudget": ["linkbudget"],
@@ -69,6 +73,18 @@ def test_golden_covers_every_bundled_config():
     assert configs == {p.stem for p in CONFIG_DIR.glob("*.json")}
 
 
+def _script_stdout_sha256(name: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(SCRIPT_DIR / name), run_name="__main__")
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCRIPT_DIR.glob("*.py")))
+def test_study_script_stdout_matches_golden(name):
+    assert _script_stdout_sha256(name) == json.loads(SCRIPTS_GOLDEN_PATH.read_text())[name]
+
+
 def regenerate() -> dict:
     golden = {}
     for config in sorted(p.stem for p in CONFIG_DIR.glob("*.json")):
@@ -84,3 +100,5 @@ def regenerate() -> dict:
 if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(regenerate(), indent=2, sort_keys=True) + "\n")
+    scripts = {p.name: _script_stdout_sha256(p.name) for p in sorted(SCRIPT_DIR.glob("*.py"))}
+    SCRIPTS_GOLDEN_PATH.write_text(json.dumps(scripts, indent=2, sort_keys=True) + "\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -113,3 +114,13 @@ def test_closest_cell_has_best_model_snr(dlat, dlon):
         c.cell_id: cell_model_snr(device, sat, c.cell_center, BASE, 2e9) for c in cands
     }
     assert snrs[ranked[0].cell_id] == pytest.approx(max(snrs.values()), abs=1e-12)
+
+
+def test_model_snr_keeps_every_term_of_the_base_budget():
+    device = GroundPosition(0.5, 0.5)
+    sat = satellite_state_over(GroundPosition(0.0, 0.0), 600.0)
+    center = GroundPosition(0.0, 0.0)
+    plus_one_db = replace(BASE, boltzmann_term_db=BASE.boltzmann_term_db + 1.0)
+    assert cell_model_snr(device, sat, center, plus_one_db, 2e9) == pytest.approx(
+        cell_model_snr(device, sat, center, BASE, 2e9) + 1.0, abs=1e-9
+    )
