@@ -257,9 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=_u64, default=None, help="seed override (u64)")
         p.add_argument("--format", choices=("csv", "text"), default="text")
-        p.add_argument(
-            "--jobs", type=_positive_int, default=1, help="number of consecutive seeds (simulate)"
-        )
+        if name == "simulate":
+            p.add_argument(
+                "--jobs", type=_positive_int, default=1, help="number of consecutive seeds"
+            )
         if name == "doppler-trace":
             p.add_argument(
                 "--mode", choices=("inclined_geo", "beam_profile"), default="inclined_geo"

@@ -16,7 +16,13 @@ from typing import Optional
 
 from .errors import ConfigError, DomainError
 from .geometry import BeamSpec, GroundPosition, OrbitKind, OrbitSpec
-from .linkbudget import DL_SNR_FLOOR_DB, UL_SNR_FLOOR_DB
+from .linkbudget import (
+    ATMOSPHERIC_DB,
+    DL_SNR_FLOOR_DB,
+    SCINTILLATION_DB,
+    SHADOW_FADING_DB,
+    UL_SNR_FLOOR_DB,
+)
 from .protocol import AccessTiming, HarqConfig, MessageKind, TimerConfig, _check_non_negative
 
 _MISSING = dataclasses.MISSING
@@ -178,9 +184,9 @@ class LinkCfg:
     eirp_dbw: float
     g_over_t_db_k: float
     bandwidth_hz: float
-    shadow_fading_db: float = 3.0
-    scintillation_db: float = 2.2
-    atmospheric_db_min: float = 0.03
+    shadow_fading_db: float = SHADOW_FADING_DB
+    scintillation_db: float = SCINTILLATION_DB
+    atmospheric_db_min: float = ATMOSPHERIC_DB
     atmospheric_db_max: float = 0.2
 
     def __post_init__(self):

@@ -25,6 +25,7 @@ from .geometry import (  # noqa: F401
     GroundPosition,
     OrbitKind,
     OrbitSpec,
+    _sweep_times,
     geometry_sample,
     geometry_samples,
     one_way_delay_ms,
@@ -219,8 +220,7 @@ def earth_fixed_beam_schedule(
 
     if horizon_s is None:
         horizon_s = max(o.period_s() for o in orbits)
-    n_steps = int(math.ceil(horizon_s / step_s))
-    t = epoch + np.arange(n_steps + 1) * step_s
+    t = _sweep_times(epoch, horizon_s, step_s)
     serving = _serving_satellite(orbits, t, cell_center, min_elevation_deg)
     # Runs of one serving index; each ends where the next starts, the last
     # at the final step.

@@ -17,7 +17,7 @@ class ConfigError(ValueError):
 
 
 class NotReachableError(RuntimeError):
-    """No satellite is above the minimum elevation."""
+    """No satellite is above the horizon."""
 
 
 class NoCellError(RuntimeError):

@@ -29,6 +29,10 @@ LEO_ALTITUDE_MAX_KM = 2000.0
 # Ground points: from below the Dead Sea shore to the edge of space.
 GROUND_ALTITUDE_MIN_M = -500.0
 GROUND_ALTITUDE_MAX_M = 100_000.0
+# The most time steps one sweep may take.  A LEO600 period at a 1 s step
+# is about 5 800; the cap stops a long span or a fine step from trying to
+# allocate a grid that does not fit in memory.
+MAX_SWEEP_STEPS = 10**6
 
 
 def normalize_longitude(lon_deg: float) -> float:
@@ -136,7 +140,6 @@ class OrbitSpec:
 class SatelliteState:
     """Earth-fixed position/velocity at an instant."""
 
-    t_s: float
     position_km: np.ndarray
     velocity_km_s: np.ndarray
 
@@ -187,7 +190,7 @@ def propagate(orbit: OrbitSpec, t_s: float) -> SatelliteState:
     """Earth-fixed state of a circular orbit at time t: a 0-d call of
     ``propagate_many``."""
     pos, vel = propagate_many(orbit, t_s)
-    return SatelliteState(t_s=t_s, position_km=pos, velocity_km_s=vel)
+    return SatelliteState(position_km=pos, velocity_km_s=vel)
 
 
 def propagate_many(orbit: OrbitSpec, t_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +226,19 @@ def propagate_many(orbit: OrbitSpec, t_s: np.ndarray) -> tuple[np.ndarray, np.nd
     return pos, vel
 
 
+def _step_count(steps: float, rounding=math.ceil) -> int:
+    """A sweep's span over its step, rounded to a whole number of steps
+    and checked against ``MAX_SWEEP_STEPS``."""
+    if not (math.isfinite(steps) and rounding(steps) <= MAX_SWEEP_STEPS):
+        raise DomainError(f"sweep needs more than {MAX_SWEEP_STEPS} steps")
+    return rounding(steps)
+
+
+def _sweep_times(epoch_s: float, span_s: float, step_s: float) -> np.ndarray:
+    """The time grid ``epoch + k * step`` for k = 0 .. ceil(span / step)."""
+    return epoch_s + np.arange(_step_count(span_s / step_s) + 1) * step_s
+
+
 def subsatellite_point(state: SatelliteState) -> tuple[float, float]:
     """(latitude, longitude) of the sub-satellite point in degrees."""
     x, y, z = state.position_km
@@ -238,7 +254,8 @@ def ground_track(
     """Sub-satellite (t, lat, lon) series from the orbit epoch."""
     if not (0 < duration_s < math.inf and 0 < step_s < math.inf):
         raise DomainError("duration and step must be positive and finite")
-    t = orbit.epoch_s + np.arange(math.floor((duration_s + 1e-9) / step_s) + 1) * step_s
+    n_steps = _step_count((duration_s + 1e-9) / step_s, math.floor)
+    t = orbit.epoch_s + np.arange(n_steps + 1) * step_s
     pos, _ = propagate_many(orbit, t)
     r = np.linalg.norm(pos, axis=-1)
     lat = np.degrees(np.arcsin(pos[:, 2] / r))
@@ -339,8 +356,7 @@ def visibility_duration(
         raise DomainError("min_elevation must lie in [0, 90]")
     if not 0 < step_s < math.inf:
         raise DomainError("step must be positive and finite")
-    n_steps = int(math.ceil(orbit.period_s() / step_s))
-    t = orbit.epoch_s + np.arange(n_steps + 1) * step_s
+    t = _sweep_times(orbit.epoch_s, orbit.period_s(), step_s)
     elevation, _, _ = geometry_samples(*propagate_many(orbit, t), ground)
     above = np.concatenate(([0], (elevation >= min_elevation_deg).astype(np.int8), [0]))
     edges = np.flatnonzero(np.diff(above))  # alternating run starts and ends
@@ -349,30 +365,25 @@ def visibility_duration(
 
 
 def satellite_state_over(
-    ground: GroundPosition,
-    altitude_km: float,
-    azimuth_deg: float = 0.0,
-    t_s: float = 0.0,
-    speed_km_s: float | None = None,
+    ground: GroundPosition, altitude_km: float, azimuth_deg: float = 0.0
 ) -> SatelliteState:
     """Earth-fixed state of a satellite at the zenith of a ground point.
 
     The inertial velocity is horizontal with the given azimuth (0 = north,
-    90 = east) and circular-orbit magnitude unless overridden; the returned
-    velocity is earth-fixed.
+    90 = east) and circular-orbit magnitude; the returned velocity is
+    earth-fixed.
     """
     r = EARTH_RADIUS_KM + altitude_km
     pos = r * ground.unit_vector()
-    if speed_km_s is None:
-        speed_km_s = math.sqrt(MU_EARTH_KM3_S2 / r)
+    speed = math.sqrt(MU_EARTH_KM3_S2 / r)
     # The second tangent axis, up x north, points west; at a pole the first
     # ("north") is +x.
     north, west = _tangent_basis(ground, np.array([0.0, 0.0, 1.0]))
     az = math.radians(azimuth_deg)
-    v_in = speed_km_s * (math.cos(az) * north - math.sin(az) * west)
+    v_in = speed * (math.cos(az) * north - math.sin(az) * west)
     omega_vec = np.array([0.0, 0.0, OMEGA_EARTH_RAD_S])
     v_ef = v_in - np.cross(omega_vec, pos)
-    return SatelliteState(t_s=t_s, position_km=pos, velocity_km_s=v_ef)
+    return SatelliteState(position_km=pos, velocity_km_s=v_ef)
 
 
 def overhead_pass_orbit(
@@ -381,32 +392,25 @@ def overhead_pass_orbit(
     inclination_deg: float,
     ground: GroundPosition,
     overhead_at_s: float,
-    epoch_s: float = 0.0,
 ) -> OrbitSpec:
-    """An orbit whose sub-satellite point crosses a near-equatorial ground
-    point (peak elevation 90 degrees) at the requested time."""
+    """An orbit with epoch 0 whose sub-satellite point crosses a
+    near-equatorial ground point (peak elevation 90 degrees) at the
+    requested time."""
     if abs(ground.latitude_deg) > 1e-6:
         raise DomainError("overhead pass construction requires an equatorial point")
-    dt = overhead_at_s - epoch_s
-    if dt < 0:
+    if overhead_at_s < 0:
         raise DomainError("overhead time must not precede the epoch")
-    probe = OrbitSpec(
-        kind=kind,
-        altitude_km=altitude_km,
-        inclination_deg=inclination_deg,
-        epoch_s=epoch_s,
-    )
+    probe = OrbitSpec(kind=kind, altitude_km=altitude_km, inclination_deg=inclination_deg)
     n = probe.mean_motion_rad_s()
     # Put the ascending node over the ground point at overhead_at_s.
-    raan = ground.longitude_deg + math.degrees(OMEGA_EARTH_RAD_S * dt)
-    phase = -math.degrees(n * dt)
+    raan = ground.longitude_deg + math.degrees(OMEGA_EARTH_RAD_S * overhead_at_s)
+    phase = -math.degrees(n * overhead_at_s)
     return OrbitSpec(
         kind=kind,
         altitude_km=altitude_km,
         inclination_deg=inclination_deg,
         raan_deg=normalize_longitude(raan),
         phase_deg=phase % 360.0,
-        epoch_s=epoch_s,
     )
 
 

@@ -18,6 +18,10 @@ DL_SNR_FLOOR_DB = -14.5
 DL_REFERENCE_BW_HZ = 180e3
 UL_SNR_FLOOR_DB = -13.8
 UL_REFERENCE_BW_HZ = 15e3
+# Default loss terms of a service link (dB).
+SHADOW_FADING_DB = 3.0
+SCINTILLATION_DB = 2.2
+ATMOSPHERIC_DB = 0.03
 
 
 class LinkDirection(Enum):
@@ -31,9 +35,9 @@ class LinkBudgetParams:
     g_over_t_db_k: float
     bandwidth_hz: float
     fspl_db: float
-    shadow_fading_db: float = 3.0
-    scintillation_db: float = 2.2
-    atmospheric_db: float = 0.03
+    shadow_fading_db: float = SHADOW_FADING_DB
+    scintillation_db: float = SCINTILLATION_DB
+    atmospheric_db: float = ATMOSPHERIC_DB
     boltzmann_term_db: float = BOLTZMANN_TERM_DB
 
     def __post_init__(self):

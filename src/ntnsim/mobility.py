@@ -49,13 +49,7 @@ def rank_cells(
     if not candidates:
         raise NoCellError("no candidate cells to rank")
     with_distance = [
-        CellCandidate(
-            cell_id=c.cell_id,
-            cell_center=c.cell_center,
-            max_rtt_ms=c.max_rtt_ms,
-            estimated_rtt_ms=c.estimated_rtt_ms,
-            center_distance_km=great_circle_distance_km(device_pos, c.cell_center),
-        )
+        replace(c, center_distance_km=great_circle_distance_km(device_pos, c.cell_center))
         for c in candidates
     ]
     return sorted(with_distance, key=lambda c: (c.center_distance_km, c.cell_id))
@@ -71,7 +65,7 @@ def measurement_capability_check(capability: int, reuse_denominator: int) -> boo
 # Homogeneous-beam SNR model used to check that distance ranking picks the
 # best cell: all beams share the satellite link, and the beam pattern is a
 # monotone roll-off with distance from the beam center.
-DEFAULT_BEAM_ROLLOFF_DB_PER_KM = 0.003
+BEAM_ROLLOFF_DB_PER_KM = 0.003
 
 
 def cell_model_snr(
@@ -80,9 +74,8 @@ def cell_model_snr(
     cell_center: GroundPosition,
     base: LinkBudgetParams,
     fc_hz: float,
-    rolloff_db_per_km: float = DEFAULT_BEAM_ROLLOFF_DB_PER_KM,
 ) -> float:
     sample = geometry_sample(sat, device_pos, fc_hz)
     params = replace(base, fspl_db=fspl(sample.slant_range_km, fc_hz / 1e9))
     off_center = great_circle_distance_km(device_pos, cell_center)
-    return snr(params) - rolloff_db_per_km * off_center
+    return snr(params) - BEAM_ROLLOFF_DB_PER_KM * off_center

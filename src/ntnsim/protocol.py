@@ -31,7 +31,6 @@ class Ephemeris:
     """Broadcast orbital data; staleness is its age at use time."""
 
     orbits: tuple[OrbitSpec, ...]
-    epoch_s: float = 0.0
     staleness_s: float = 0.0
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class Ephemeris:
 class SystemInformation:
     ephemeris: Ephemeris
     max_rtt_ms: float
-    cell_center: GroundPosition
-    carrier_frequency_hz: float
 
     def __post_init__(self):
         if self.max_rtt_ms <= 0:
@@ -59,7 +56,6 @@ class RrcState(Enum):
 @dataclass
 class DeviceContext:
     gnss_position: GroundPosition
-    gnss_error_radial_m: float = 0.0
     rrc_state: RrcState = RrcState.IDLE
     timing_advance_us: float = 0.0
     frequency_offset_hz: float = 0.0
@@ -74,11 +70,10 @@ def _check_non_negative(*named: tuple[str, float]) -> None:
 @dataclass(frozen=True)
 class TimingAdvanceCommand:
     steps: int
-    step_size_us: float = TA_STEP_US
 
     @property
     def advance_us(self) -> float:
-        return self.steps * self.step_size_us
+        return self.steps * TA_STEP_US
 
 
 @dataclass(frozen=True)
@@ -164,12 +159,7 @@ def _highest_satellite(
     return max(samples, key=lambda sample: sample.elevation_deg, default=None)
 
 
-def estimate_service_delay(
-    device: DeviceContext,
-    eph: Ephemeris,
-    t_s: float,
-    min_elevation_deg: float = 0.0,
-) -> float:
+def estimate_service_delay(device: DeviceContext, eph: Ephemeris, t_s: float) -> float:
     """One-way service-link delay (ms) as the device would compute it.
 
     Uses the device's (possibly erroneous) GNSS fix and the ephemeris
@@ -177,8 +167,8 @@ def estimate_service_delay(
     (gnss_error + staleness * |range rate|) / c.
     """
     best = _highest_satellite(device, eph, 1e9, t_s)
-    if best is None or best.elevation_deg < min_elevation_deg:
-        raise NotReachableError("no satellite above the minimum elevation")
+    if best is None or best.elevation_deg < 0.0:
+        raise NotReachableError("no satellite above the horizon")
     return best.one_way_delay_ms
 
 
@@ -203,17 +193,13 @@ def delay_residual(service_delay_ms: float, delay_est_ms: float) -> tuple[float,
     return advance_ms, residual_us, reported_delay_ms
 
 
-def build_ta_command(
-    residual_us: float,
-    step_us: float = TA_STEP_US,
-    bipolar_range_us: float = TA_BIPOLAR_RANGE_US,
-) -> TimingAdvanceCommand:
+def build_ta_command(residual_us: float) -> TimingAdvanceCommand:
     """Quantize a signed residual misalignment into a bipolar TA command."""
-    if abs(residual_us) > bipolar_range_us:
+    if abs(residual_us) > TA_BIPOLAR_RANGE_US:
         raise DomainError(
-            f"residual {residual_us:.2f} us outside the +/-{bipolar_range_us} us range"
+            f"residual {residual_us:.2f} us outside the +/-{TA_BIPOLAR_RANGE_US} us range"
         )
-    return TimingAdvanceCommand(steps=round(residual_us / step_us), step_size_us=step_us)
+    return TimingAdvanceCommand(steps=round(residual_us / TA_STEP_US))
 
 
 def schedule_rar_window(

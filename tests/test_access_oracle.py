@@ -177,8 +177,6 @@ def run_scenario_reference(config, seed):
     si = SystemInformation(
         ephemeris=Ephemeris(orbits=(orbit_cfg.to_orbit_spec(),)),
         max_rtt_ms=access.max_rtt_ms,
-        cell_center=observer,
-        carrier_frequency_hz=config.carrier_frequency_hz,
     )
     n_units = config.transfer_units()
     sim = Simulator()
@@ -200,7 +198,7 @@ def run_scenario_reference(config, seed):
             repetitions=config.channel.repetitions,
             drop_kinds=drop_kinds,
         )
-        device = DeviceContext(gnss_position=observer, gnss_error_radial_m=gnss_err_m)
+        device = DeviceContext(gnss_position=observer)
         outcome, times = run_random_access_reference(
             device, si, channel, timers=config.timers, timing=access, sim=sim,
             start_ms=start_ms, delay_est_ms=delay_est,
@@ -414,10 +412,7 @@ def attempts(draw):
     max_rtt, bs, offset = draw(MAX_RTTS), draw(ms(20.0)), draw(ms(600.0))
     one_way = ms_to_us(channel.service_delay_ms + channel.feeder_delay_ms)
     window, cr = _timers(draw, ms_to_us(start_ms), one_way, max_rtt, bs, offset)
-    si = SystemInformation(
-        ephemeris=Ephemeris(orbits=(GEO,)), max_rtt_ms=max_rtt, cell_center=OBS,
-        carrier_frequency_hz=2e9,
-    )
+    si = SystemInformation(ephemeris=Ephemeris(orbits=(GEO,)), max_rtt_ms=max_rtt)
     timers = TimerConfig(contention_resolution_ms=cr, ntn_start_offset_ms=offset)
     timing = AccessTiming(
         bs_processing_ms=bs, device_processing_ms=draw(ms(20.0)), rar_window_length_ms=window

@@ -187,6 +187,25 @@ def test_simulate_rejects_bad_jobs_at_argparse(config_dir, tmp_path, capsys, job
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("linkbudget", "leo600_sband.json"),
+        ("geometry", "leo600_sband.json"),
+        ("doppler-trace", "inclined_geo.json"),
+        ("rank-cells", "leo600_sband.json"),
+    ],
+)
+def test_jobs_is_a_simulate_flag(config_dir, tmp_path, capsys, command, config):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config_dir / config), "--out", str(tmp_path),
+              "--jobs", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def _edited_leo_config(config_dir, tmp_path, edit) -> str:
     data = json.loads((config_dir / "leo600_sband.json").read_text())
     edit(data)

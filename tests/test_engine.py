@@ -21,6 +21,7 @@ from ntnsim.engine import (
 from ntnsim.errors import ConfigError, DomainError
 from ntnsim.events import EventKind, Simulator, ms_to_us, us_to_ms
 from ntnsim.geometry import (
+    MAX_SWEEP_STEPS,
     GroundPosition,
     OrbitKind,
     OrbitSpec,
@@ -264,6 +265,8 @@ def test_beam_schedule_leo_switch():
         (100.0, math.inf),
         (None, math.nan),
         (None, math.inf),
+        (1e300, 1.0),
+        (100.0, 1e-300),
     ],
 )
 def test_sweeps_reject_a_non_positive_horizon_or_step(horizon_s, step_s):
@@ -273,7 +276,7 @@ def test_sweeps_reject_a_non_positive_horizon_or_step(horizon_s, step_s):
         earth_fixed_beam_schedule([leo], obs, 10.0, horizon_s=horizon_s, step_s=step_s)
     with pytest.raises(DomainError):
         ground_track(leo, 100.0 if horizon_s is None else horizon_s, step_s)
-    if not 0 < step_s < math.inf:
+    if not 0 < step_s < math.inf or leo.period_s() / step_s > MAX_SWEEP_STEPS:
         with pytest.raises(DomainError):
             visibility_duration(leo, obs, 10.0, step_s=step_s)
 

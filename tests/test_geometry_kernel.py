@@ -75,7 +75,7 @@ def propagate_reference(orbit: OrbitSpec, t_s: float) -> SatelliteState:
     r_ef = rot @ r_in
     omega_vec = np.array([0.0, 0.0, OMEGA_EARTH_RAD_S])
     v_ef = rot @ v_in - np.cross(omega_vec, r_ef)
-    return SatelliteState(t_s=t_s, position_km=r_ef, velocity_km_s=v_ef)
+    return SatelliteState(position_km=r_ef, velocity_km_s=v_ef)
 
 
 def geometry_sample_reference(

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ntnsim.engine import BentPipeChannel
-from ntnsim.errors import DomainError
+from ntnsim.errors import DomainError, NotReachableError
 from ntnsim.events import Simulator
 from ntnsim.geometry import GroundPosition, OrbitKind, OrbitSpec
 from ntnsim.protocol import (
@@ -41,8 +41,6 @@ def _si(max_rtt_ms=545.0):
     return SystemInformation(
         ephemeris=Ephemeris(orbits=(GEO,)),
         max_rtt_ms=max_rtt_ms,
-        cell_center=OBS,
-        carrier_frequency_hz=2e9,
     )
 
 
@@ -98,6 +96,24 @@ def test_estimate_service_delay_matches_geometry():
     device = DeviceContext(gnss_position=OBS)
     delay = estimate_service_delay(device, Ephemeris(orbits=(GEO,)), 0.0)
     assert delay == pytest.approx(35786.0 / 299792.458 * 1000.0, rel=1e-9)
+
+
+def test_no_satellite_above_the_horizon_is_not_reachable():
+    # The GEO at longitude 0 sets at a central angle of about 81.3 degrees.
+    eph = Ephemeris(orbits=(GEO,))
+    low = DeviceContext(gnss_position=GroundPosition(0.0, 81.0))  # elevation +0.31
+    assert estimate_service_delay(low, eph, 0.0) > 0
+    for lon in (82.0, 180.0):  # elevations -0.69 and -90
+        device = DeviceContext(gnss_position=GroundPosition(0.0, lon))
+        with pytest.raises(NotReachableError, match="above the horizon"):
+            estimate_service_delay(device, eph, 0.0)
+        with pytest.raises(NotReachableError):
+            run_random_access(device, _si(), _channel())
+    device, empty = DeviceContext(gnss_position=OBS), Ephemeris(orbits=())
+    with pytest.raises(NotReachableError):
+        estimate_service_delay(device, empty, 0.0)
+    with pytest.raises(NotReachableError):
+        doppler_precompensation(device, empty, 2e9, 0.0)
 
 
 def test_access_success_timeline():
