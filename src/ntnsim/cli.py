@@ -27,7 +27,6 @@ from .geometry import (
     beam_doppler_profile,
     differential_delay,
     doppler_hz,
-    geometry_sample,
     geometry_samples,
     one_way_delay_ms,
     overhead_pass_orbit,
@@ -39,6 +38,7 @@ from .geometry import (
 )
 from .linkbudget import fspl
 from .mobility import CellCandidate, cell_suitability, rank_cells
+from .protocol import DeviceContext, Ephemeris, estimate_service_delay
 
 log = logging.getLogger("ntnsim")
 
@@ -202,9 +202,8 @@ def cmd_rank_cells(config: ScenarioConfig, args) -> int:
         raise ConfigError(["config.cells: required for the rank-cells command"])
     device = config.observer.to_ground()
     orbit = config.constellation[0].to_orbit_spec()
-    sat = propagate(orbit, orbit.epoch_s)
     # The device's own round trip: the same for every cell.
-    est_rtt = 4.0 * geometry_sample(sat, device, config.carrier_frequency_hz).one_way_delay_ms
+    est_rtt = 4.0 * estimate_service_delay(DeviceContext(device), Ephemeris((orbit,)), orbit.epoch_s)
     candidates = [
         CellCandidate(
             cell_id=cell.cell_id,

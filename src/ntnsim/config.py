@@ -18,6 +18,7 @@ from .errors import ConfigError, DomainError
 from .geometry import BeamSpec, GroundPosition, OrbitKind, OrbitSpec
 from .linkbudget import (
     ATMOSPHERIC_DB,
+    ATMOSPHERIC_DB_MAX,
     DL_SNR_FLOOR_DB,
     SCINTILLATION_DB,
     SHADOW_FADING_DB,
@@ -187,7 +188,7 @@ class LinkCfg:
     shadow_fading_db: float = SHADOW_FADING_DB
     scintillation_db: float = SCINTILLATION_DB
     atmospheric_db_min: float = ATMOSPHERIC_DB
-    atmospheric_db_max: float = 0.2
+    atmospheric_db_max: float = ATMOSPHERIC_DB_MAX
 
     def __post_init__(self):
         if self.direction not in ("downlink", "uplink"):

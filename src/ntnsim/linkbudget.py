@@ -22,6 +22,8 @@ UL_REFERENCE_BW_HZ = 15e3
 SHADOW_FADING_DB = 3.0
 SCINTILLATION_DB = 2.2
 ATMOSPHERIC_DB = 0.03
+# Worst-case atmospheric loss, at the lowest service elevation (dB).
+ATMOSPHERIC_DB_MAX = 0.2
 
 
 class LinkDirection(Enum):

@@ -123,10 +123,18 @@ def test_missing_section_exits_2(config_dir, tmp_path):
     ]) == 2
 
 
-def test_unsuitable_cells_exit_3(config_dir, tmp_path):
+@pytest.mark.parametrize(
+    "longitude_deg, max_rtt_ms",
+    [(0.0, 0.001), (120.0, 200.0)],
+    ids=["rtt_too_long", "satellite_below_horizon"],
+)
+def test_unsuitable_cells_exit_3(config_dir, tmp_path, longitude_deg, max_rtt_ms):
+    # At longitude 120 the satellite is 58.5 deg below the horizon: no
+    # RTT estimate exists, however long a cell allows.
     data = json.loads((config_dir / "leo600_sband.json").read_text())
+    data["observer"]["longitude_deg"] = longitude_deg
     for cell in data["cells"]:
-        cell["max_rtt_ms"] = 0.001
+        cell["max_rtt_ms"] = max_rtt_ms
     cfg = tmp_path / "tight.json"
     cfg.write_text(json.dumps(data))
     assert main(["rank-cells", "--config", str(cfg), "--out", str(tmp_path)]) == 3
