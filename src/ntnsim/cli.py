@@ -201,9 +201,11 @@ def cmd_rank_cells(config: ScenarioConfig, args) -> int:
     if not config.cells:
         raise ConfigError(["config.cells: required for the rank-cells command"])
     device = config.observer.to_ground()
-    orbit = config.constellation[0].to_orbit_spec()
-    # The device's own round trip: the same for every cell.
-    est_rtt = 4.0 * estimate_service_delay(DeviceContext(device), Ephemeris((orbit,)), orbit.epoch_s)
+    orbits = tuple(orbit.to_orbit_spec() for orbit in config.constellation)
+    # The device's own round trip over the highest satellite of any orbit:
+    # the same for every cell.
+    epoch = max(orbit.epoch_s for orbit in orbits)
+    est_rtt = 4.0 * estimate_service_delay(DeviceContext(device), Ephemeris(orbits), epoch)
     candidates = [
         CellCandidate(
             cell_id=cell.cell_id,

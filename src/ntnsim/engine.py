@@ -18,7 +18,17 @@ import numpy as np
 from .config import LinkCfg, ScenarioConfig
 from .constants import SPEED_OF_LIGHT_M_S
 from .errors import ConfigError, DomainError
-from .events import _RX, _TX, Simulator, ms_to_us, record, us_to_ms
+from .events import (
+    _RX,
+    _TX,
+    US_PER_MS,
+    Simulator,
+    ms_to_us,
+    ms_to_us_array,
+    record,
+    records_array,
+    us_to_ms,
+)
 # geometry_sample, propagate and run_random_access stay importable from this
 # module (unused here): perfbench/tracing.py patches them to count calls.
 from .geometry import (  # noqa: F401
@@ -35,10 +45,12 @@ from .geometry import (  # noqa: F401
 )
 from .linkbudget import DL_SNR_FLOOR_DB, UL_SNR_FLOOR_DB, LinkBudgetParams, fspl, snr
 from .protocol import (  # noqa: F401
+    PATH_CAUSES,
+    PATH_SUCCESS,
     AccessOutcome,
+    Attempts,
     MessageKind,
-    access_outcome,
-    access_timeline,
+    access_attempts,
     delay_residual,
     run_random_access,
 )
@@ -94,10 +106,8 @@ def harq_transfer(
 ) -> int:
     """Stop-and-wait transfer with at most ``n_processes`` outstanding
     blocks; returns the time the last acknowledgment arrives."""
-    if n_blocks < 1 or n_processes < 1:
-        raise DomainError("need at least one block and one process")
-    events, end = _harq_events(n_blocks, n_processes, tti_ms, rtt_ms, ack_processing_ms)
-    sim.replay(start_us, events)
+    offsets, records, end = _harq_events(n_blocks, n_processes, tti_ms, rtt_ms, ack_processing_ms)
+    sim.append(start_us + offsets, records)
     return start_us + end
 
 
@@ -111,23 +121,33 @@ def rlc_transfer(
 ) -> int:
     """Windowed transfer with a status poll on the last PDU of each
     window; returns the arrival time of the final status report."""
-    if n_pdus < 1 or window_pdus < 1:
-        raise DomainError("need at least one PDU and a window of at least one PDU")
-    events, end = _rlc_events(n_pdus, window_pdus, tti_ms, rtt_ms)
-    sim.replay(start_us, events)
+    offsets, records, end = _rlc_events(n_pdus, window_pdus, tti_ms, rtt_ms)
+    sim.append(start_us + offsets, records)
     return start_us + end
 
 
 # A transfer's event times are its start plus offsets that depend only on
 # its arguments (every process is free at the start), so each argument set
-# is worked out once, relative to 0, and replayed per call.  The caches are
-# keyed on the ms arguments; the timings become integer us inside.
+# is worked out once, relative to 0, and logged per transfer, by the
+# functions above and by run_scenario.  The caches are keyed on the ms
+# arguments; the timings become integer us inside.
+
+
+def _template(events: list, end: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(offsets_us, records, end_us) of ``(offset_us, record)`` events, as
+    read-only arrays: the caches hand the same arrays to every caller."""
+    offsets = np.array([offset for offset, _ in events], dtype=np.int64)
+    records = records_array([rec for _, rec in events])
+    offsets.flags.writeable = records.flags.writeable = False
+    return offsets, records, end
 
 
 @functools.lru_cache(maxsize=64)
 def _harq_events(n_blocks: int, n_processes: int, tti_ms: float, rtt_ms: float, ack_ms: float):
-    """((offset_us, record), ...) of a HARQ transfer started at 0, and the
-    offset of its last acknowledgment."""
+    """The ``_template`` of a HARQ transfer started at 0, ending at its
+    last acknowledgment."""
+    if n_blocks < 1 or n_processes < 1:
+        raise DomainError("need at least one block and one process")
     tti, one_way, ack_proc = ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2, ms_to_us(ack_ms)
     events = []
     proc_free = [0] * n_processes
@@ -150,13 +170,15 @@ def _harq_events(n_blocks: int, n_processes: int, tti_ms: float, rtt_ms: float, 
         ]
         proc_free[p] = ack_arr
         last_ack = max(last_ack, ack_arr)
-    return tuple(events), last_ack
+    return _template(events, last_ack)
 
 
 @functools.lru_cache(maxsize=64)
 def _rlc_events(n_pdus: int, window_pdus: int, tti_ms: float, rtt_ms: float):
-    """((offset_us, record), ...) of an RLC transfer started at 0, and the
-    offset of its final status report."""
+    """The ``_template`` of an RLC transfer started at 0, ending at its
+    final status report."""
+    if n_pdus < 1 or window_pdus < 1:
+        raise DomainError("need at least one PDU and a window of at least one PDU")
     tti, one_way = ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2
     events = []
     t = 0
@@ -179,7 +201,7 @@ def _rlc_events(n_pdus: int, window_pdus: int, tti_ms: float, rtt_ms: float):
         ]
         sent += batch
         t = status_arr
-    return tuple(events), t
+    return _template(events, t)
 
 
 @dataclass(frozen=True)
@@ -284,8 +306,7 @@ class MetricsReport:
 class ScenarioResult:
     report: MetricsReport
     trace: Simulator  # sorted; write it with trace.write_csv
-    # (access_timeline result, reported delay in ms) of each message.
-    records: list[tuple]
+    attempts: Attempts  # per message
 
     @property
     def trace_rows(self) -> list[tuple[float, int, str, str, str]]:
@@ -293,7 +314,7 @@ class ScenarioResult:
 
     @property
     def outcomes(self) -> list[AccessOutcome]:
-        return [access_outcome(timeline, reported) for timeline, reported in self.records]
+        return self.attempts.outcomes()
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -334,16 +355,21 @@ def _link_snrs(config: ScenarioConfig, elevation_deg: float) -> tuple[float, flo
     return dl, ul
 
 
+def _sum(values: np.ndarray) -> float:
+    """The sum of ``values`` added left to right from 0.0, as ``+=`` adds."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
 def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioResult:
     """Run the access + data-transfer scenario; deterministic per seed.
 
     Message ``i`` starts an independent access attempt at
-    ``i * inter_arrival_ms``: its GNSS error and fade are drawn, its access
-    exchange is worked out in closed form (``access_timeline``), and a
-    successful attempt's data goes out through ``harq_transfer`` or
-    ``rlc_transfer``, which replay a cached template.  Attempts may overlap
-    in time when the spacing is shorter than one access plus transfer; the
-    trace is then the time-merged union of the attempts.
+    ``i * inter_arrival_ms``, with its own GNSS error and fade, drawn in
+    message order.  ``access_attempts`` works every exchange out at once
+    and logs each successful attempt's data transfer after it, from the
+    template ``harq_transfer`` or ``rlc_transfer`` also logs.  Attempts
+    may overlap in time when the spacing is shorter than one access plus
+    transfer; the trace is then the time-merged union of the attempts.
     """
     if config.access is None:
         raise ConfigError(["config.access: required to run a scenario"])
@@ -355,77 +381,74 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     access = config.access
     traffic = config.traffic
     channel = config.channel
-    timers = config.timers
     altitude_km = config.constellation[0].altitude_km
 
     service_delay = one_way_delay_ms(slant_range(access.service_elevation_deg, altitude_km))
     feeder_delay = one_way_delay_ms(slant_range(access.feeder_elevation_deg, altitude_km))
-    one_way = ms_to_us(service_delay + feeder_delay)
     rtt_true = 2.0 * (service_delay + feeder_delay)
     units, tti = config.transfer_units(), config.transfer.tti_ms
     if config.harq.enabled:
-        transfer = harq_transfer
-        transfer_args = (
+        offsets, records, transfer_us = _harq_events(
             units, config.harq.n_processes, tti, rtt_true, config.transfer.ack_processing_ms
         )
     else:
-        transfer = rlc_transfer
-        transfer_args = (units, config.transfer.rlc_window_pdus, tti, rtt_true)
+        offsets, records, transfer_us = _rlc_events(
+            units, config.transfer.rlc_window_pdus, tti, rtt_true
+        )
     snr_dl, snr_ul = _link_snrs(config, access.service_elevation_deg)
     gain = repetition_gain_db(channel.repetitions)
     keep1, keep2, keep3, keep4 = (kind.value not in channel.drop_kinds for kind in MessageKind)
-    gnss_sigma, fading_sigma = access.gnss_error_m, channel.fading_sigma_db
-    max_rtt = access.max_rtt_ms
 
+    n = traffic.n_messages
+    # Message by message, its GNSS error and then its fade, so each seed's
+    # stream is read in message order.
+    draws = np.array([
+        gauss(0.0, sigma) if sigma > 0 else 0.0
+        for _ in range(n)
+        for sigma in (access.gnss_error_m, channel.fading_sigma_db)
+    ]).reshape(n, 2)
+    gnss_err_m, fade_db = draws[:, 0], draws[:, 1]
+    _, residual_us, reported = delay_residual(
+        service_delay, service_delay - gnss_err_m / SPEED_OF_LIGHT_M_S * 1000.0
+    )
+    # reception_ok with the faded SNRs, as BentPipeChannel.delivers does.
+    # Msg1 and Msg3 go uplink, so a successful access implies the uplink
+    # data closes too.
+    ul_ok = snr_ul - fade_db + gain >= channel.snr_threshold_ul_db
+    dl_ok = snr_dl - fade_db + gain >= channel.snr_threshold_dl_db
     sim = Simulator()
+    attempts = access_attempts(
+        sim,
+        ms_to_us_array(np.arange(n) * traffic.inter_arrival_ms),
+        ms_to_us(service_delay + feeder_delay),
+        residual_us,
+        reported,
+        (ul_ok & keep1, dl_ok & keep2, ul_ok & keep3, dl_ok & keep4),
+        access.max_rtt_ms,
+        config.timers,
+        access,
+        transfer=(offsets, records),
+    )
+    sim.run()
+
     report = MetricsReport(scenario=config.name, seed=seed)
-    causes = report.failure_causes
-    records: list[tuple] = []
-    latencies: list[float] = []
-
-    for i in range(traffic.n_messages):
-        start_ms = i * traffic.inter_arrival_ms
-        gnss_err_m = gauss(0.0, gnss_sigma) if gnss_sigma > 0 else 0.0
-        fade_db = gauss(0.0, fading_sigma) if fading_sigma > 0 else 0.0
-        _, residual_us, reported = delay_residual(
-            service_delay, service_delay - gnss_err_m / SPEED_OF_LIGHT_M_S * 1000.0
-        )
-        # reception_ok with the faded SNRs, as BentPipeChannel.delivers does.
-        # Msg1 and Msg3 go uplink, so a successful access implies the uplink
-        # data closes too.
-        ul_ok = snr_ul - fade_db + gain >= channel.snr_threshold_ul_db
-        dl_ok = snr_dl - fade_db + gain >= channel.snr_threshold_dl_db
-        timeline = access_timeline(
-            sim,
-            ms_to_us(start_ms),
-            one_way,
-            residual_us,
-            reported,
-            (keep1 and ul_ok, keep2 and dl_ok, keep3 and ul_ok, keep4 and dl_ok),
-            max_rtt,
-            timers,
-            access,
-        )
-        records.append((timeline, reported))
-        cause, latency_us, monitoring_us, _, msg4_arr = timeline
-        report.access_attempts += 1
-        report.monitoring_time_ms += us_to_ms(monitoring_us)
-        if cause is not None:
-            causes[cause.value] = causes.get(cause.value, 0) + 1
-            continue
-        report.access_successes += 1
-        latencies.append(us_to_ms(latency_us))
-        transfer_start = ms_to_us(us_to_ms(msg4_arr) + access.device_processing_ms)
-        end = transfer(sim, transfer_start, *transfer_args)
-        report.transferred_bits += traffic.message_size_bits
-        report.transfer_time_ms += us_to_ms(end - transfer_start)
-
-    latencies.sort()
+    report.access_attempts = n
+    paths = np.bincount(attempts.path, minlength=len(PATH_CAUSES))
+    report.access_successes = int(paths[PATH_SUCCESS])
+    report.failure_causes = {
+        cause.value: int(count)
+        for cause, count in zip(PATH_CAUSES, paths.tolist())
+        if cause is not None and count
+    }
+    report.monitoring_time_ms = _sum(attempts.monitoring_us / US_PER_MS)
+    successes = report.access_successes
+    succeeded = attempts.path == PATH_SUCCESS
+    latencies = np.sort(attempts.latency_us[succeeded] / US_PER_MS).tolist()
     report.access_latency_p50_ms = _percentile(latencies, 0.50)
     report.access_latency_p95_ms = _percentile(latencies, 0.95)
     report.access_latency_max_ms = latencies[-1] if latencies else 0.0
+    report.transferred_bits = _sum(np.full(successes, traffic.message_size_bits))
+    report.transfer_time_ms = _sum(np.full(successes, us_to_ms(transfer_us)))
     if report.transfer_time_ms > 0:
         report.goodput_bps = report.transferred_bits / (report.transfer_time_ms / 1000.0)
-    sim.run()
-    return ScenarioResult(report=report, trace=sim, records=records)
-
+    return ScenarioResult(report=report, trace=sim, attempts=attempts)

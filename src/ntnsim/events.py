@@ -2,22 +2,27 @@
 
 Time is carried as integer microseconds so long GEO scenarios never
 accumulate float drift in timer arithmetic.  The protocol and transfer
-models compute every event time in closed form and only log it here,
-one event at a time (``schedule``) or a whole access attempt or transfer
-at once (``replay``); ``run`` sorts the log once into (time, seq) order,
-seq being the log position, so events at equal times keep the order they
-were logged in.
+models compute every event time in closed form and only log it here:
+one event (``schedule``), one template at a start time (``replay``) or a
+whole scenario's events at once (``append``).  The log is kept as
+columns, appended in chunks of (int64 times, seqs, records), seq being
+the log position; ``run`` sorts it once, stably by time, into (time, seq)
+order, so events at equal times keep the order they were logged in.
 
-A log entry is ``(time_us, seq, record)``.  The record (see ``record``)
-is built once per distinct event and shared by every entry that logs it,
-and it carries its CSV line tail, so ``write_csv`` formats only the time
-and seq of each entry.  The log stays in integer us until it is written;
-``trace_rows`` builds float rows only when asked.
+A record (see ``record``) is built once per distinct event and shared by
+every entry that logs it, and it carries its CSV line tail, so
+``write_csv`` formats only the time and seq of each entry.  The log stays
+in integer us until it is written; ``trace_rows`` builds float rows only
+when asked.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+
+import numpy as np
+
+from .errors import DomainError
 
 US_PER_MS = 1000
 
@@ -28,6 +33,15 @@ def ms_to_us(t_ms: float) -> int:
 
 def us_to_ms(t_us: int) -> float:
     return t_us / US_PER_MS
+
+
+def ms_to_us_array(t_ms: np.ndarray) -> np.ndarray:
+    """``ms_to_us`` of each element (``np.rint`` rounds half to even, as
+    ``round`` does), as int64 with room left to add offsets."""
+    t_us = np.rint(t_ms * US_PER_MS)
+    if not np.all(np.abs(t_us) < 2.0**62):
+        raise DomainError("event time outside the int64 us range")
+    return t_us.astype(np.int64)
 
 
 class EventKind(Enum):
@@ -48,36 +62,79 @@ def record(entity: str, kind: str, detail: str = "") -> tuple[str, str, str, str
     return entity, kind, detail, f",{entity},{kind},{detail}\n"
 
 
+def records_array(records) -> np.ndarray:
+    """A 1-d object array of records (a plain ``np.array`` would read each
+    record tuple as a row)."""
+    return np.fromiter(records, dtype=object, count=len(records))
+
+
+# The ms fraction and the comma after it of each time_us % 1000, as
+# f"{t / 1000:.6f}" prints it, for 0 <= t < 2**33 ms (about 99 days): there
+# the float t / 1000 lies within half a printed digit of its decimal value.
+# The log holds no negative time.
+_FRAC = np.array([f".{k:03d}000," for k in range(US_PER_MS)], dtype=object)
+
+
 class Simulator:
     """Event log with a CSV-able trace."""
 
     def __init__(self):
-        self._log: list[tuple[int, int, tuple[str, str, str, str]]] = []
+        # (times_us, seqs, records) chunks in log order; equal times sort
+        # by seq within and across chunks.
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._size = 0
+
+    def append(self, times_us, records: np.ndarray) -> None:
+        """Log ``records[k]`` (an object array) at ``times_us[k]``, in order."""
+        times_us = np.asarray(times_us, dtype=np.int64)
+        if times_us.size and times_us.min() < 0:
+            raise DomainError("event times must be non-negative")
+        seqs = np.arange(self._size, self._size + len(times_us))
+        self._chunks.append((times_us, seqs, records))
+        self._size += len(times_us)
 
     def schedule(self, time_us: int, kind: EventKind, entity: str, detail: str = "") -> None:
-        self._log.append((int(time_us), len(self._log), record(entity, kind._value_, detail)))
+        self.append([int(time_us)], records_array([record(entity, kind._value_, detail)]))
 
     def replay(self, start_us: int, events) -> None:
         """Log ``(offset_us, record)`` template entries at
         ``start_us + offset_us``, in template order."""
-        base = len(self._log)
-        self._log += [
-            (start_us + offset, base + k, rec) for k, (offset, rec) in enumerate(events)
-        ]
+        if events:
+            offsets, records = zip(*events)
+            self.append(start_us + np.array(offsets, dtype=np.int64), records_array(records))
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(times_us, seqs, records) of the whole log, merged into one chunk."""
+        if not self._chunks:
+            return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, object)
+        if len(self._chunks) > 1:
+            self._chunks = [tuple(np.concatenate(part) for part in zip(*self._chunks))]
+        return self._chunks[0]
 
     def run(self) -> None:
         """Sort the log by (time, seq); (time, seq) pairs are unique."""
-        self._log.sort()
+        times, seqs, records = self._columns()
+        order = np.argsort(times, kind="stable")
+        self._chunks = [(times[order], seqs[order], records[order])]
 
     def trace_rows(self) -> list[tuple[float, int, str, str, str]]:
         """(time_ms, seq, entity, kind, detail) rows of the event trace."""
+        times, seqs, records = self._columns()
         return [
             (time_us / US_PER_MS, seq, entity, kind, detail)  # us_to_ms, inlined
-            for time_us, seq, (entity, kind, detail, _) in self._log
+            for time_us, seq, (entity, kind, detail, _) in zip(
+                times.tolist(), seqs.tolist(), records.tolist()
+            )
         ]
 
     def write_csv(self, fh) -> None:
         """Write the trace CSV (header, then one line per entry) to ``fh``."""
         fh.write("time_ms,seq,entity,kind,detail\n")
-        # t / 1000 is us_to_ms inlined; it formats exactly as trace_rows' time.
-        fh.write("".join([f"{t / 1000:.6f},{seq}{rec[3]}" for t, seq, rec in self._log]))
+        times, seqs, records = self._columns()
+        ms, frac = np.divmod(times, US_PER_MS)
+        fh.write("".join([
+            f"{whole}{part}{seq}{rec[3]}"
+            for whole, part, seq, rec in zip(
+                ms.tolist(), _FRAC[frac].tolist(), seqs.tolist(), records.tolist()
+            )
+        ]))

@@ -7,15 +7,24 @@ Doppler tracking, and the HARQ / RLC-ARQ throughput models.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError, NotReachableError
 from .events import _MEASUREMENT, _RX, _TIMER, _TX
-from .events import US_PER_MS, Simulator, ms_to_us, record, us_to_ms
+from .events import (
+    US_PER_MS,
+    Simulator,
+    ms_to_us,
+    ms_to_us_array,
+    record,
+    records_array,
+    us_to_ms,
+)
 from .geometry import GeometrySample, GroundPosition, OrbitSpec, geometry_sample, propagate
 
 TA_STEP_US = 0.52
@@ -176,9 +185,10 @@ def precompensate_preamble(delay_est_ms: float) -> float:
     """Transmit advance (ms) for the random access preamble.
 
     The device compensates the round trip over the service link; the
-    feeder-link delay is a common offset absorbed at the gateway.
+    feeder-link delay is a common offset absorbed at the gateway.  Scalar
+    or array.
     """
-    if delay_est_ms < 0:
+    if np.any(delay_est_ms < 0):
         raise DomainError("delay estimate must be non-negative")
     return 2.0 * delay_est_ms
 
@@ -186,10 +196,13 @@ def precompensate_preamble(delay_est_ms: float) -> float:
 def delay_residual(service_delay_ms: float, delay_est_ms: float) -> tuple[float, float, float]:
     """(advance_ms, residual_us, reported_delay_ms) of a delay estimate:
     the preamble advance, the round-trip misalignment left after it, and
-    the delay the device reports in Msg3, quantized to 0.1 ms."""
+    the delay the device reports in Msg3, quantized to 0.1 ms.  Scalar or
+    array."""
     advance_ms = precompensate_preamble(delay_est_ms)
     residual_us = 2.0 * (service_delay_ms - delay_est_ms) * 1000.0
-    reported_delay_ms = round(delay_est_ms / REPORTED_DELAY_QUANTUM_MS) * REPORTED_DELAY_QUANTUM_MS
+    reported_delay_ms = (
+        np.rint(delay_est_ms / REPORTED_DELAY_QUANTUM_MS) * REPORTED_DELAY_QUANTUM_MS
+    )
     return advance_ms, residual_us, reported_delay_ms
 
 
@@ -215,106 +228,166 @@ def schedule_rar_window(
     return start, start + window_length_ms
 
 
-# The access events with a fixed detail share one record each; the three
-# with a per-attempt detail (residual, TA steps, reported delay) share one
-# per distinct detail, so a long scenario's log holds no per-attempt copies.
-_MSG1_TX = record("device", _TX, "msg1_preamble")
-_RAR_EXPIRY = record("device", _TIMER, "rar_window_expiry")
-_TA_OUT_OF_RANGE = record("bs", _MEASUREMENT, "ta_out_of_range")
-_MSG2_TX = record("bs", _TX, "msg2_rar")
-_MSG3_RX = record("bs", _RX, "msg3_rrc_connection_request")
-_MSG4_TX = record("bs", _TX, "msg4_contention_resolution")
+# The slots of one attempt's access events, in the order the exchange logs
+# them; MSG4_END holds Msg4's arrival on success, else the CR timer expiry.
+(MSG1_TX, MSG1_RX, TA_OUT, MSG2_TX, RAR_EXPIRY, MSG2_RX, MSG3_TX, MSG3_RX, MSG4_TX,
+ MSG4_END) = range(10)
+
+# An attempt's path indexes PATH_CAUSES: success, then the three failures.
+PATH_SUCCESS, PATH_RAR_TIMEOUT, PATH_TA_RANGE, PATH_CR_TIMEOUT = range(4)
+PATH_CAUSES = (None, FailureCause.RAR_TIMEOUT, FailureCause.TA_RANGE, FailureCause.CR_TIMEOUT)
+
+# Each slot's record; None where it has a per-attempt detail (residual, TA
+# steps, reported delay), which gets one record per distinct value in a
+# call, so a long scenario's log holds no per-attempt copies.  MSG4_END
+# logs _MSG4_RX on success.
+_SLOT_RECORDS = [
+    record("device", _TX, "msg1_preamble"),
+    None,
+    record("bs", _MEASUREMENT, "ta_out_of_range"),
+    record("bs", _TX, "msg2_rar"),
+    record("device", _TIMER, "rar_window_expiry"),
+    None,
+    None,
+    record("bs", _RX, "msg3_rrc_connection_request"),
+    record("bs", _TX, "msg4_contention_resolution"),
+    record("device", _TIMER, "contention_resolution_expiry"),
+]
 _MSG4_RX = record("device", _RX, "msg4_contention_resolution")
-_CR_EXPIRY = record("device", _TIMER, "contention_resolution_expiry")
-_shared_record = functools.lru_cache(maxsize=4096)(record)
 
 
-def access_timeline(
+@dataclass(frozen=True, eq=False)
+class Attempts:
+    """Per-attempt results of ``access_attempts``, one array element per
+    attempt.  ``latency_us`` is valid on success only and ``ta_steps``
+    only where ``ta_built`` (the base station built a TA command)."""
+
+    path: np.ndarray
+    latency_us: np.ndarray
+    monitoring_us: np.ndarray
+    ta_steps: np.ndarray
+    ta_built: np.ndarray
+    reported_delay_ms: np.ndarray
+
+    def outcomes(self) -> list[AccessOutcome]:
+        return [
+            AccessOutcome(
+                success=path == PATH_SUCCESS,
+                cause=PATH_CAUSES[path],
+                latency_ms=us_to_ms(latency) if path == PATH_SUCCESS else None,
+                monitoring_ms=us_to_ms(monitoring),
+                ta_command=TimingAdvanceCommand(steps) if built else None,
+                reported_delay_ms=reported if path == PATH_SUCCESS else None,
+            )
+            for path, latency, monitoring, steps, built, reported in zip(
+                *(column.tolist() for column in (
+                    self.path, self.latency_us, self.monitoring_us, self.ta_steps,
+                    self.ta_built, self.reported_delay_ms,
+                ))
+            )
+        ]
+
+
+def access_attempts(
     sim: Simulator,
-    t1: int,
+    t1: np.ndarray,
     one_way: int,
-    residual_us: float,
-    reported_delay_ms: float,
-    delivered: tuple[bool, bool, bool, bool],
+    residual_us: np.ndarray,
+    reported_delay_ms: np.ndarray,
+    delivered: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     max_rtt_ms: float,
     timers: TimerConfig,
     timing: AccessTiming,
-) -> tuple[Optional[FailureCause], Optional[int], int, Optional[int], Optional[int]]:
-    """The four-message exchange of one attempt, in closed form.
+    transfer: tuple[np.ndarray, np.ndarray] = (np.zeros(0, np.int64), np.zeros(0, object)),
+) -> Attempts:
+    """The four-message exchange of independent attempts, in closed form.
 
-    ``t1`` is the preamble transmit time and ``one_way`` the true one-way
-    delay (both integer us), ``residual_us`` the round-trip misalignment
-    left after pre-compensation, and ``delivered`` whether Msg1..Msg4 get
-    through.  The attempt's events are logged to ``sim`` in the order the
-    exchange decides them.  Returns ``(cause, latency_us, monitoring_us,
-    ta_steps, msg4_arrival_us)``: cause is None on success; latency and
-    the Msg4 arrival are None unless it succeeded, and ta_steps is None
-    unless the base station built a TA command.
+    ``t1`` holds each attempt's preamble transmit time (integer us),
+    ``one_way`` is the true one-way delay (us), ``residual_us`` the
+    round-trip misalignment left after pre-compensation, and
+    ``delivered`` whether Msg1..Msg4 get through, per attempt.  Every
+    attempt's events are logged to ``sim`` in one append: attempt by
+    attempt, each in the order the exchange decides them, and after a
+    successful one its data ``transfer``, a template of (offsets_us,
+    records) started the device processing time after Msg4 arrives.
     """
     d1, d2, d3, d4 = delivered
+    residual_us = np.asarray(residual_us, dtype=np.float64)
+    reported_delay_ms = np.asarray(reported_delay_ms, dtype=np.float64)
     bs_proc = ms_to_us(timing.bs_processing_ms)
     window_start_ms, window_end_ms = schedule_rar_window(
         t1 / US_PER_MS, max_rtt_ms, timing.bs_processing_ms, timing.rar_window_length_ms
     )
-    window_start, window_end = ms_to_us(window_start_ms), ms_to_us(window_end_ms)
-    window_len = window_end - window_start
-    events = [(t1, _MSG1_TX)]
-    emit = events.append
-    try:  # every path logs its events in one replay
-        if not d1:
-            emit((window_end, _RAR_EXPIRY))
-            return FailureCause.RAR_TIMEOUT, None, window_len, None, None
-        msg1_arr = t1 + one_way
-        detail = f"msg1_preamble residual_us={residual_us:.3f}"
-        emit((msg1_arr, _shared_record("bs", _RX, detail)))
-        if abs(residual_us) > TA_BIPOLAR_RANGE_US:  # build_ta_command's range check
-            emit((msg1_arr + bs_proc, _TA_OUT_OF_RANGE))
-            return FailureCause.TA_RANGE, None, window_len, None, None
-        ta_steps = round(residual_us / TA_STEP_US)
+    window_start, window_end = ms_to_us_array(window_start_ms), ms_to_us_array(window_end_ms)
+    msg1_arr = t1 + one_way
+    in_range = ~(np.abs(residual_us) > TA_BIPOLAR_RANGE_US)  # build_ta_command's range check
+    ta_steps = np.rint(np.where(in_range, residual_us, 0.0) / TA_STEP_US).astype(np.int64)
+    msg2_tx = np.maximum(msg1_arr + bs_proc, window_start - one_way)
+    msg2_arr = msg2_tx + one_way
+    # Msg3 grant dimensioned by the cell's maximum supported RTT.
+    msg3_tx = msg2_tx + ms_to_us(max_rtt_ms + timing.device_processing_ms) - one_way
+    msg3_arr = msg3_tx + one_way
+    cr_start = msg3_tx + ms_to_us(timers.ntn_start_offset_ms)
+    cr_len = ms_to_us(timers.contention_resolution_ms)
+    cr_end = cr_start + cr_len
+    msg4_tx = msg3_arr + bs_proc
+    msg4_arr = msg4_tx + one_way
 
-        msg2_tx = max(msg1_arr + bs_proc, window_start - one_way)
-        msg2_arr = msg2_tx + one_way
-        emit((msg2_tx, _MSG2_TX))
-        if not d2 or msg2_arr > window_end:
-            emit((window_end, _RAR_EXPIRY))
-            return FailureCause.RAR_TIMEOUT, None, window_len, ta_steps, None
-        emit((msg2_arr, _shared_record("device", _RX, f"msg2_rar ta_steps={ta_steps}")))
-        rar_monitoring = msg2_arr - window_start
-
-        # Msg3 grant dimensioned by the cell's maximum supported RTT.
-        msg3_tx = msg2_tx + ms_to_us(max_rtt_ms + timing.device_processing_ms) - one_way
-        msg3_arr = msg3_tx + one_way
-        detail = f"msg3 reported_delay_ms={reported_delay_ms:.1f}"
-        emit((msg3_tx, _shared_record("device", _TX, detail)))
-        cr_start = msg3_tx + ms_to_us(timers.ntn_start_offset_ms)
-        cr_len = ms_to_us(timers.contention_resolution_ms)
-        cr_end = cr_start + cr_len
-        if d3:
-            emit((msg3_arr, _MSG3_RX))
-            msg4_tx = msg3_arr + bs_proc
-            msg4_arr = msg4_tx + one_way
-            emit((msg4_tx, _MSG4_TX))
-            if d4 and msg4_arr <= cr_end:
-                emit((msg4_arr, _MSG4_RX))
-                monitoring = rar_monitoring + (msg4_arr - cr_start)
-                return None, msg4_arr - t1, monitoring, ta_steps, msg4_arr
-        emit((cr_end, _CR_EXPIRY))
-        return FailureCause.CR_TIMEOUT, None, rar_monitoring + cr_len, ta_steps, None
-    finally:
-        sim.replay(0, events)
-
-
-def access_outcome(timeline, reported_delay_ms: float) -> AccessOutcome:
-    """The :class:`AccessOutcome` of an ``access_timeline`` result."""
-    cause, latency_us, monitoring_us, ta_steps, _ = timeline
-    return AccessOutcome(
-        success=cause is None,
-        cause=cause,
-        latency_ms=None if latency_us is None else us_to_ms(latency_us),
-        monitoring_ms=us_to_ms(monitoring_us),
-        ta_command=None if ta_steps is None else TimingAdvanceCommand(ta_steps),
-        reported_delay_ms=reported_delay_ms if cause is None else None,
+    ta_built = d1 & in_range
+    rar = ta_built & d2 & (msg2_arr <= window_end)
+    success = rar & d3 & d4 & (msg4_arr <= cr_end)
+    path = np.select(
+        [success, rar, ta_built, d1],
+        [PATH_SUCCESS, PATH_CR_TIMEOUT, PATH_RAR_TIMEOUT, PATH_TA_RANGE],
+        PATH_RAR_TIMEOUT,
     )
+    monitoring = np.where(
+        rar,
+        (msg2_arr - window_start) + np.where(success, msg4_arr - cr_start, cr_len),
+        window_end - window_start,
+    )
+
+    times = np.stack([
+        t1, msg1_arr, msg1_arr + bs_proc, msg2_tx, window_end, msg2_arr, msg3_tx, msg3_arr,
+        msg4_tx, np.where(success, msg4_arr, cr_end),
+    ], axis=1)
+    logged = np.stack([
+        np.ones_like(d1), d1, d1 & ~in_range, ta_built, path == PATH_RAR_TIMEOUT, rar, rar,
+        rar & d3, rar & d3, rar,
+    ], axis=1)
+    # Each logged event's record, as an index into `table`.
+    table = [*_SLOT_RECORDS, _MSG4_RX]
+    codes = np.tile(np.arange(len(_SLOT_RECORDS)), (len(t1), 1))
+    codes[:, MSG4_END] = np.where(success, len(_SLOT_RECORDS), MSG4_END)
+    for slot, values, entity, kind, detail in (
+        (MSG1_RX, residual_us, "bs", _RX, "msg1_preamble residual_us={:.3f}"),
+        (MSG2_RX, ta_steps, "device", _RX, "msg2_rar ta_steps={}"),
+        (MSG3_TX, reported_delay_ms, "device", _TX, "msg3 reported_delay_ms={:.1f}"),
+    ):
+        # Distinct bit patterns, so -0.0 keeps its own "-0.000" detail.
+        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        codes[:, slot] = len(table) + inverse.reshape(-1)
+        table += [
+            record(entity, kind, detail.format(v)) for v in distinct.view(values.dtype).tolist()
+        ]
+
+    # Each attempt's access events, then its transfer template on success,
+    # at consecutive log positions starting at `base`.
+    transfer_offsets, transfer_records = transfer
+    n_access = logged.sum(axis=1)
+    sizes = n_access + len(transfer_offsets) * success
+    base = np.cumsum(sizes) - sizes
+    log_times = np.empty(int(sizes.sum()), np.int64)
+    log_codes = np.empty(len(log_times), np.intp)
+    at = (base[:, None] + np.cumsum(logged, axis=1) - 1)[logged]
+    log_times[at] = times[logged]
+    log_codes[at] = codes[logged]
+    at = (base + n_access)[success][:, None] + np.arange(len(transfer_offsets))
+    transfer_start = ms_to_us_array(msg4_arr[success] / US_PER_MS + timing.device_processing_ms)
+    log_times[at] = transfer_start[:, None] + transfer_offsets
+    log_codes[at] = len(table) + np.arange(len(transfer_offsets))
+    sim.append(log_times, np.concatenate([records_array(table), transfer_records])[log_codes])
+    return Attempts(path, msg4_arr - t1, monitoring, ta_steps, ta_built, reported_delay_ms)
 
 
 def run_random_access(
@@ -332,6 +405,7 @@ def run_random_access(
     ``channel`` supplies true one-way service/feeder delays and decides
     message delivery; ``delay_est_ms`` overrides the ephemeris-based
     estimate (used by scenario runs that specify the geometry directly).
+    One attempt of ``access_attempts``.
     """
     if device.rrc_state is not RrcState.IDLE:
         raise DomainError("random access requires an idle device")
@@ -342,26 +416,25 @@ def run_random_access(
     advance_ms, residual_us, reported_delay_ms = delay_residual(
         channel.service_delay_ms, delay_est_ms
     )
-    timeline = access_timeline(
+    (outcome,) = access_attempts(
         sim,
-        ms_to_us(start_ms),
+        ms_to_us_array(np.array([start_ms])),
         ms_to_us(channel.service_delay_ms + channel.feeder_delay_ms),
-        residual_us,
-        reported_delay_ms,
-        tuple(channel.delivers(kind) for kind in MessageKind),
+        np.array([residual_us]),
+        np.array([reported_delay_ms]),
+        tuple(np.array([channel.delivers(kind)]) for kind in MessageKind),
         si.max_rtt_ms,
         timers,
         timing,
-    )
-    cause, _, _, ta_steps, _ = timeline
-    if cause is None or cause is FailureCause.CR_TIMEOUT:  # the RAR arrived
-        total_advance_us = advance_ms * 1000.0 + ta_steps * TA_STEP_US
+    ).outcomes()
+    if outcome.cause in (None, FailureCause.CR_TIMEOUT):  # the RAR arrived
+        total_advance_us = advance_ms * 1000.0 + outcome.ta_command.advance_us
         if total_advance_us < 0:
             raise DomainError("aggregate timing advance became negative")
         device.timing_advance_us = total_advance_us
-    if cause is None:
+    if outcome.success:
         device.rrc_state = RrcState.CONNECTED
-    return access_outcome(timeline, reported_delay_ms)
+    return outcome
 
 
 def autonomous_ta_update(

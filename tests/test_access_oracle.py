@@ -8,11 +8,13 @@ channel and calls ``harq_transfer``/``rlc_transfer`` for each transfer.
 reports and traces, bit for bit.
 """
 
+import io
 import json
 import math
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -388,6 +390,57 @@ def test_faded_snr_at_the_threshold_matches_reference(seed, reps, link, data):
     report, rows, outcomes = run_scenario_reference(config, seed)
     got = run_scenario(config, seed)
     assert (got.report, got.trace_rows) == (report, rows)
+    assert [_summary(o) for o in got.outcomes] == [_summary(o) for o in outcomes]
+
+
+# Edits of the bundled LEO and GEO configs, and the attempt paths each
+# gives there (40 messages, seed 2): "DomainError" is the error of a
+# negative delay estimate.
+FAILURE_CASES = {
+    "gnss_error_3km": ({"access": {"gnss_error_m": 3000.0}}, "success ta_range", "success ta_range"),
+    "drop_msg1": ({"channel": {"drop_kinds": ["msg1_preamble"]}}, "rar_timeout", "rar_timeout"),
+    "drop_msg2": ({"channel": {"drop_kinds": ["msg2_rar"]}}, "rar_timeout", "rar_timeout"),
+    "drop_msg3": ({"channel": {"drop_kinds": ["msg3_rrc_connection_request"]}},
+                  "cr_timeout", "cr_timeout"),
+    "drop_msg4": ({"channel": {"drop_kinds": ["msg4_contention_resolution"]}},
+                  "cr_timeout", "cr_timeout"),
+    "rlc_window_3": ({"harq": {"enabled": False}, "transfer": {"rlc_window_pdus": 3}},
+                     "success", "success"),
+    "overlapping_attempts": ({"traffic": {"inter_arrival_ms": 10.0}}, "success", "success"),
+    "gnss_error_1e6m": ({"access": {"gnss_error_m": 1e6}}, "DomainError", "ta_range"),
+}
+
+
+def _oracle_csv(rows) -> str:
+    """The trace CSV of ``trace_rows``, formatted row by row."""
+    return "time_ms,seq,entity,kind,detail\n" + "".join(
+        f"{t:.6f},{seq},{entity},{kind},{detail}\n" for t, seq, entity, kind, detail in rows
+    )
+
+
+@pytest.mark.parametrize("case", list(FAILURE_CASES))
+@pytest.mark.parametrize("config_name", ["leo600_sband.json", "geo_sband.json"])
+def test_failure_paths_match_the_reference(config_name, case):
+    edits, leo_paths, geo_paths = FAILURE_CASES[case]
+    data = json.loads((CONFIG_DIR / config_name).read_text())
+    data["traffic"]["n_messages"] = 40
+    for section, values in edits.items():
+        data[section].update(values)
+    config = load_config_dict(data)
+    want = _attempt(run_scenario_reference, config, 2)
+    got = _attempt(run_scenario, config, 2)
+    paths = geo_paths if config_name.startswith("geo") else leo_paths
+    if want[0] is DomainError:
+        assert (paths, got) == ("DomainError", want)
+        return
+    report, rows, outcomes = want
+    seen = set(report.failure_causes) | ({"success"} if report.access_successes else set())
+    assert " ".join(sorted(seen)) == paths
+    assert got.report == report
+    assert got.report.to_dict() == report.to_dict()
+    out = io.StringIO()
+    got.trace.write_csv(out)
+    assert out.getvalue() == _oracle_csv(rows)
     assert [_summary(o) for o in got.outcomes] == [_summary(o) for o in outcomes]
 
 

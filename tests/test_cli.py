@@ -10,6 +10,7 @@ import pytest
 from ntnsim import cli
 from ntnsim.cli import _write_csv, main
 from ntnsim.config import load_config
+from ntnsim.constants import SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import run_scenario
 from ntnsim.events import EventKind, Simulator
 
@@ -138,6 +139,24 @@ def test_unsuitable_cells_exit_3(config_dir, tmp_path, longitude_deg, max_rtt_ms
     cfg = tmp_path / "tight.json"
     cfg.write_text(json.dumps(data))
     assert main(["rank-cells", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+def test_rank_cells_takes_the_rtt_from_every_orbit(config_dir, tmp_path):
+    # The first orbit's satellite is 58.5 deg below the observer at (0, 120);
+    # a copy of the orbit at RAAN 120 puts a second one overhead.
+    data = json.loads((config_dir / "leo600_sband.json").read_text())
+    data["observer"]["longitude_deg"] = 120.0
+    data["constellation"].append(dict(data["constellation"][0], raan_deg=120.0))
+    for cell in data["cells"]:
+        cell["max_rtt_ms"] = 200.0
+    cfg = tmp_path / "two_orbits.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["rank-cells", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "rank_cells.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(data["cells"])
+    # The overhead satellite's round trip: 4 x 600 km at the speed of light.
+    zenith_rtt_ms = 4.0 * 600.0 / SPEED_OF_LIGHT_KM_S * 1000.0
+    assert all(float(row.split(",")[3]) == pytest.approx(zenith_rtt_ms, abs=1e-6) for row in rows)
 
 
 def test_csv_output_byte_stable(config_dir, tmp_path):

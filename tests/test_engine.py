@@ -281,27 +281,40 @@ def test_sweeps_reject_a_non_positive_horizon_or_step(horizon_s, step_s):
             visibility_duration(leo, obs, 10.0, step_s=step_s)
 
 
-@pytest.mark.parametrize("harq, spied", [(True, "harq_transfer"), (False, "rlc_transfer")])
-def test_run_scenario_calls_the_public_transfer_per_delivered_message(
-    config_dir, monkeypatch, harq, spied
+@pytest.mark.parametrize(
+    "harq, public, template",
+    [(True, "harq_transfer", "_harq_events"), (False, "rlc_transfer", "_rlc_events")],
+    ids=["harq", "rlc"],
+)
+def test_run_scenario_logs_the_public_transfers_template_per_delivered_message(
+    config_dir, monkeypatch, harq, public, template
 ):
     data = json.loads((config_dir / "leo600_sband.json").read_text())
     data["harq"]["enabled"] = harq
     data["traffic"]["n_messages"] = 60
     data["channel"]["fading_sigma_db"] = 12.0
-    calls = {"harq_transfer": [], "rlc_transfer": []}
+    calls = {"_harq_events": [], "_rlc_events": []}
     for name, seen in calls.items():
         def spy(*args, _original=getattr(engine, name), _seen=seen):
             _seen.append(args)
             return _original(*args)
 
         monkeypatch.setattr(engine, name, spy)
-    report = run_scenario(load_config_dict(data), seed=3).report
+    result = run_scenario(load_config_dict(data), seed=3)
+    report = result.report
     # Some attempts fade out and transfer nothing.  Access succeeds only when
     # the uplink closes, so every success passes the data SNR check.
     assert "data_snr" not in report.failure_causes
-    assert 0 < len(calls[spied]) == report.access_successes < report.access_attempts
-    assert [name for name, seen in calls.items() if seen] == [spied]
+    assert 0 < report.access_successes < report.access_attempts
+    assert [name for name, seen in calls.items() if seen] == [template]
+    (args,) = calls[template]
+    # The public transfer with run_scenario's arguments logs the same
+    # template; the trace holds it once per delivered message.
+    sim = Simulator()
+    getattr(engine, public)(sim, 0, *args)
+    assert calls[template][1] == args
+    first = sim.trace_rows()[0][2:]
+    assert [row[2:] for row in result.trace_rows].count(first) == report.access_successes
 
 
 MINIMAL = {
@@ -320,6 +333,13 @@ def test_run_scenario_deterministic_per_seed():
     r2 = run_scenario(cfg, seed=7)
     assert r1.report.to_dict() == r2.report.to_dict()
     assert r1.trace_rows == r2.trace_rows
+
+
+def test_start_times_beyond_the_int64_us_range_raise():
+    data = json.loads(json.dumps(MINIMAL))
+    data["traffic"]["inter_arrival_ms"] = 1e16  # the third message starts at 2e19 us
+    with pytest.raises(DomainError, match="int64"):
+        run_scenario(load_config_dict(data))
 
 
 def test_absent_or_null_observer_loads_as_the_origin():

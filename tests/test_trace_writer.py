@@ -8,10 +8,13 @@ same rows, for any mix of single events and replayed templates.
 
 import io
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ntnsim.events import EventKind, Simulator, record
+from ntnsim.errors import DomainError
+from ntnsim.events import EventKind, Simulator, record, records_array
 
 HEADER = "time_ms,seq,entity,kind,detail\n"
 MAX_TIME_US = 10**12
@@ -103,3 +106,24 @@ def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
     out = io.StringIO()
     sim.write_csv(out)
     assert out.getvalue() == oracle_csv(rows)
+
+
+REC = record("device", "timer_fire")
+
+
+@pytest.mark.parametrize(
+    "log",
+    [
+        lambda sim: sim.schedule(-1, EventKind.TIMER_FIRE, "device"),
+        lambda sim: sim.replay(5, [(0, REC), (-6, REC)]),
+        lambda sim: sim.append(np.array([0, -1]), records_array([REC, REC])),
+    ],
+    ids=["schedule", "replay", "append"],
+)
+def test_a_negative_time_is_rejected(log):
+    """The trace time format is exact only for t >= 0."""
+    sim = Simulator()
+    with pytest.raises(DomainError, match="non-negative"):
+        log(sim)
+    sim.run()
+    assert sim.trace_rows() == []
