@@ -172,6 +172,8 @@ class CellCfg:
 
     def __post_init__(self):
         self.center()  # surface latitude errors at load time
+        if self.max_rtt_ms <= 0:
+            raise DomainError("max RTT must be positive")
 
     def center(self) -> GroundPosition:
         return GroundPosition(self.center_latitude_deg, self.center_longitude_deg)
@@ -220,6 +222,7 @@ class TransferCfg:
             raise DomainError("transport block and RLC PDU sizes must be positive")
         if self.rlc_window_pdus < 1:
             raise DomainError("RLC window must be at least one PDU")
+        _check_non_negative(("ACK processing time", self.ack_processing_ms))
 
 
 @dataclass(frozen=True)

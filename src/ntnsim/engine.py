@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .protocol import (  # noqa: F401
     Attempts,
     MessageKind,
     access_attempts,
-    delay_residual,
     run_random_access,
 )
 
@@ -62,9 +61,9 @@ def repetition_gain_db(repetitions: int) -> float:
     return 10.0 * math.log10(repetitions)
 
 
-def reception_ok(snr_db: float, repetitions: int, threshold_db: float) -> bool:
-    """Hard-threshold reception model (boundary inclusive)."""
-    return snr_db + repetition_gain_db(repetitions) >= threshold_db
+def reception_ok(snr_db: float, repetitions: int, threshold_db: float, fade_db=0.0):
+    """Hard-threshold reception model (boundary inclusive); scalar or array."""
+    return (snr_db - fade_db) + repetition_gain_db(repetitions) >= threshold_db
 
 
 _DL_KINDS = frozenset({MessageKind.MSG2_RAR, MessageKind.MSG4_CONTENTION_RESOLUTION})
@@ -87,12 +86,13 @@ class BentPipeChannel:
     def rtt_ms(self) -> float:
         return 2.0 * (self.service_delay_ms + self.feeder_delay_ms)
 
-    def delivers(self, kind: MessageKind) -> bool:
+    def delivers(self, kind: MessageKind, fade_db=0.0):
+        """Whether a ``kind`` message gets through a fade; scalar or array."""
         if kind in self.drop_kinds:
             return False
         if kind in _DL_KINDS:
-            return reception_ok(self.snr_dl_db, self.repetitions, self.snr_threshold_dl_db)
-        return reception_ok(self.snr_ul_db, self.repetitions, self.snr_threshold_ul_db)
+            return reception_ok(self.snr_dl_db, self.repetitions, self.snr_threshold_dl_db, fade_db)
+        return reception_ok(self.snr_ul_db, self.repetitions, self.snr_threshold_ul_db, fade_db)
 
 
 def harq_transfer(
@@ -286,20 +286,10 @@ class MetricsReport:
     goodput_bps: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "access_attempts": self.access_attempts,
-            "access_successes": self.access_successes,
-            "failure_causes": dict(sorted(self.failure_causes.items())),
-            "access_latency_p50_ms": round(self.access_latency_p50_ms, 6),
-            "access_latency_p95_ms": round(self.access_latency_p95_ms, 6),
-            "access_latency_max_ms": round(self.access_latency_max_ms, 6),
-            "monitoring_time_ms": round(self.monitoring_time_ms, 6),
-            "transferred_bits": round(self.transferred_bits, 6),
-            "transfer_time_ms": round(self.transfer_time_ms, 6),
-            "goodput_bps": round(self.goodput_bps, 6),
-        }
+        """The fields in order, floats rounded to 6 places, causes sorted."""
+        out = asdict(self)
+        out["failure_causes"] = dict(sorted(self.failure_causes.items()))
+        return {k: round(v, 6) if isinstance(v, float) else v for k, v in out.items()}
 
 
 @dataclass
@@ -380,24 +370,28 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     gauss = random.Random(seed).gauss
     access = config.access
     traffic = config.traffic
-    channel = config.channel
     altitude_km = config.constellation[0].altitude_km
-
-    service_delay = one_way_delay_ms(slant_range(access.service_elevation_deg, altitude_km))
-    feeder_delay = one_way_delay_ms(slant_range(access.feeder_elevation_deg, altitude_km))
-    rtt_true = 2.0 * (service_delay + feeder_delay)
+    channel = config.channel
+    # Msg1 and Msg3 go uplink, so a successful access implies the uplink
+    # data closes too.
+    link = BentPipeChannel(
+        one_way_delay_ms(slant_range(access.service_elevation_deg, altitude_km)),
+        one_way_delay_ms(slant_range(access.feeder_elevation_deg, altitude_km)),
+        *_link_snrs(config, access.service_elevation_deg),
+        snr_threshold_dl_db=channel.snr_threshold_dl_db,
+        snr_threshold_ul_db=channel.snr_threshold_ul_db,
+        repetitions=channel.repetitions,
+        drop_kinds=frozenset(map(MessageKind, channel.drop_kinds)),
+    )
     units, tti = config.transfer_units(), config.transfer.tti_ms
     if config.harq.enabled:
         offsets, records, transfer_us = _harq_events(
-            units, config.harq.n_processes, tti, rtt_true, config.transfer.ack_processing_ms
+            units, config.harq.n_processes, tti, link.rtt_ms, config.transfer.ack_processing_ms
         )
     else:
         offsets, records, transfer_us = _rlc_events(
-            units, config.transfer.rlc_window_pdus, tti, rtt_true
+            units, config.transfer.rlc_window_pdus, tti, link.rtt_ms
         )
-    snr_dl, snr_ul = _link_snrs(config, access.service_elevation_deg)
-    gain = repetition_gain_db(channel.repetitions)
-    keep1, keep2, keep3, keep4 = (kind.value not in channel.drop_kinds for kind in MessageKind)
 
     n = traffic.n_messages
     # Message by message, its GNSS error and then its fade, so each seed's
@@ -408,22 +402,13 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         for sigma in (access.gnss_error_m, channel.fading_sigma_db)
     ]).reshape(n, 2)
     gnss_err_m, fade_db = draws[:, 0], draws[:, 1]
-    _, residual_us, reported = delay_residual(
-        service_delay, service_delay - gnss_err_m / SPEED_OF_LIGHT_M_S * 1000.0
-    )
-    # reception_ok with the faded SNRs, as BentPipeChannel.delivers does.
-    # Msg1 and Msg3 go uplink, so a successful access implies the uplink
-    # data closes too.
-    ul_ok = snr_ul - fade_db + gain >= channel.snr_threshold_ul_db
-    dl_ok = snr_dl - fade_db + gain >= channel.snr_threshold_dl_db
     sim = Simulator()
     attempts = access_attempts(
         sim,
         ms_to_us_array(np.arange(n) * traffic.inter_arrival_ms),
-        ms_to_us(service_delay + feeder_delay),
-        residual_us,
-        reported,
-        (ul_ok & keep1, dl_ok & keep2, ul_ok & keep3, dl_ok & keep4),
+        link,
+        fade_db,
+        link.service_delay_ms - gnss_err_m / SPEED_OF_LIGHT_M_S * 1000.0,
         access.max_rtt_ms,
         config.timers,
         access,

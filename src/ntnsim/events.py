@@ -3,8 +3,8 @@
 Time is carried as integer microseconds so long GEO scenarios never
 accumulate float drift in timer arithmetic.  The protocol and transfer
 models compute every event time in closed form and only log it here:
-one event (``schedule``), one template at a start time (``replay``) or a
-whole scenario's events at once (``append``).  The log is kept as
+one event (``schedule``) or many at once (``append``: a transfer template
+at its start time, or a whole scenario's events).  The log is kept as
 columns, appended in chunks of (int64 times, seqs, records), seq being
 the log position; ``run`` sorts it once, stably by time, into (time, seq)
 order, so events at equal times keep the order they were logged in.
@@ -95,13 +95,6 @@ class Simulator:
 
     def schedule(self, time_us: int, kind: EventKind, entity: str, detail: str = "") -> None:
         self.append([int(time_us)], records_array([record(entity, kind._value_, detail)]))
-
-    def replay(self, start_us: int, events) -> None:
-        """Log ``(offset_us, record)`` template entries at
-        ``start_us + offset_us``, in template order."""
-        if events:
-            offsets, records = zip(*events)
-            self.append(start_us + np.array(offsets, dtype=np.int64), records_array(records))
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(times_us, seqs, records) of the whole log, merged into one chunk."""

@@ -90,7 +90,7 @@ class TimerConfig:
     contention_resolution_ms: float = MAX_CONTENTION_RESOLUTION_MS
     harq_rtt_ms: float = 0.0
     t_reordering_ms: float = MAX_T_REORDERING_MS
-    ntn_start_offset_ms: float = 0.0
+    ntn_start_offset_ms: Optional[float] = None
     t_reordering_extension_ms: Optional[float] = None
 
     def __post_init__(self):
@@ -98,7 +98,7 @@ class TimerConfig:
             ("contention resolution timer", self.contention_resolution_ms),
             ("HARQ RTT timer", self.harq_rtt_ms),
             ("base t-reordering", self.t_reordering_ms),
-            ("timer start offset", self.ntn_start_offset_ms),
+            ("timer start offset", self.ntn_start_offset_ms or 0.0),
             ("t-reordering extension", self.t_reordering_extension_ms or 0.0),
         )
         if self.contention_resolution_ms > MAX_CONTENTION_RESOLUTION_MS:
@@ -206,13 +206,22 @@ def delay_residual(service_delay_ms: float, delay_est_ms: float) -> tuple[float,
     return advance_ms, residual_us, reported_delay_ms
 
 
+def quantize_ta(residual_us):
+    """(in_range, steps) of a signed residual misalignment, scalar or array:
+    whether it lies in the bipolar TA range, and its TA steps (0 if not)."""
+    in_range = np.abs(residual_us) <= TA_BIPOLAR_RANGE_US
+    steps = np.rint(np.where(in_range, residual_us, 0.0) / TA_STEP_US).astype(np.int64)
+    return in_range, steps
+
+
 def build_ta_command(residual_us: float) -> TimingAdvanceCommand:
     """Quantize a signed residual misalignment into a bipolar TA command."""
-    if abs(residual_us) > TA_BIPOLAR_RANGE_US:
+    in_range, steps = quantize_ta(residual_us)
+    if not in_range:
         raise DomainError(
             f"residual {residual_us:.2f} us outside the +/-{TA_BIPOLAR_RANGE_US} us range"
         )
-    return TimingAdvanceCommand(steps=round(residual_us / TA_STEP_US))
+    return TimingAdvanceCommand(steps=int(steps))
 
 
 def schedule_rar_window(
@@ -288,13 +297,18 @@ class Attempts:
         ]
 
 
+def _response_tx(request_arr, bs_proc: int, monitor_start, one_way: int):
+    """When the base station answers Msg1 or Msg3: ``bs_proc`` after it arrives,
+    held so the answer arrives as the device starts to monitor, not before."""
+    return np.maximum(request_arr + bs_proc, monitor_start - one_way)
+
+
 def access_attempts(
     sim: Simulator,
     t1: np.ndarray,
-    one_way: int,
-    residual_us: np.ndarray,
-    reported_delay_ms: np.ndarray,
-    delivered: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    channel,
+    fade_db,
+    delay_est_ms: np.ndarray,
     max_rtt_ms: float,
     timers: TimerConfig,
     timing: AccessTiming,
@@ -303,34 +317,37 @@ def access_attempts(
     """The four-message exchange of independent attempts, in closed form.
 
     ``t1`` holds each attempt's preamble transmit time (integer us),
-    ``one_way`` is the true one-way delay (us), ``residual_us`` the
-    round-trip misalignment left after pre-compensation, and
-    ``delivered`` whether Msg1..Msg4 get through, per attempt.  Every
-    attempt's events are logged to ``sim`` in one append: attempt by
-    attempt, each in the order the exchange decides them, and after a
-    successful one its data ``transfer``, a template of (offsets_us,
-    records) started the device processing time after Msg4 arrives.
+    ``channel`` the true delays and reception of a bent-pipe link (see
+    ``engine.BentPipeChannel``), ``fade_db`` each attempt's fade on it
+    (scalar or array), and ``delay_est_ms`` the device's estimate of the
+    service-link delay.  Every attempt's events are logged to ``sim`` in
+    one append: attempt by attempt, each in the order the exchange decides
+    them, and after a successful one its data ``transfer``, a template of
+    (offsets_us, records) started the device processing time after Msg4
+    arrives.
     """
-    d1, d2, d3, d4 = delivered
-    residual_us = np.asarray(residual_us, dtype=np.float64)
-    reported_delay_ms = np.asarray(reported_delay_ms, dtype=np.float64)
+    d1, d2, d3, d4 = (
+        np.broadcast_to(channel.delivers(kind, fade_db), t1.shape) for kind in MessageKind
+    )
+    one_way = ms_to_us(channel.rtt_ms / 2)
+    _, residual_us, reported_delay_ms = delay_residual(channel.service_delay_ms, delay_est_ms)
     bs_proc = ms_to_us(timing.bs_processing_ms)
     window_start_ms, window_end_ms = schedule_rar_window(
         t1 / US_PER_MS, max_rtt_ms, timing.bs_processing_ms, timing.rar_window_length_ms
     )
     window_start, window_end = ms_to_us_array(window_start_ms), ms_to_us_array(window_end_ms)
     msg1_arr = t1 + one_way
-    in_range = ~(np.abs(residual_us) > TA_BIPOLAR_RANGE_US)  # build_ta_command's range check
-    ta_steps = np.rint(np.where(in_range, residual_us, 0.0) / TA_STEP_US).astype(np.int64)
-    msg2_tx = np.maximum(msg1_arr + bs_proc, window_start - one_way)
+    in_range, ta_steps = quantize_ta(residual_us)
+    msg2_tx = _response_tx(msg1_arr, bs_proc, window_start, one_way)
     msg2_arr = msg2_tx + one_way
     # Msg3 grant dimensioned by the cell's maximum supported RTT.
     msg3_tx = msg2_tx + ms_to_us(max_rtt_ms + timing.device_processing_ms) - one_way
     msg3_arr = msg3_tx + one_way
-    cr_start = msg3_tx + ms_to_us(timers.ntn_start_offset_ms)
-    cr_len = ms_to_us(timers.contention_resolution_ms)
+    cr_offset_ms, cr_len_ms = apply_timer_rules(timers, max_rtt_ms, TimerEvent.MSG3_SENT)
+    cr_start = msg3_tx + ms_to_us(cr_offset_ms)
+    cr_len = ms_to_us(cr_len_ms)
     cr_end = cr_start + cr_len
-    msg4_tx = msg3_arr + bs_proc
+    msg4_tx = _response_tx(msg3_arr, bs_proc, cr_start, one_way)
     msg4_arr = msg4_tx + one_way
 
     ta_built = d1 & in_range
@@ -352,7 +369,7 @@ def access_attempts(
         msg4_tx, np.where(success, msg4_arr, cr_end),
     ], axis=1)
     logged = np.stack([
-        np.ones_like(d1), d1, d1 & ~in_range, ta_built, path == PATH_RAR_TIMEOUT, rar, rar,
+        np.ones_like(t1, bool), d1, d1 & ~in_range, ta_built, path == PATH_RAR_TIMEOUT, rar, rar,
         rar & d3, rar & d3, rar,
     ], axis=1)
     # Each logged event's record, as an index into `table`.
@@ -402,10 +419,10 @@ def run_random_access(
 ) -> AccessOutcome:
     """Execute the four-message access exchange over a bent-pipe channel.
 
-    ``channel`` supplies true one-way service/feeder delays and decides
-    message delivery; ``delay_est_ms`` overrides the ephemeris-based
-    estimate (used by scenario runs that specify the geometry directly).
-    One attempt of ``access_attempts``.
+    ``channel`` (an ``engine.BentPipeChannel``) supplies the true one-way
+    service/feeder delays and decides message delivery; ``delay_est_ms``
+    overrides the ephemeris-based estimate.  One attempt of
+    ``access_attempts``.
     """
     if device.rrc_state is not RrcState.IDLE:
         raise DomainError("random access requires an idle device")
@@ -413,25 +430,21 @@ def run_random_access(
         sim = Simulator()
     if delay_est_ms is None:
         delay_est_ms = estimate_service_delay(device, si.ephemeris, start_ms / 1000.0)
-    advance_ms, residual_us, reported_delay_ms = delay_residual(
-        channel.service_delay_ms, delay_est_ms
-    )
     (outcome,) = access_attempts(
         sim,
         ms_to_us_array(np.array([start_ms])),
-        ms_to_us(channel.service_delay_ms + channel.feeder_delay_ms),
-        np.array([residual_us]),
-        np.array([reported_delay_ms]),
-        tuple(np.array([channel.delivers(kind)]) for kind in MessageKind),
+        channel,
+        0.0,
+        np.array([delay_est_ms]),
         si.max_rtt_ms,
         timers,
         timing,
     ).outcomes()
     if outcome.cause in (None, FailureCause.CR_TIMEOUT):  # the RAR arrived
-        total_advance_us = advance_ms * 1000.0 + outcome.ta_command.advance_us
-        if total_advance_us < 0:
+        advance_us = precompensate_preamble(delay_est_ms) * 1000.0 + outcome.ta_command.advance_us
+        if advance_us < 0:
             raise DomainError("aggregate timing advance became negative")
-        device.timing_advance_us = total_advance_us
+        device.timing_advance_us = advance_us
     if outcome.success:
         device.rrc_state = RrcState.CONNECTED
     return outcome
@@ -501,14 +514,16 @@ def apply_timer_rules(
 ) -> tuple[float, float]:
     """(start offset from the event, duration) for the NTN-adapted timers.
 
-    Contention-resolution and HARQ-RTT starts are delayed by the RTT;
+    Contention-resolution and HARQ-RTT starts are delayed by the RTT, the
+    former by ``ntn_start_offset_ms`` instead where that is set;
     t-reordering keeps its start but gets a duration extension (default:
     the RTT rounded up to 10 ms).
     """
     if rtt_ms < 0:
         raise DomainError("RTT must be non-negative")
     if event is TimerEvent.MSG3_SENT:
-        return rtt_ms, cfg.contention_resolution_ms
+        offset = cfg.ntn_start_offset_ms
+        return (rtt_ms if offset is None else offset), cfg.contention_resolution_ms
     if event is TimerEvent.UL_DATA_DONE:
         return rtt_ms, cfg.harq_rtt_ms
     extension = cfg.t_reordering_extension_ms

@@ -45,6 +45,8 @@ from ntnsim.protocol import (
     RrcState,
     SystemInformation,
     TimerConfig,
+    TimerEvent,
+    apply_timer_rules,
     build_ta_command,
     estimate_service_delay,
     precompensate_preamble,
@@ -137,7 +139,9 @@ def run_random_access_reference(
     )
     times["msg3_tx"] = us_to_ms(msg3_tx)
 
-    cr_start = msg3_tx + ms_to_us(timers.ntn_start_offset_ms)
+    # The CR timer starts the RTT after Msg3 unless an offset is set.
+    offset_ms = timers.ntn_start_offset_ms
+    cr_start = msg3_tx + ms_to_us(si.max_rtt_ms if offset_ms is None else offset_ms)
     cr_end = cr_start + ms_to_us(timers.contention_resolution_ms)
     times["cr_timer_start"] = us_to_ms(cr_start)
     if not channel.delivers(MessageKind.MSG3_RRC_CONNECTION_REQUEST):
@@ -147,7 +151,8 @@ def run_random_access_reference(
         )
 
     sim.schedule(msg3_arr, EventKind.RX_ARRIVAL, "bs", "msg3_rrc_connection_request")
-    msg4_tx = msg3_arr + ms_to_us(timing.bs_processing_ms)
+    # Held, as Msg2 is, so that Msg4 arrives no earlier than the CR start.
+    msg4_tx = max(msg3_arr + ms_to_us(timing.bs_processing_ms), cr_start - one_way)
     msg4_arr = msg4_tx + one_way
     sim.schedule(msg4_tx, EventKind.TX_START, "bs", "msg4_contention_resolution")
     if not channel.delivers(MessageKind.MSG4_CONTENTION_RESOLUTION) or msg4_arr > cr_end:
@@ -262,16 +267,19 @@ def ms(hi):
 
 DROPS = st.lists(st.sampled_from([k.value for k in MessageKind]), unique=True, max_size=4)
 MAX_RTTS = st.one_of(ms(700.0).filter(bool), st.sampled_from([12.3455, 26.0, 541.0]))
+# CR timer start offsets; None (the default) starts it the max RTT after Msg3.
+OFFSETS = st.one_of(st.none(), ms(600.0))
 
 
 def _timers(draw, t1, one_way, max_rtt_ms, bs_ms, offset_ms):
     """(RAR window, contention-resolution timer) in ms: the defaults, free
     draws, or ending exactly at (or 1 us before) the arrival of the RAR or
-    Msg4 of an attempt started at ``t1`` us."""
+    Msg4 of an attempt started at ``t1`` us.  A None offset is the RTT."""
     bs = ms_to_us(bs_ms)
     window_start = ms_to_us(t1 / 1000 + max_rtt_ms + bs_ms)
     rar_late = max(t1 + one_way + bs, window_start - one_way) + one_way - window_start
-    msg4_late = 2 * one_way + bs - ms_to_us(offset_ms)
+    cr_offset = ms_to_us(max_rtt_ms if offset_ms is None else offset_ms)
+    msg4_late = max(2 * one_way + bs - cr_offset, 0)
     rar_edges = [rar_late / 1000, max(rar_late - 1, 0) / 1000]
     window = draw(st.one_of(st.just(10240.0), ms(2000.0), st.sampled_from(rar_edges)))
     msg4_edges = [v / 1000 for v in (msg4_late, msg4_late - 1) if 0 <= v <= 10_240_000]
@@ -290,13 +298,16 @@ def scenarios(draw):
     kind = "geosynchronous" if altitude == 35786.0 else "leo_circular"
     service_el, feeder_el = draw(st.floats(0.0, 90.0)), draw(st.floats(0.0, 90.0))
     one_way = ms_to_us(_one_way_ms(altitude, service_el) + _one_way_ms(altitude, feeder_el))
-    max_rtt, bs, offset = draw(MAX_RTTS), draw(ms(20.0)), draw(ms(600.0))
+    max_rtt, bs, offset = draw(MAX_RTTS), draw(ms(20.0)), draw(OFFSETS)
     window, cr = _timers(draw, 0, one_way, max_rtt, bs, offset)
+    timers = {"contention_resolution_ms": cr}
+    if offset is not None:  # else left out
+        timers["ntn_start_offset_ms"] = offset
     data = {
         "name": "oracle",
         "constellation": [{"kind": kind, "altitude_km": altitude}],
         "carrier_frequency_hz": 2.0e9,
-        "timers": {"contention_resolution_ms": cr, "ntn_start_offset_ms": offset},
+        "timers": timers,
         "harq": {"enabled": draw(st.booleans()), "n_processes": draw(st.integers(1, 2))},
         "transfer": {
             "tbs_bits": 1000.0,
@@ -462,7 +473,7 @@ def attempts(draw):
         drop_kinds=frozenset(MessageKind(k) for k in draw(DROPS)),
     )
     start_ms = draw(st.one_of(st.floats(0.0, 1e7), ms(1e4)))
-    max_rtt, bs, offset = draw(MAX_RTTS), draw(ms(20.0)), draw(ms(600.0))
+    max_rtt, bs, offset = draw(MAX_RTTS), draw(ms(20.0)), draw(OFFSETS)
     one_way = ms_to_us(channel.service_delay_ms + channel.feeder_delay_ms)
     window, cr = _timers(draw, ms_to_us(start_ms), one_way, max_rtt, bs, offset)
     si = SystemInformation(ephemeris=Ephemeris(orbits=(GEO,)), max_rtt_ms=max_rtt)
@@ -497,3 +508,80 @@ def test_run_random_access_matches_reference(attempt, before):
     assert (got_device.rrc_state, got_device.timing_advance_us) == (
         want_device.rrc_state, want_device.timing_advance_us
     )
+
+
+def _bundled(config_name, offset_ms="bundled", **edits):
+    """A bundled config with 3 messages, each section updated with its
+    ``edits``, and the CR start offset left as bundled, left out (None) or
+    set."""
+    data = json.loads((CONFIG_DIR / config_name).read_text())
+    data["traffic"]["n_messages"] = 3
+    for section, values in edits.items():
+        data[section].update(values)
+    if offset_ms is None:
+        del data["timers"]["ntn_start_offset_ms"]
+    elif offset_ms != "bundled":
+        data["timers"]["ntn_start_offset_ms"] = offset_ms
+    return load_config_dict(data)
+
+
+def _cr_spans_us(rows):
+    """The time from each attempt's Msg3 to its CR timer expiry (us), with
+    the attempts in log order."""
+    rows = sorted(rows, key=lambda row: row[1])
+    msg3 = [ms_to_us(t) for t, _, _, _, detail in rows if detail.startswith("msg3 ")]
+    expiry = [
+        ms_to_us(t) for t, _, _, _, detail in rows if detail == "contention_resolution_expiry"
+    ]
+    return [end - start for start, end in zip(msg3, expiry, strict=True)]
+
+
+@pytest.mark.parametrize("offset_ms", [None, 0.0, 123.4567])
+@pytest.mark.parametrize("config_name", ["leo600_sband.json", "geo_sband.json"])
+def test_the_cr_timer_starts_where_apply_timer_rules_says(config_name, offset_ms):
+    """Both access entry points start the CR timer at the offset
+    apply_timer_rules gives for the cell's max RTT: the RTT when no offset
+    is set, else the offset.  Msg4 is dropped, so each attempt logs the
+    timer's expiry."""
+    config = _bundled(
+        config_name, offset_ms, channel={"drop_kinds": ["msg4_contention_resolution"]}
+    )
+    max_rtt_ms = config.access.max_rtt_ms
+    start_ms, length_ms = apply_timer_rules(config.timers, max_rtt_ms, TimerEvent.MSG3_SENT)
+    assert start_ms == (max_rtt_ms if offset_ms is None else offset_ms)
+    want = ms_to_us(start_ms) + ms_to_us(length_ms)
+
+    assert _cr_spans_us(run_scenario(config, 1).trace_rows) == [want] * 3
+
+    sim = Simulator()
+    outcome = run_random_access(
+        DeviceContext(gnss_position=OBS),
+        SystemInformation(ephemeris=Ephemeris(orbits=(GEO,)), max_rtt_ms=max_rtt_ms),
+        BentPipeChannel(
+            service_delay_ms=10.0,
+            feeder_delay_ms=2.5,
+            drop_kinds=frozenset({MessageKind.MSG4_CONTENTION_RESOLUTION}),
+        ),
+        timers=config.timers,
+        timing=config.access,
+        sim=sim,
+        delay_est_ms=10.0,
+    )
+    assert outcome.cause is FailureCause.CR_TIMEOUT
+    assert _cr_spans_us(sim.trace_rows()) == [want]
+
+
+@pytest.mark.parametrize("offset_ms", ["bundled", None])
+@pytest.mark.parametrize("config_name", ["leo600_sband.json", "geo_sband.json"])
+def test_monitoring_is_never_negative_at_zenith(config_name, offset_ms):
+    """At 90 degrees the true RTT plus the base-station processing is below
+    the max RTT the CR timer start is dimensioned by, so Msg4 is held, as
+    Msg2 is, and arrives exactly as the device starts to monitor for it:
+    no monitoring at all, where it used to arrive before the CR start and
+    count negative time."""
+    config = _bundled(
+        config_name, offset_ms, access={"service_elevation_deg": 90.0, "feeder_elevation_deg": 90.0}
+    )
+    result = run_scenario(config, 1)
+    assert [(o.success, o.monitoring_ms) for o in result.outcomes] == [(True, 0.0)] * 3
+    assert result.report.monitoring_time_ms == 0.0

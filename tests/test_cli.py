@@ -278,6 +278,10 @@ def test_negative_gnss_error_exits_2(config_dir, tmp_path, capsys):
 OUT_OF_RANGE = [
     ({"transfer.tbs_bits": 0.0}, "transport block and RLC PDU sizes must be positive"),
     ({"transfer.rlc_pdu_bits": -1.0}, "transport block and RLC PDU sizes must be positive"),
+    (
+        {"transfer.ack_processing_ms": -1.0},
+        "config.transfer: ACK processing time must be non-negative",
+    ),
     ({"traffic.message_size_bits": 1e300}, "more than 1000000 transfer units"),
     # The size ratio overflows to inf.
     (
@@ -310,6 +314,8 @@ OUT_OF_RANGE = [
     ({"access.rar_window_length_ms": -1.0}, "RAR window length must be non-negative"),
     ({"observer.latitude_deg": 100.0}, "config.observer: latitude 100.0 outside [-90, 90]"),
     ({"cells.0.center_latitude_deg": 100.0}, "config.cells[0]: latitude 100.0 outside [-90, 90]"),
+    ({"cells.0.max_rtt_ms": -5.0}, "config.cells[0]: max RTT must be positive"),
+    ({"cells.0.max_rtt_ms": 0.0}, "config.cells[0]: max RTT must be positive"),
     ({"beams.0.center_latitude_deg": 100.0}, "config.beams[0]: latitude 100.0 outside [-90, 90]"),
     ({"beams.0.diameter_km": -5.0}, "config.beams[0]: beam diameter must be non-negative"),
     ({"links.0.bandwidth_hz": 0.0}, "config.links[0]: bandwidth must be positive"),

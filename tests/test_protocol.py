@@ -135,7 +135,11 @@ def test_access_success_timeline():
     assert t["msg3_tx"] == pytest.approx(
         t["msg2_arrival"] - one_way + si.max_rtt_ms + 8.0 - one_way
     )
-    assert t["msg4_arrival"] == pytest.approx(t["msg3_tx"] + one_way + 4.0 + one_way)
+    # The CR timer starts the max RTT after Msg3 (the default offset), 1 ms
+    # after Msg4 could arrive, so Msg4 is held, as Msg2 is, to arrive then.
+    assert t["msg3_tx"] + one_way + 4.0 + one_way < t["msg3_tx"] + si.max_rtt_ms
+    assert t["msg4_arrival"] == pytest.approx(t["msg3_tx"] + si.max_rtt_ms)
+    assert out.monitoring_ms == 0.0
     assert out.latency_ms == pytest.approx(t["msg4_arrival"])
 
 

@@ -3,7 +3,7 @@
 The oracle keeps the old design: a log of ``(time_us, seq, entity, kind,
 detail)`` tuples, sorted once, converted to float-ms rows and formatted
 row by row.  The writer must give the same bytes, and ``trace_rows`` the
-same rows, for any mix of single events and replayed templates.
+same rows, for any mix of single events and appended templates.
 """
 
 import io
@@ -36,7 +36,7 @@ class OracleLog:
     def schedule(self, time_us, kind, entity, detail=""):
         self.log.append((time_us, len(self.log), entity, kind.value, detail))
 
-    def replay(self, start_us, events):
+    def append(self, start_us, events):
         for offset, entity, kind, detail in events:
             self.log.append((start_us + offset, len(self.log), entity, kind, detail))
 
@@ -59,29 +59,34 @@ template_entries = st.tuples(
     st.integers(min_value=0, max_value=2_000_000), entities, kinds, details
 )
 schedule_ops = st.tuples(st.just("schedule"), times, kinds, entities, details)
-# Replays of one short template at nearby starts overlap, as attempts do
+# Appends of one short template at nearby starts overlap, as attempts do
 # when traffic is spaced closer than one access plus transfer.
-replay_ops = st.tuples(
-    st.just("replay"),
+append_ops = st.tuples(
+    st.just("append"),
     st.integers(min_value=0, max_value=MAX_TIME_US - 2_000_000),
     st.lists(template_entries, max_size=6),
 )
 
 
 @given(
-    ops=st.lists(st.one_of(schedule_ops, replay_ops), max_size=25),
+    ops=st.lists(st.one_of(schedule_ops, append_ops), max_size=25),
     overlap_starts=st.lists(st.integers(min_value=0, max_value=3_000), max_size=4),
 )
 @settings(max_examples=200, deadline=None)
 @example(
     ops=[
         ("schedule", MAX_TIME_US, EventKind.TIMER_FIRE, "bs", ""),
-        ("replay", 0, [(0, "device", EventKind.TX_START, "x=1,y")]),
+        ("append", 0, [(0, "device", EventKind.TX_START, "x=1,y")]),
         ("schedule", 0, EventKind.RX_ARRIVAL, "device", "msg2_rar"),
     ],
     overlap_starts=[0, 0, 1],
 )
 def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
+    def append(start, template):
+        """Log ``(offset_us, record)`` entries at ``start + offset_us``."""
+        offsets = np.array([offset for offset, _ in template], dtype=np.int64)
+        sim.append(start + offsets, records_array([rec for _, rec in template]))
+
     sim, oracle = Simulator(), OracleLog()
     for op in ops:
         if op[0] == "schedule":
@@ -92,14 +97,14 @@ def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
             _, start, entries = op
             events = [(offset, entity, kind.value, detail)
                       for offset, entity, kind, detail in entries]
-            sim.replay(start, [(offset, record(*rest)) for offset, *rest in events])
-            oracle.replay(start, events)
-    # One template replayed at close starts: its entries share records.
+            append(start, [(offset, record(*rest)) for offset, *rest in events])
+            oracle.append(start, events)
+    # One template appended at close starts: its entries share records.
     template = [(0, "device", "tx_start", "msg1_preamble"), (1500, "bs", "rx_arrival", "x=1,y")]
     shared = [(offset, record(*rest)) for offset, *rest in template]
     for start in overlap_starts:
-        sim.replay(start, shared)
-        oracle.replay(start, template)
+        append(start, shared)
+        oracle.append(start, template)
     sim.run()
     rows = oracle.trace_rows()
     assert sim.trace_rows() == rows
@@ -115,10 +120,9 @@ REC = record("device", "timer_fire")
     "log",
     [
         lambda sim: sim.schedule(-1, EventKind.TIMER_FIRE, "device"),
-        lambda sim: sim.replay(5, [(0, REC), (-6, REC)]),
         lambda sim: sim.append(np.array([0, -1]), records_array([REC, REC])),
     ],
-    ids=["schedule", "replay", "append"],
+    ids=["schedule", "append"],
 )
 def test_a_negative_time_is_rejected(log):
     """The trace time format is exact only for t >= 0."""
