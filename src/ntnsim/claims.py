@@ -17,10 +17,11 @@ import numpy as np
 from .constants import SIDEREAL_DAY_S, SPEED_OF_LIGHT_KM_S
 from .geometry import GEO_ALTITUDE_KM, BeamSpec, GroundPosition, OrbitKind, OrbitSpec
 from .geometry import beam_doppler_profile, differential_delay, doppler_hz, geometry_samples
-from .geometry import one_way_delay_ms, overhead_pass_orbit, propagate, propagate_many
+from .geometry import overhead_pass_orbit, propagate, propagate_many
 from .geometry import satellite_state_over, slant_range, visibility_duration
 from .linkbudget import ATMOSPHERIC_DB, ATMOSPHERIC_DB_MAX, LinkBudgetParams
 from .linkbudget import bandwidth_rescale, fspl, snr
+from .protocol import BentPipeChannel
 
 FC_HZ = 2.0e9
 LEO_ALTITUDE_KM = 600.0
@@ -48,7 +49,7 @@ def _fspl_db(altitude_km, elevation_deg):
 
 def _rtt_ms(altitude_km, elevation_deg):
     """Bent-pipe round trip with the feeder link at the service elevation."""
-    return 4.0 * one_way_delay_ms(slant_range(elevation_deg, altitude_km))
+    return BentPipeChannel.at(altitude_km, elevation_deg, elevation_deg).rtt_ms
 
 
 def _snr_db(eirp_dbw, g_over_t_db_k, altitude_km, elevation_deg, atmospheric_db):

@@ -28,7 +28,6 @@ from .geometry import (
     differential_delay,
     doppler_hz,
     geometry_samples,
-    one_way_delay_ms,
     overhead_pass_orbit,
     propagate,
     propagate_many,
@@ -38,7 +37,7 @@ from .geometry import (
 )
 from .linkbudget import fspl
 from .mobility import CellCandidate, cell_suitability, rank_cells
-from .protocol import DeviceContext, Ephemeris, estimate_service_delay
+from .protocol import BentPipeChannel, DeviceContext, Ephemeris, estimate_service_delay
 
 log = logging.getLogger("ntnsim")
 
@@ -51,9 +50,9 @@ def _cell(value) -> str:
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> str:
-    """Write the CSV to ``path``; returns its text."""
-    text = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows]) + "\n"
+def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> str:
+    """Write the CSV of formatted cells to ``path``; returns its text."""
+    text = "\n".join(map(",".join, [header, *rows])) + "\n"
     path.write_text(text)
     return text
 
@@ -109,8 +108,8 @@ def cmd_geometry(config: ScenarioConfig, args) -> int:
     for idx, orbit_cfg in enumerate(config.constellation):
         orbit = orbit_cfg.to_orbit_spec()
         alt = orbit_cfg.altitude_km
-        rtt_min = 4.0 * one_way_delay_ms(slant_range(max_el, alt))
-        rtt_max = 4.0 * one_way_delay_ms(slant_range(min_el, alt))
+        rtt_min = BentPipeChannel.at(alt, max_el, max_el).rtt_ms
+        rtt_max = BentPipeChannel.at(alt, min_el, min_el).rtt_ms
         rows.append([idx, orbit_cfg.kind, "rtt_min_ms", rtt_min])
         rows.append([idx, orbit_cfg.kind, "rtt_max_ms", rtt_max])
 
@@ -202,10 +201,11 @@ def cmd_rank_cells(config: ScenarioConfig, args) -> int:
         raise ConfigError(["config.cells: required for the rank-cells command"])
     device = config.observer.to_ground()
     orbits = tuple(orbit.to_orbit_spec() for orbit in config.constellation)
-    # The device's own round trip over the highest satellite of any orbit:
-    # the same for every cell.
+    # The device's own round trip over the highest satellite of any orbit,
+    # the feeder link as long as the service link: the same for every cell.
     epoch = max(orbit.epoch_s for orbit in orbits)
-    est_rtt = 4.0 * estimate_service_delay(DeviceContext(device), Ephemeris(orbits), epoch)
+    delay = estimate_service_delay(DeviceContext(device), Ephemeris(orbits), epoch)
+    est_rtt = BentPipeChannel(delay, delay).rtt_ms
     candidates = [
         CellCandidate(
             cell_id=cell.cell_id,

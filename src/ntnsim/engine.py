@@ -1,9 +1,6 @@
 """Deterministic scenario engine binding geometry, link budget and the
-access/data procedures.
-
-Reception is a hard SNR threshold with a 10*log10(N) repetition gain; an
-optional seeded log-normal shadow-fading term (off by default) is the
-only source of randomness.
+access/data procedures.  An optional seeded log-normal shadow-fading term
+(off by default) is the only source of randomness.
 """
 
 from __future__ import annotations
@@ -18,81 +15,15 @@ import numpy as np
 from .config import LinkCfg, ScenarioConfig
 from .constants import SPEED_OF_LIGHT_M_S
 from .errors import ConfigError, DomainError
-from .events import (
-    _RX,
-    _TX,
-    US_PER_MS,
-    Simulator,
-    ms_to_us,
-    ms_to_us_array,
-    record,
-    records_array,
-    us_to_ms,
-)
+from .events import _RX, _TX, US_PER_MS, Simulator, checked_us, ms_to_us, ms_to_us_array
+from .events import record, records_array, us_to_ms
 # geometry_sample, propagate and run_random_access stay importable from this
 # module (unused here): perfbench/tracing.py patches them to count calls.
-from .geometry import (  # noqa: F401
-    GroundPosition,
-    OrbitKind,
-    OrbitSpec,
-    _sweep_times,
-    geometry_sample,
-    geometry_samples,
-    one_way_delay_ms,
-    propagate,
-    propagate_many,
-    slant_range,
-)
-from .linkbudget import DL_SNR_FLOOR_DB, UL_SNR_FLOOR_DB, LinkBudgetParams, fspl, snr
-from .protocol import (  # noqa: F401
-    PATH_CAUSES,
-    PATH_SUCCESS,
-    AccessOutcome,
-    Attempts,
-    MessageKind,
-    access_attempts,
-    run_random_access,
-)
-
-
-def repetition_gain_db(repetitions: int) -> float:
-    if repetitions < 1:
-        raise DomainError("repetitions must be >= 1")
-    return 10.0 * math.log10(repetitions)
-
-
-def reception_ok(snr_db: float, repetitions: int, threshold_db: float, fade_db=0.0):
-    """Hard-threshold reception model (boundary inclusive); scalar or array."""
-    return (snr_db - fade_db) + repetition_gain_db(repetitions) >= threshold_db
-
-
-_DL_KINDS = frozenset({MessageKind.MSG2_RAR, MessageKind.MSG4_CONTENTION_RESOLUTION})
-
-
-@dataclass
-class BentPipeChannel:
-    """True link state seen by the access procedure."""
-
-    service_delay_ms: float
-    feeder_delay_ms: float
-    snr_dl_db: float = 100.0
-    snr_ul_db: float = 100.0
-    snr_threshold_dl_db: float = DL_SNR_FLOOR_DB
-    snr_threshold_ul_db: float = UL_SNR_FLOOR_DB
-    repetitions: int = 1
-    drop_kinds: frozenset = frozenset()
-
-    @property
-    def rtt_ms(self) -> float:
-        return 2.0 * (self.service_delay_ms + self.feeder_delay_ms)
-
-    def delivers(self, kind: MessageKind, fade_db=0.0):
-        """Whether a ``kind`` message gets through a fade; scalar or array."""
-        if kind in self.drop_kinds:
-            return False
-        if kind in _DL_KINDS:
-            return reception_ok(self.snr_dl_db, self.repetitions, self.snr_threshold_dl_db, fade_db)
-        return reception_ok(self.snr_ul_db, self.repetitions, self.snr_threshold_ul_db, fade_db)
+from .geometry import GroundPosition, OrbitKind, OrbitSpec, _sweep_times, geometry_samples
+from .geometry import geometry_sample, propagate, propagate_many, slant_range  # noqa: F401
+from .linkbudget import LinkBudgetParams, fspl, snr
+from .protocol import PATH_CAUSES, PATH_SUCCESS, AccessOutcome, Attempts, BentPipeChannel
+from .protocol import MessageKind, access_attempts, run_random_access  # noqa: F401
 
 
 def harq_transfer(
@@ -130,13 +61,14 @@ def rlc_transfer(
 # its arguments (every process is free at the start), so each argument set
 # is worked out once, relative to 0, and logged per transfer, by the
 # functions above and by run_scenario.  The caches are keyed on the ms
-# arguments; the timings become integer us inside.
+# arguments; the timings become integer us inside, the hop by the link's
+# rule, BentPipeChannel.one_way_us.
 
 
 def _template(events: list, end: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(offsets_us, records, end_us) of ``(offset_us, record)`` events, as
     read-only arrays: the caches hand the same arrays to every caller."""
-    offsets = np.array([offset for offset, _ in events], dtype=np.int64)
+    offsets = np.array(checked_us([offset for offset, _ in events]), dtype=np.int64)
     records = records_array([rec for _, rec in events])
     offsets.flags.writeable = records.flags.writeable = False
     return offsets, records, end
@@ -148,7 +80,8 @@ def _harq_events(n_blocks: int, n_processes: int, tti_ms: float, rtt_ms: float, 
     last acknowledgment."""
     if n_blocks < 1 or n_processes < 1:
         raise DomainError("need at least one block and one process")
-    tti, one_way, ack_proc = ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2, ms_to_us(ack_ms)
+    tti, one_way = ms_to_us(tti_ms), BentPipeChannel.one_way_us(rtt_ms)
+    ack_proc = ms_to_us(ack_ms)
     events = []
     proc_free = [0] * n_processes
     tx_free = 0
@@ -179,7 +112,7 @@ def _rlc_events(n_pdus: int, window_pdus: int, tti_ms: float, rtt_ms: float):
     final status report."""
     if n_pdus < 1 or window_pdus < 1:
         raise DomainError("need at least one PDU and a window of at least one PDU")
-    tti, one_way = ms_to_us(tti_ms), ms_to_us(rtt_ms) // 2
+    tti, one_way = ms_to_us(tti_ms), BentPipeChannel.one_way_us(rtt_ms)
     events = []
     t = 0
     sent = 0
@@ -370,13 +303,13 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     gauss = random.Random(seed).gauss
     access = config.access
     traffic = config.traffic
-    altitude_km = config.constellation[0].altitude_km
     channel = config.channel
     # Msg1 and Msg3 go uplink, so a successful access implies the uplink
     # data closes too.
-    link = BentPipeChannel(
-        one_way_delay_ms(slant_range(access.service_elevation_deg, altitude_km)),
-        one_way_delay_ms(slant_range(access.feeder_elevation_deg, altitude_km)),
+    link = BentPipeChannel.at(
+        config.constellation[0].altitude_km,
+        access.service_elevation_deg,
+        access.feeder_elevation_deg,
         *_link_snrs(config, access.service_elevation_deg),
         snr_threshold_dl_db=channel.snr_threshold_dl_db,
         snr_threshold_ul_db=channel.snr_threshold_ul_db,

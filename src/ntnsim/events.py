@@ -27,8 +27,16 @@ from .errors import DomainError
 US_PER_MS = 1000
 
 
+def checked_us(t_us):
+    """``t_us`` (integer us: scalar, sequence or array) if every time lies
+    below 2**62 in magnitude, which leaves int64 room to add offsets."""
+    if not np.all(np.abs(t_us) < 2.0**62):
+        raise DomainError("event time outside the int64 us range")
+    return t_us
+
+
 def ms_to_us(t_ms: float) -> int:
-    return round(t_ms * US_PER_MS)
+    return round(checked_us(t_ms * US_PER_MS))
 
 
 def us_to_ms(t_us: int) -> float:
@@ -37,11 +45,8 @@ def us_to_ms(t_us: int) -> float:
 
 def ms_to_us_array(t_ms: np.ndarray) -> np.ndarray:
     """``ms_to_us`` of each element (``np.rint`` rounds half to even, as
-    ``round`` does), as int64 with room left to add offsets."""
-    t_us = np.rint(t_ms * US_PER_MS)
-    if not np.all(np.abs(t_us) < 2.0**62):
-        raise DomainError("event time outside the int64 us range")
-    return t_us.astype(np.int64)
+    ``round`` does), as int64."""
+    return checked_us(np.rint(t_ms * US_PER_MS)).astype(np.int64)
 
 
 class EventKind(Enum):

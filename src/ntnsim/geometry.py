@@ -334,13 +334,6 @@ def doppler_hz(range_rate_km_s, fc_hz: float):
     return -range_rate_km_s / SPEED_OF_LIGHT_KM_S * fc_hz
 
 
-def bent_pipe_rtt(service: GeometrySample, feeder: GeometrySample) -> float:
-    """Round-trip time (ms) gateway -> satellite -> device and back."""
-    if service.elevation_deg < 0 or feeder.elevation_deg < 0:
-        raise DomainError("both links must be above the horizon")
-    return 2.0 * (service.one_way_delay_ms + feeder.one_way_delay_ms)
-
-
 def visibility_duration(
     orbit: OrbitSpec,
     ground: GroundPosition,

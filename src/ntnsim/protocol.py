@@ -1,8 +1,9 @@
 """Device and base-station procedures with the NTN adaptations.
 
-Covers GNSS-aided delay pre-compensation, the bipolar timing-advance
-command, RTT-offset RAR/Msg3 scheduling and timers, autonomous TA and
-Doppler tracking, and the HARQ / RLC-ARQ throughput models.
+Covers the bent-pipe link (delays, round trip, reception), GNSS-aided
+delay pre-compensation, the bipolar timing-advance command, RTT-offset
+RAR/Msg3 scheduling and timers, autonomous TA and Doppler tracking, and
+the HARQ / RLC-ARQ throughput models.
 """
 
 from __future__ import annotations
@@ -15,17 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NotReachableError
-from .events import _MEASUREMENT, _RX, _TIMER, _TX
-from .events import (
-    US_PER_MS,
-    Simulator,
-    ms_to_us,
-    ms_to_us_array,
-    record,
-    records_array,
-    us_to_ms,
-)
+from .events import _MEASUREMENT, _RX, _TIMER, _TX, US_PER_MS, Simulator
+from .events import ms_to_us, ms_to_us_array, record, records_array, us_to_ms
 from .geometry import GeometrySample, GroundPosition, OrbitSpec, geometry_sample, propagate
+from .geometry import one_way_delay_ms, slant_range
+from .linkbudget import DL_SNR_FLOOR_DB, UL_SNR_FLOOR_DB
 
 TA_STEP_US = 0.52
 TA_BIPOLAR_RANGE_US = 32.0
@@ -122,6 +117,62 @@ class MessageKind(Enum):
     MSG2_RAR = "msg2_rar"
     MSG3_RRC_CONNECTION_REQUEST = "msg3_rrc_connection_request"
     MSG4_CONTENTION_RESOLUTION = "msg4_contention_resolution"
+
+
+def repetition_gain_db(repetitions: int) -> float:
+    if repetitions < 1:
+        raise DomainError("repetitions must be >= 1")
+    return 10.0 * math.log10(repetitions)
+
+
+def reception_ok(snr_db: float, repetitions: int, threshold_db: float, fade_db=0.0):
+    """Hard-threshold reception model (boundary inclusive) with a
+    10*log10(N) repetition gain; scalar or array."""
+    return (snr_db - fade_db) + repetition_gain_db(repetitions) >= threshold_db
+
+
+_DL_KINDS = frozenset({MessageKind.MSG2_RAR, MessageKind.MSG4_CONTENTION_RESOLUTION})
+
+
+@dataclass
+class BentPipeChannel:
+    """True state of a bent-pipe link, device - satellite - gateway: its
+    one-way service and feeder delays, and what gets through."""
+
+    service_delay_ms: float
+    feeder_delay_ms: float
+    snr_dl_db: float = 100.0
+    snr_ul_db: float = 100.0
+    snr_threshold_dl_db: float = DL_SNR_FLOOR_DB
+    snr_threshold_ul_db: float = UL_SNR_FLOOR_DB
+    repetitions: int = 1
+    drop_kinds: frozenset = frozenset()
+
+    @classmethod
+    def at(cls, altitude_km: float, service_el_deg: float, feeder_el_deg: float, *link, **kw):
+        """The link via a satellite at ``altitude_km`` that the device and
+        the gateway see at these elevations."""
+        hops = (service_el_deg, feeder_el_deg)
+        return cls(*(one_way_delay_ms(slant_range(el, altitude_km)) for el in hops), *link, **kw)
+
+    @property
+    def rtt_ms(self) -> float:
+        """Both hops there and back (arXiv 2010.04906; 3GPP TR 36.763)."""
+        return 2.0 * (self.service_delay_ms + self.feeder_delay_ms)
+
+    @staticmethod
+    def one_way_us(rtt_ms: float) -> int:
+        """One way over a link of round trip ``rtt_ms``, in integer us: as
+        halving is exact, ``ms_to_us(service + feeder)``."""
+        return ms_to_us(rtt_ms / 2)
+
+    def delivers(self, kind: MessageKind, fade_db=0.0):
+        """Whether a ``kind`` message gets through a fade; scalar or array."""
+        if kind in self.drop_kinds:
+            return False
+        if kind in _DL_KINDS:
+            return reception_ok(self.snr_dl_db, self.repetitions, self.snr_threshold_dl_db, fade_db)
+        return reception_ok(self.snr_ul_db, self.repetitions, self.snr_threshold_ul_db, fade_db)
 
 
 class FailureCause(Enum):
@@ -306,7 +357,7 @@ def _response_tx(request_arr, bs_proc: int, monitor_start, one_way: int):
 def access_attempts(
     sim: Simulator,
     t1: np.ndarray,
-    channel,
+    channel: BentPipeChannel,
     fade_db,
     delay_est_ms: np.ndarray,
     max_rtt_ms: float,
@@ -317,19 +368,18 @@ def access_attempts(
     """The four-message exchange of independent attempts, in closed form.
 
     ``t1`` holds each attempt's preamble transmit time (integer us),
-    ``channel`` the true delays and reception of a bent-pipe link (see
-    ``engine.BentPipeChannel``), ``fade_db`` each attempt's fade on it
-    (scalar or array), and ``delay_est_ms`` the device's estimate of the
-    service-link delay.  Every attempt's events are logged to ``sim`` in
-    one append: attempt by attempt, each in the order the exchange decides
-    them, and after a successful one its data ``transfer``, a template of
+    ``channel`` the link, ``fade_db`` each attempt's fade on it (scalar or
+    array), and ``delay_est_ms`` the device's estimate of the service-link
+    delay.  Every attempt's events are logged to ``sim`` in one append:
+    attempt by attempt, each in the order the exchange decides them, and
+    after a successful one its data ``transfer``, a template of
     (offsets_us, records) started the device processing time after Msg4
     arrives.
     """
     d1, d2, d3, d4 = (
         np.broadcast_to(channel.delivers(kind, fade_db), t1.shape) for kind in MessageKind
     )
-    one_way = ms_to_us(channel.rtt_ms / 2)
+    one_way = channel.one_way_us(channel.rtt_ms)
     _, residual_us, reported_delay_ms = delay_residual(channel.service_delay_ms, delay_est_ms)
     bs_proc = ms_to_us(timing.bs_processing_ms)
     window_start_ms, window_end_ms = schedule_rar_window(
@@ -410,7 +460,7 @@ def access_attempts(
 def run_random_access(
     device: DeviceContext,
     si: SystemInformation,
-    channel,
+    channel: BentPipeChannel,
     timers: TimerConfig = TimerConfig(),
     timing: AccessTiming = AccessTiming(),
     sim: Optional[Simulator] = None,
@@ -419,10 +469,9 @@ def run_random_access(
 ) -> AccessOutcome:
     """Execute the four-message access exchange over a bent-pipe channel.
 
-    ``channel`` (an ``engine.BentPipeChannel``) supplies the true one-way
-    service/feeder delays and decides message delivery; ``delay_est_ms``
-    overrides the ephemeris-based estimate.  One attempt of
-    ``access_attempts``.
+    ``channel`` supplies the true one-way service/feeder delays and
+    decides message delivery; ``delay_est_ms`` overrides the
+    ephemeris-based estimate.  One attempt of ``access_attempts``.
     """
     if device.rrc_state is not RrcState.IDLE:
         raise DomainError("random access requires an idle device")

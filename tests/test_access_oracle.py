@@ -21,13 +21,10 @@ from hypothesis import strategies as st
 from ntnsim.config import load_config_dict
 from ntnsim.constants import SPEED_OF_LIGHT_KM_S, SPEED_OF_LIGHT_M_S
 from ntnsim.engine import (
-    BentPipeChannel,
     MetricsReport,
     _link_snrs,
     _percentile,
     harq_transfer,
-    reception_ok,
-    repetition_gain_db,
     rlc_transfer,
     run_scenario,
 )
@@ -38,6 +35,7 @@ from ntnsim.protocol import (
     REPORTED_DELAY_QUANTUM_MS,
     AccessOutcome,
     AccessTiming,
+    BentPipeChannel,
     DeviceContext,
     Ephemeris,
     FailureCause,
@@ -50,6 +48,8 @@ from ntnsim.protocol import (
     build_ta_command,
     estimate_service_delay,
     precompensate_preamble,
+    reception_ok,
+    repetition_gain_db,
     run_random_access,
     schedule_rar_window,
 )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ntnsim import cli
-from ntnsim.cli import _write_csv, main
+from ntnsim.cli import _cell, _write_csv, main
 from ntnsim.config import load_config
 from ntnsim.constants import SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import run_scenario
@@ -353,15 +353,40 @@ OUT_OF_RANGE = [
 def test_out_of_range_transfer_harq_or_elevation_exits_2(
     config_dir, tmp_path, capsys, edits, message
 ):
-    def edit(data):
-        for dotted, value in edits.items():
-            *path, field = dotted.split(".")
-            target = data
-            for key in path:  # a list index is a number, such as cells.0
-                target = target[int(key)] if isinstance(target, list) else target[key]
-            target[field] = value
+    path = _edited_leo_config(config_dir, tmp_path, lambda data: _set_fields(data, edits))
+    _exits_2_at_load(path, tmp_path, capsys, message)
 
-    _exits_2_at_load(_edited_leo_config(config_dir, tmp_path, edit), tmp_path, capsys, message)
+
+def _set_fields(data, edits):
+    for dotted, value in edits.items():
+        *path, field = dotted.split(".")
+        target = data
+        for key in path:  # a list index is a number, such as cells.0
+            target = target[int(key)] if isinstance(target, list) else target[key]
+        target[field] = value
+
+
+# Configs that load but whose event times leave the int64 us range; the
+# last only through a transfer's offsets (four TTIs of 4e15 ms).
+PAST_THE_US_RANGE = [
+    {"transfer.tti_ms": 1e300},
+    {"transfer.ack_processing_ms": 1e300},
+    {"timers.ntn_start_offset_ms": 1e300},
+    {"transfer.tti_ms": 4e15, "traffic.n_messages": 1},
+]
+
+
+@pytest.mark.parametrize(
+    "edits",
+    PAST_THE_US_RANGE,
+    ids=[",".join(f"{k}={v:g}" for k, v in edits.items()) for edits in PAST_THE_US_RANGE],
+)
+def test_event_times_past_the_us_range_exit_3(config_dir, tmp_path, capsys, edits):
+    path = _edited_leo_config(config_dir, tmp_path, lambda data: _set_fields(data, edits))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "runtime failure: event time outside the int64 us range\n"
+    assert "unexpected" not in err
 
 
 def test_trace_writer_matches_generic_csv_writer(config_dir, tmp_path):
@@ -372,7 +397,7 @@ def test_trace_writer_matches_generic_csv_writer(config_dir, tmp_path):
     sim.schedule(10**12 + 1, EventKind.MEASUREMENT, "device", "x=1,y")
     with (tmp_path / "trace.csv").open("w") as fh:
         sim.write_csv(fh)
-    _write_csv(tmp_path / "generic.csv", header, [list(row) for row in sim.trace_rows()])
+    _write_csv(tmp_path / "generic.csv", header, [list(map(_cell, row)) for row in sim.trace_rows()])
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
 
 

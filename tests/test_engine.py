@@ -1,25 +1,24 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntnsim import engine
 from ntnsim.config import MAX_TRANSFER_UNITS, ObserverCfg, load_config, load_config_dict
+from ntnsim.constants import SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import (
-    BentPipeChannel,
     MetricsReport,
     ServiceInterval,
     earth_fixed_beam_schedule,
     harq_transfer,
-    reception_ok,
-    repetition_gain_db,
     rlc_transfer,
     run_scenario,
 )
 from ntnsim.errors import ConfigError, DomainError
-from ntnsim.events import EventKind, Simulator, ms_to_us, us_to_ms
+from ntnsim.events import EventKind, Simulator, ms_to_us, ms_to_us_array, us_to_ms
 from ntnsim.geometry import (
     MAX_SWEEP_STEPS,
     GroundPosition,
@@ -27,9 +26,16 @@ from ntnsim.geometry import (
     OrbitSpec,
     ground_track,
     overhead_pass_orbit,
+    slant_range,
     visibility_duration,
 )
-from ntnsim.protocol import HarqConfig, harq_throughput, rlc_arq_throughput
+from ntnsim.protocol import (
+    HarqConfig,
+    harq_throughput,
+    reception_ok,
+    repetition_gain_db,
+    rlc_arq_throughput,
+)
 
 
 def test_event_queue_fifo_at_equal_times():
@@ -129,6 +135,26 @@ def test_rlc_transfer_rejects_an_empty_window():
         rlc_transfer(Simulator(), 0, 5, 0, 4.0, 10.0)
 
 
+OUT_OF_US_RANGE = "event time outside the int64 us range"
+
+
+@pytest.mark.parametrize("t_ms", [2.0**62 / 1000, -1e300, math.inf, math.nan])
+def test_ms_to_us_rejects_what_its_array_form_rejects(t_ms):
+    for convert in (ms_to_us, lambda t: ms_to_us_array(np.array([t]))):
+        with pytest.raises(DomainError, match=OUT_OF_US_RANGE):
+            convert(t_ms)
+    assert ms_to_us(2.0**62 / 1000 - 1.0) == ms_to_us_array(np.array([2.0**62 / 1000 - 1.0]))[0]
+
+
+@pytest.mark.parametrize("tti_ms, rtt_ms", [(1e300, 10.0), (10.0, 1e300), (4e15, 10.0)])
+def test_a_transfer_past_the_us_range_is_rejected(tti_ms, rtt_ms):
+    """4e15 ms is in range; four TTIs of it are not."""
+    with pytest.raises(DomainError, match=OUT_OF_US_RANGE):
+        harq_transfer(Simulator(), 0, 4, 1, tti_ms, rtt_ms)
+    with pytest.raises(DomainError, match=OUT_OF_US_RANGE):
+        rlc_transfer(Simulator(), 0, 4, 4, tti_ms, rtt_ms)
+
+
 # One schedule call per event, with every time worked out from start_us:
 # the reference that the cached-template replay must match.
 def harq_transfer_reference(
@@ -137,7 +163,7 @@ def harq_transfer_reference(
     if n_blocks < 1 or n_processes < 1:
         raise DomainError("need at least one block and one process")
     tti = ms_to_us(tti_ms)
-    one_way = ms_to_us(rtt_ms) // 2
+    one_way = ms_to_us(rtt_ms / 2)  # service + feeder, as the access hop
     ack_proc = ms_to_us(ack_processing_ms)
     proc_free = [start_us] * n_processes
     tx_free = start_us
@@ -163,7 +189,7 @@ def rlc_transfer_reference(sim, start_us, n_pdus, window_pdus, tti_ms, rtt_ms):
     if n_pdus < 1:
         raise DomainError("need at least one PDU")
     tti = ms_to_us(tti_ms)
-    one_way = ms_to_us(rtt_ms) // 2
+    one_way = ms_to_us(rtt_ms / 2)  # service + feeder, as the access hop
     t = start_us
     sent = 0
     while sent < n_pdus:
@@ -315,6 +341,41 @@ def test_run_scenario_logs_the_public_transfers_template_per_delivered_message(
     assert calls[template][1] == args
     first = sim.trace_rows()[0][2:]
     assert [row[2:] for row in result.trace_rows].count(first) == report.access_successes
+
+
+@pytest.mark.parametrize("harq", [True, False], ids=["harq", "rlc"])
+@pytest.mark.parametrize(
+    "name, elevation_deg", [("leo600_sband", 20.0), ("geo_sband", 30.0)], ids=["leo", "geo"]
+)
+def test_access_and_transfer_hops_take_the_same_us(config_dir, name, elevation_deg, harq):
+    """One link, one one-way delay: every Msg1 hop and every data hop (TTI
+    left out) of a trace takes ms_to_us(service + feeder).  Here both
+    links sit at one elevation and that sum's us fraction lies in
+    [0.5, 0.75), where half the rounded RTT, floored, is 1 us shorter."""
+    data = json.loads((config_dir / f"{name}.json").read_text())
+    data["access"].update(service_elevation_deg=elevation_deg, feeder_elevation_deg=elevation_deg)
+    data["harq"]["enabled"] = harq
+    config = load_config_dict(data)
+    altitude_km = config.constellation[0].altitude_km
+    hop_ms = slant_range(elevation_deg, altitude_km) / SPEED_OF_LIGHT_KM_S * 1000.0
+    assert 0.5 <= (hop_ms + hop_ms) * 1000.0 % 1.0 < 0.75
+    want = ms_to_us(hop_ms + hop_ms)
+    data_kind = "harq_data" if harq else "rlc_pdu"
+    sent, hops = {}, {"msg1_preamble": [], data_kind: []}
+    # Attempts do not overlap, so each arrival belongs to the last send of
+    # its message; Msg1's arrival adds the residual to the detail.
+    for t_ms, _, _, kind, detail in run_scenario(config, seed=1).trace_rows:
+        message = detail.split(" residual_us=")[0]
+        if message.partition(" ")[0] in hops:
+            if kind == "tx_start":
+                sent[message] = ms_to_us(t_ms)
+            else:
+                hops[message.partition(" ")[0]].append(ms_to_us(t_ms) - sent.pop(message))
+    # A data hop starts at the end of its TTI.
+    tti = ms_to_us(config.transfer.tti_ms)
+    assert hops["msg1_preamble"] and hops[data_kind]
+    assert set(hops["msg1_preamble"]) == {want}
+    assert set(hops[data_kind]) == {tti + want}
 
 
 MINIMAL = {

@@ -17,7 +17,6 @@ from ntnsim.geometry import (
     GroundPosition,
     OrbitKind,
     OrbitSpec,
-    bent_pipe_rtt,
     differential_delay,
     geometry_sample,
     ground_track,
@@ -217,17 +216,6 @@ def test_delay_drift_consistent_with_range_rate():
     d1 = geometry_sample(propagate(orbit, 2950.0 - 0.5), obs, 2e9).one_way_delay_ms
     d2 = geometry_sample(propagate(orbit, 2950.0 + 0.5), obs, 2e9).one_way_delay_ms
     assert sample.delay_drift_us_s == pytest.approx((d2 - d1) * 1000.0, rel=1e-3)
-
-
-def test_bent_pipe_rtt_sums_both_hops():
-    obs = GroundPosition(0.0, 0.0)
-    gw = GroundPosition(5.0, 5.0)
-    sat = satellite_state_over(obs, 600.0)
-    service = geometry_sample(sat, obs, 2e9)
-    feeder = geometry_sample(sat, gw, 2e9)
-    assert bent_pipe_rtt(service, feeder) == pytest.approx(
-        2.0 * (service.one_way_delay_ms + feeder.one_way_delay_ms)
-    )
 
 
 def test_visibility_duration_zero_when_never_visible():

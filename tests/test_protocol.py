@@ -4,12 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ntnsim.engine import BentPipeChannel
 from ntnsim.errors import DomainError, NotReachableError
-from ntnsim.events import Simulator
-from ntnsim.geometry import GroundPosition, OrbitKind, OrbitSpec
+from ntnsim.events import Simulator, ms_to_us
+from ntnsim.geometry import (
+    GroundPosition,
+    OrbitKind,
+    OrbitSpec,
+    geometry_sample,
+    satellite_state_over,
+)
 from ntnsim.protocol import (
     AccessTiming,
+    BentPipeChannel,
     DeviceContext,
     Ephemeris,
     FailureCause,
@@ -90,6 +96,28 @@ def test_rar_window_shifted_by_max_rtt():
     start, end = schedule_rar_window(100.0, 541.0, processing_delay_ms=4.0, window_length_ms=10240.0)
     assert start == pytest.approx(100.0 + 541.0 + 4.0)
     assert end - start == pytest.approx(10240.0)
+
+
+def test_channel_rtt_sums_both_hops():
+    """A link built at the elevations a device and a gateway see holds
+    the geometry's one-way delays; the RTT is both, there and back."""
+    obs = GroundPosition(0.0, 0.0)
+    gw = GroundPosition(5.0, 5.0)
+    sat = satellite_state_over(obs, 600.0)
+    service = geometry_sample(sat, obs, 2e9)
+    feeder = geometry_sample(sat, gw, 2e9)
+    link = BentPipeChannel.at(600.0, service.elevation_deg, feeder.elevation_deg)
+    assert link.service_delay_ms == pytest.approx(service.one_way_delay_ms, rel=1e-9)
+    assert link.feeder_delay_ms == pytest.approx(feeder.one_way_delay_ms, rel=1e-9)
+    assert link.rtt_ms == 2.0 * (link.service_delay_ms + link.feeder_delay_ms)
+    with pytest.raises(DomainError):
+        BentPipeChannel.at(600.0, service.elevation_deg, -1.0)
+
+
+@given(st.floats(0.0, 300.0), st.floats(0.0, 300.0))
+def test_one_way_us_rounds_the_sum_of_both_hops(service, feeder):
+    link = BentPipeChannel(service, feeder)
+    assert link.one_way_us(link.rtt_ms) == ms_to_us(service + feeder)
 
 
 def test_estimate_service_delay_matches_geometry():
