@@ -114,18 +114,21 @@ def cmd_geometry(config: ScenarioConfig, args) -> int:
         rows.append([idx, orbit_cfg.kind, "rtt_max_ms", rtt_max])
 
         if orbit.kind is OrbitKind.GEOSYNCHRONOUS:
+            seen, ground = orbit, config.observer.to_ground()
             t = np.arange(orbit.epoch_s, orbit.epoch_s + SIDEREAL_DAY_S, 60.0)
-            _, _, rr = geometry_samples(*propagate_many(orbit, t), config.observer.to_ground())
-            visibility = math.inf
         else:
-            equator = GroundPosition(0.0, 0.0)
-            pass_orbit = overhead_pass_orbit(
-                orbit.kind, alt, orbit_cfg.inclination_deg, equator, overhead_at_s=3000.0
+            ground = GroundPosition(0.0, 0.0)
+            seen = overhead_pass_orbit(
+                orbit.kind, alt, orbit_cfg.inclination_deg, ground, overhead_at_s=3000.0
             )
             t = np.arange(2000.0, 4000.0, 1.0)
-            elevation, _, rr = geometry_samples(*propagate_many(pass_orbit, t), equator)
-            rr = rr[elevation >= min_el]
-            visibility = visibility_duration(pass_orbit, equator, min_el)
+        elevation, _, rr = geometry_samples(*propagate_many(seen, t), ground)
+        above = elevation >= min_el
+        rr = rr[above]
+        if orbit.kind is OrbitKind.GEOSYNCHRONOUS and above.all():
+            visibility = math.inf
+        else:
+            visibility = visibility_duration(seen, ground, min_el)
         max_rr = float(np.abs(rr).max(initial=0.0))
         ppm = max_rr / SPEED_OF_LIGHT_KM_S * 1e6
         rows.append([idx, orbit_cfg.kind, "max_doppler_ppm", ppm])

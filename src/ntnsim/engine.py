@@ -15,7 +15,7 @@ import numpy as np
 from .config import LinkCfg, ScenarioConfig
 from .constants import SPEED_OF_LIGHT_M_S
 from .errors import ConfigError, DomainError
-from .events import _RX, _TX, US_PER_MS, Simulator, checked_us, ms_to_us, ms_to_us_array
+from .events import _RX, _TX, Simulator, checked_us, ms_to_us, ms_to_us_array
 from .events import record, records_array, us_to_ms
 # geometry_sample, propagate and run_random_access stay importable from this
 # module (unused here): perfbench/tracing.py patches them to count calls.
@@ -240,13 +240,6 @@ class ScenarioResult:
         return self.attempts.outcomes()
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    rank = max(0, math.ceil(q * len(sorted_values)) - 1)
-    return sorted_values[rank]
-
-
 def link_snr(link: LinkCfg, distance_km: float, carrier_hz: float, atmospheric_db: float) -> float:
     """SNR (dB) of a configured link over a slant range."""
     return snr(
@@ -276,11 +269,6 @@ def _link_snrs(config: ScenarioConfig, elevation_deg: float) -> tuple[float, flo
         else:
             ul = value
     return dl, ul
-
-
-def _sum(values: np.ndarray) -> float:
-    """The sum of ``values`` added left to right from 0.0, as ``+=`` adds."""
-    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioResult:
@@ -351,22 +339,20 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
 
     report = MetricsReport(scenario=config.name, seed=seed)
     report.access_attempts = n
-    paths = np.bincount(attempts.path, minlength=len(PATH_CAUSES))
-    report.access_successes = int(paths[PATH_SUCCESS])
+    paths = np.bincount(attempts.path, minlength=len(PATH_CAUSES)).tolist()
+    successes = report.access_successes = paths[PATH_SUCCESS]
     report.failure_causes = {
-        cause.value: int(count)
-        for cause, count in zip(PATH_CAUSES, paths.tolist())
-        if cause is not None and count
+        cause.value: count for cause, count in zip(PATH_CAUSES, paths) if cause and count
     }
-    report.monitoring_time_ms = _sum(attempts.monitoring_us / US_PER_MS)
-    successes = report.access_successes
-    succeeded = attempts.path == PATH_SUCCESS
-    latencies = np.sort(attempts.latency_us[succeeded] / US_PER_MS).tolist()
-    report.access_latency_p50_ms = _percentile(latencies, 0.50)
-    report.access_latency_p95_ms = _percentile(latencies, 0.95)
-    report.access_latency_max_ms = latencies[-1] if latencies else 0.0
-    report.transferred_bits = _sum(np.full(successes, traffic.message_size_bits))
-    report.transfer_time_ms = _sum(np.full(successes, us_to_ms(transfer_us)))
+    # Exact sums in integer us: every attempt on one path takes the same time.
+    monitoring_us = sum(count * us for count, us in zip(paths, attempts.monitoring_us))
+    report.monitoring_time_ms = us_to_ms(monitoring_us)
+    if successes:
+        latency_ms = us_to_ms(attempts.latency_us)
+        report.access_latency_p50_ms = report.access_latency_p95_ms = latency_ms
+        report.access_latency_max_ms = latency_ms
+    report.transferred_bits = successes * traffic.message_size_bits
+    report.transfer_time_ms = us_to_ms(successes * transfer_us)
     if report.transfer_time_ms > 0:
         report.goodput_bps = report.transferred_bits / (report.transfer_time_ms / 1000.0)
     return ScenarioResult(report=report, trace=sim, attempts=attempts)

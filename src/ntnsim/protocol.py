@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NotReachableError
-from .events import _MEASUREMENT, _RX, _TIMER, _TX, US_PER_MS, Simulator
-from .events import ms_to_us, ms_to_us_array, record, records_array, us_to_ms
+from .events import _MEASUREMENT, _RX, _TIMER, _TX, Simulator
+from .events import checked_us, ms_to_us, record, records_array, us_to_ms
 from .geometry import GeometrySample, GroundPosition, OrbitSpec, geometry_sample, propagate
 from .geometry import one_way_delay_ms, slant_range
 from .linkbudget import DL_SNR_FLOOR_DB, UL_SNR_FLOOR_DB
@@ -244,17 +244,17 @@ def precompensate_preamble(delay_est_ms: float) -> float:
     return 2.0 * delay_est_ms
 
 
-def delay_residual(service_delay_ms: float, delay_est_ms: float) -> tuple[float, float, float]:
-    """(advance_ms, residual_us, reported_delay_ms) of a delay estimate:
-    the preamble advance, the round-trip misalignment left after it, and
-    the delay the device reports in Msg3, quantized to 0.1 ms.  Scalar or
-    array."""
-    advance_ms = precompensate_preamble(delay_est_ms)
+def delay_residual(service_delay_ms: float, delay_est_ms: float) -> tuple[float, float]:
+    """(residual_us, reported_delay_ms) of a delay estimate: the round-trip
+    misalignment left after the preamble advance, and the delay the device
+    reports in Msg3, quantized to 0.1 ms.  Scalar or array."""
+    if np.any(delay_est_ms < 0):
+        raise DomainError("delay estimate must be non-negative")
     residual_us = 2.0 * (service_delay_ms - delay_est_ms) * 1000.0
     reported_delay_ms = (
         np.rint(delay_est_ms / REPORTED_DELAY_QUANTUM_MS) * REPORTED_DELAY_QUANTUM_MS
     )
-    return advance_ms, residual_us, reported_delay_ms
+    return residual_us, reported_delay_ms
 
 
 def quantize_ta(residual_us):
@@ -281,7 +281,8 @@ def schedule_rar_window(
     processing_delay_ms: float = 4.0,
     window_length_ms: float = MAX_CONTENTION_RESOLUTION_MS,
 ) -> tuple[float, float]:
-    """RAR monitoring window, shifted by the cell's maximum supported RTT."""
+    """RAR monitoring window, shifted by the cell's maximum supported RTT;
+    every argument and result in one unit (ms, or integer us)."""
     if max_rtt_ms < 0:
         raise DomainError("max RTT must be non-negative")
     start = preamble_tx_ms + max_rtt_ms + processing_delay_ms
@@ -289,9 +290,10 @@ def schedule_rar_window(
 
 
 # The slots of one attempt's access events, in the order the exchange logs
-# them; MSG4_END holds Msg4's arrival on success, else the CR timer expiry.
+# them; an attempt ends with Msg4's arrival (success) or the CR timer's
+# expiry, never both.
 (MSG1_TX, MSG1_RX, TA_OUT, MSG2_TX, RAR_EXPIRY, MSG2_RX, MSG3_TX, MSG3_RX, MSG4_TX,
- MSG4_END) = range(10)
+ CR_EXPIRY, MSG4_RX) = range(11)
 
 # An attempt's path indexes PATH_CAUSES: success, then the three failures.
 PATH_SUCCESS, PATH_RAR_TIMEOUT, PATH_TA_RANGE, PATH_CR_TIMEOUT = range(4)
@@ -299,8 +301,7 @@ PATH_CAUSES = (None, FailureCause.RAR_TIMEOUT, FailureCause.TA_RANGE, FailureCau
 
 # Each slot's record; None where it has a per-attempt detail (residual, TA
 # steps, reported delay), which gets one record per distinct value in a
-# call, so a long scenario's log holds no per-attempt copies.  MSG4_END
-# logs _MSG4_RX on success.
+# call, so a long scenario's log holds no per-attempt copies.
 _SLOT_RECORDS = [
     record("device", _TX, "msg1_preamble"),
     None,
@@ -312,46 +313,47 @@ _SLOT_RECORDS = [
     record("bs", _RX, "msg3_rrc_connection_request"),
     record("bs", _TX, "msg4_contention_resolution"),
     record("device", _TIMER, "contention_resolution_expiry"),
+    record("device", _RX, "msg4_contention_resolution"),
 ]
-_MSG4_RX = record("device", _RX, "msg4_contention_resolution")
 
 
 @dataclass(frozen=True, eq=False)
 class Attempts:
     """Per-attempt results of ``access_attempts``, one array element per
-    attempt.  ``latency_us`` is valid on success only and ``ta_steps``
-    only where ``ta_built`` (the base station built a TA command)."""
+    attempt, and what all attempts over the link share: the latency of a
+    success and the monitoring time of each path, in integer us.
+    ``ta_steps`` is valid only where ``ta_built`` (the base station built a
+    TA command)."""
 
     path: np.ndarray
-    latency_us: np.ndarray
-    monitoring_us: np.ndarray
     ta_steps: np.ndarray
     ta_built: np.ndarray
     reported_delay_ms: np.ndarray
+    latency_us: int
+    monitoring_us: tuple[int, int, int, int]  # indexed by path
 
     def outcomes(self) -> list[AccessOutcome]:
         return [
             AccessOutcome(
                 success=path == PATH_SUCCESS,
                 cause=PATH_CAUSES[path],
-                latency_ms=us_to_ms(latency) if path == PATH_SUCCESS else None,
-                monitoring_ms=us_to_ms(monitoring),
+                latency_ms=us_to_ms(self.latency_us) if path == PATH_SUCCESS else None,
+                monitoring_ms=us_to_ms(self.monitoring_us[path]),
                 ta_command=TimingAdvanceCommand(steps) if built else None,
                 reported_delay_ms=reported if path == PATH_SUCCESS else None,
             )
-            for path, latency, monitoring, steps, built, reported in zip(
+            for path, steps, built, reported in zip(
                 *(column.tolist() for column in (
-                    self.path, self.latency_us, self.monitoring_us, self.ta_steps,
-                    self.ta_built, self.reported_delay_ms,
+                    self.path, self.ta_steps, self.ta_built, self.reported_delay_ms,
                 ))
             )
         ]
 
 
-def _response_tx(request_arr, bs_proc: int, monitor_start, one_way: int):
+def _response_tx(request_arr: int, bs_proc: int, monitor_start: int, one_way: int) -> int:
     """When the base station answers Msg1 or Msg3: ``bs_proc`` after it arrives,
     held so the answer arrives as the device starts to monitor, not before."""
-    return np.maximum(request_arr + bs_proc, monitor_start - one_way)
+    return max(request_arr + bs_proc, monitor_start - one_way)
 
 
 def access_attempts(
@@ -370,35 +372,44 @@ def access_attempts(
     ``t1`` holds each attempt's preamble transmit time (integer us),
     ``channel`` the link, ``fade_db`` each attempt's fade on it (scalar or
     array), and ``delay_est_ms`` the device's estimate of the service-link
-    delay.  Every attempt's events are logged to ``sim`` in one append:
-    attempt by attempt, each in the order the exchange decides them, and
-    after a successful one its data ``transfer``, a template of
-    (offsets_us, records) started the device processing time after Msg4
-    arrives.
+    delay.  Each duration is rounded to integer us once and every event time
+    is ``t1`` plus a sum of those integers, so all attempts share one
+    timeline of offsets from Msg1; only which events happen differs.  Every
+    attempt's events are logged to ``sim`` in one append: attempt by
+    attempt, each in the order the exchange decides them, and after a
+    successful one its data ``transfer``, a template of (offsets_us,
+    records) started the device processing time after Msg4 arrives.
     """
     d1, d2, d3, d4 = (
         np.broadcast_to(channel.delivers(kind, fade_db), t1.shape) for kind in MessageKind
     )
-    one_way = channel.one_way_us(channel.rtt_ms)
-    _, residual_us, reported_delay_ms = delay_residual(channel.service_delay_ms, delay_est_ms)
-    bs_proc = ms_to_us(timing.bs_processing_ms)
-    window_start_ms, window_end_ms = schedule_rar_window(
-        t1 / US_PER_MS, max_rtt_ms, timing.bs_processing_ms, timing.rar_window_length_ms
-    )
-    window_start, window_end = ms_to_us_array(window_start_ms), ms_to_us_array(window_end_ms)
-    msg1_arr = t1 + one_way
+    residual_us, reported_delay_ms = delay_residual(channel.service_delay_ms, delay_est_ms)
     in_range, ta_steps = quantize_ta(residual_us)
-    msg2_tx = _response_tx(msg1_arr, bs_proc, window_start, one_way)
+
+    # The timeline, in Python ints: offsets from Msg1's transmission.
+    one_way = channel.one_way_us(channel.rtt_ms)
+    max_rtt, bs_proc, dev_proc, window_len = map(ms_to_us, (
+        max_rtt_ms, timing.bs_processing_ms, timing.device_processing_ms,
+        timing.rar_window_length_ms,
+    ))
+    window_start, window_end = schedule_rar_window(0, max_rtt, bs_proc, window_len)
+    msg2_tx = _response_tx(one_way, bs_proc, window_start, one_way)
     msg2_arr = msg2_tx + one_way
     # Msg3 grant dimensioned by the cell's maximum supported RTT.
-    msg3_tx = msg2_tx + ms_to_us(max_rtt_ms + timing.device_processing_ms) - one_way
+    msg3_tx = msg2_tx + max_rtt + dev_proc - one_way
     msg3_arr = msg3_tx + one_way
-    cr_offset_ms, cr_len_ms = apply_timer_rules(timers, max_rtt_ms, TimerEvent.MSG3_SENT)
-    cr_start = msg3_tx + ms_to_us(cr_offset_ms)
-    cr_len = ms_to_us(cr_len_ms)
+    cr_offset, cr_len = map(ms_to_us, apply_timer_rules(timers, max_rtt_ms, TimerEvent.MSG3_SENT))
+    cr_start = msg3_tx + cr_offset
     cr_end = cr_start + cr_len
     msg4_tx = _response_tx(msg3_arr, bs_proc, cr_start, one_way)
     msg4_arr = msg4_tx + one_way
+    offsets = [
+        0, one_way, one_way + bs_proc, msg2_tx, window_end, msg2_arr, msg3_tx, msg3_arr, msg4_tx,
+        cr_end, msg4_arr,
+    ]
+    transfer_offsets, transfer_records = transfer
+    transfer_start = msg4_arr + dev_proc
+    checked_us(max(offsets + [transfer_start + int(transfer_offsets.max(initial=0))]))
 
     ta_built = d1 & in_range
     rar = ta_built & d2 & (msg2_arr <= window_end)
@@ -408,24 +419,20 @@ def access_attempts(
         [PATH_SUCCESS, PATH_CR_TIMEOUT, PATH_RAR_TIMEOUT, PATH_TA_RANGE],
         PATH_RAR_TIMEOUT,
     )
-    monitoring = np.where(
-        rar,
-        (msg2_arr - window_start) + np.where(success, msg4_arr - cr_start, cr_len),
-        window_end - window_start,
+    # Each path's monitoring time, in PATH_CAUSES order.
+    rar_monitoring = msg2_arr - window_start
+    monitoring = (
+        rar_monitoring + msg4_arr - cr_start, window_len, window_len, rar_monitoring + cr_len
     )
 
-    times = np.stack([
-        t1, msg1_arr, msg1_arr + bs_proc, msg2_tx, window_end, msg2_arr, msg3_tx, msg3_arr,
-        msg4_tx, np.where(success, msg4_arr, cr_end),
-    ], axis=1)
+    times = t1[:, None] + np.array(offsets, np.int64)
     logged = np.stack([
-        np.ones_like(t1, bool), d1, d1 & ~in_range, ta_built, path == PATH_RAR_TIMEOUT, rar, rar,
-        rar & d3, rar & d3, rar,
+        np.ones_like(d1), d1, d1 & ~in_range, ta_built, path == PATH_RAR_TIMEOUT, rar, rar,
+        rar & d3, rar & d3, rar & ~success, success,
     ], axis=1)
     # Each logged event's record, as an index into `table`.
-    table = [*_SLOT_RECORDS, _MSG4_RX]
-    codes = np.tile(np.arange(len(_SLOT_RECORDS)), (len(t1), 1))
-    codes[:, MSG4_END] = np.where(success, len(_SLOT_RECORDS), MSG4_END)
+    table = list(_SLOT_RECORDS)
+    codes = np.tile(np.arange(len(table)), (len(t1), 1))
     for slot, values, entity, kind, detail in (
         (MSG1_RX, residual_us, "bs", _RX, "msg1_preamble residual_us={:.3f}"),
         (MSG2_RX, ta_steps, "device", _RX, "msg2_rar ta_steps={}"),
@@ -440,7 +447,6 @@ def access_attempts(
 
     # Each attempt's access events, then its transfer template on success,
     # at consecutive log positions starting at `base`.
-    transfer_offsets, transfer_records = transfer
     n_access = logged.sum(axis=1)
     sizes = n_access + len(transfer_offsets) * success
     base = np.cumsum(sizes) - sizes
@@ -450,11 +456,10 @@ def access_attempts(
     log_times[at] = times[logged]
     log_codes[at] = codes[logged]
     at = (base + n_access)[success][:, None] + np.arange(len(transfer_offsets))
-    transfer_start = ms_to_us_array(msg4_arr[success] / US_PER_MS + timing.device_processing_ms)
-    log_times[at] = transfer_start[:, None] + transfer_offsets
+    log_times[at] = t1[success][:, None] + (transfer_start + transfer_offsets)
     log_codes[at] = len(table) + np.arange(len(transfer_offsets))
     sim.append(log_times, np.concatenate([records_array(table), transfer_records])[log_codes])
-    return Attempts(path, msg4_arr - t1, monitoring, ta_steps, ta_built, reported_delay_ms)
+    return Attempts(path, ta_steps, ta_built, reported_delay_ms, msg4_arr, monitoring)
 
 
 def run_random_access(
@@ -481,7 +486,7 @@ def run_random_access(
         delay_est_ms = estimate_service_delay(device, si.ephemeris, start_ms / 1000.0)
     (outcome,) = access_attempts(
         sim,
-        ms_to_us_array(np.array([start_ms])),
+        np.array([ms_to_us(start_ms)], np.int64),
         channel,
         0.0,
         np.array([delay_est_ms]),

@@ -23,7 +23,6 @@ from ntnsim.constants import SPEED_OF_LIGHT_KM_S, SPEED_OF_LIGHT_M_S
 from ntnsim.engine import (
     MetricsReport,
     _link_snrs,
-    _percentile,
     harq_transfer,
     rlc_transfer,
     run_scenario,
@@ -79,10 +78,10 @@ def run_random_access_reference(
     )
 
     t1 = ms_to_us(start_ms)
-    window_start_ms, window_end_ms = schedule_rar_window(
-        us_to_ms(t1), si.max_rtt_ms, timing.bs_processing_ms, timing.rar_window_length_ms
+    window_start, window_end = schedule_rar_window(
+        t1, ms_to_us(si.max_rtt_ms), ms_to_us(timing.bs_processing_ms),
+        ms_to_us(timing.rar_window_length_ms),
     )
-    window_start, window_end = ms_to_us(window_start_ms), ms_to_us(window_end_ms)
     times = {"msg1_tx": us_to_ms(t1)}
 
     def finish(success, cause, latency_us, monitoring_us, ta=None):
@@ -132,7 +131,7 @@ def run_random_access_reference(
         raise DomainError("aggregate timing advance became negative")
     device.timing_advance_us = total_advance_us
 
-    msg3_tx = msg2_tx + ms_to_us(si.max_rtt_ms + timing.device_processing_ms) - one_way
+    msg3_tx = msg2_tx + ms_to_us(si.max_rtt_ms) + ms_to_us(timing.device_processing_ms) - one_way
     msg3_arr = msg3_tx + one_way
     sim.schedule(
         msg3_tx, EventKind.TX_START, "device", f"msg3 reported_delay_ms={reported_delay_ms:.1f}"
@@ -189,6 +188,7 @@ def run_scenario_reference(config, seed):
     sim = Simulator()
     report = MetricsReport(scenario=config.name, seed=seed)
     outcomes, latencies = [], []
+    monitoring_us = transfer_us = 0
     for i in range(traffic.n_messages):
         start_ms = i * traffic.inter_arrival_ms
         gnss_err_m = rng.gauss(0.0, access.gnss_error_m) if access.gnss_error_m > 0 else 0.0
@@ -212,7 +212,7 @@ def run_scenario_reference(config, seed):
         )
         outcomes.append(outcome)
         report.access_attempts += 1
-        report.monitoring_time_ms += outcome.monitoring_ms
+        monitoring_us += ms_to_us(outcome.monitoring_ms)
         if not outcome.success:
             cause = outcome.cause.value
             report.failure_causes[cause] = report.failure_causes.get(cause, 0) + 1
@@ -222,7 +222,7 @@ def run_scenario_reference(config, seed):
         if not reception_ok(channel.snr_ul_db, channel.repetitions, channel.snr_threshold_ul_db):
             report.failure_causes["data_snr"] = report.failure_causes.get("data_snr", 0) + 1
             continue
-        transfer_start = ms_to_us(times["msg4_arrival"] + access.device_processing_ms)
+        transfer_start = ms_to_us(times["msg4_arrival"]) + ms_to_us(access.device_processing_ms)
         transfer = config.transfer
         if config.harq.enabled:
             end_us = harq_transfer(
@@ -233,9 +233,11 @@ def run_scenario_reference(config, seed):
             end_us = rlc_transfer(
                 sim, transfer_start, n_units, transfer.rlc_window_pdus, transfer.tti_ms, rtt_true
             )
-        report.transferred_bits += traffic.message_size_bits
-        report.transfer_time_ms += us_to_ms(end_us - transfer_start)
+        transfer_us += end_us - transfer_start
     latencies.sort()
+    report.monitoring_time_ms = us_to_ms(monitoring_us)
+    report.transferred_bits = report.access_successes * traffic.message_size_bits
+    report.transfer_time_ms = us_to_ms(transfer_us)
     report.access_latency_p50_ms = _percentile(latencies, 0.50)
     report.access_latency_p95_ms = _percentile(latencies, 0.95)
     report.access_latency_max_ms = latencies[-1] if latencies else 0.0
@@ -243,6 +245,13 @@ def run_scenario_reference(config, seed):
         report.goodput_bps = report.transferred_bits / (report.transfer_time_ms / 1000.0)
     sim.run()
     return report, sim.trace_rows(), outcomes
+
+
+def _percentile(sorted_values, q):
+    if not sorted_values:
+        return 0.0
+    rank = max(0, math.ceil(q * len(sorted_values)) - 1)
+    return sorted_values[rank]
 
 
 def _summary(outcome):
@@ -276,7 +285,7 @@ def _timers(draw, t1, one_way, max_rtt_ms, bs_ms, offset_ms):
     draws, or ending exactly at (or 1 us before) the arrival of the RAR or
     Msg4 of an attempt started at ``t1`` us.  A None offset is the RTT."""
     bs = ms_to_us(bs_ms)
-    window_start = ms_to_us(t1 / 1000 + max_rtt_ms + bs_ms)
+    window_start = t1 + ms_to_us(max_rtt_ms) + bs
     rar_late = max(t1 + one_way + bs, window_start - one_way) + one_way - window_start
     cr_offset = ms_to_us(max_rtt_ms if offset_ms is None else offset_ms)
     msg4_late = max(2 * one_way + bs - cr_offset, 0)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from ntnsim import cli
 from ntnsim.cli import _cell, _write_csv, main
 from ntnsim.config import load_config
-from ntnsim.constants import SPEED_OF_LIGHT_KM_S
+from ntnsim.constants import SIDEREAL_DAY_S, SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import run_scenario
 from ntnsim.events import EventKind, Simulator
 
@@ -41,6 +42,42 @@ def test_geometry_accepts_a_zero_min_elevation(config_dir, tmp_path):
     rows = [line.split(",") for line in (tmp_path / "geometry.csv").read_text().splitlines()]
     visibility = next(float(row[3]) for row in rows if row[2] == "visibility_s")
     assert visibility > 600.0  # a 600 km pass lasts about 12 minutes from horizon to horizon
+
+
+def _geometry_values(config_dir, tmp_path, name, edit) -> dict:
+    """The geometry command's metric values for a bundled config after
+    ``edit``."""
+    data = json.loads((config_dir / name).read_text())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert main(["geometry", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "geometry.csv").read_text().splitlines()]
+    return {row[2]: float(row[3]) for row in rows[1:]}
+
+
+def test_geometry_of_a_geo_satellite_below_the_horizon(config_dir, tmp_path):
+    """A GEO satellite on the far side of the earth never rises: no
+    visibility and no Doppler, not a visibility of inf and the Doppler of
+    samples below the horizon."""
+    far = lambda data: data["constellation"][0].update(raan_deg=180.0)
+    values = _geometry_values(config_dir, tmp_path, "geo_sband.json", far)
+    assert values["visibility_s"] == 0.0
+    assert values["max_doppler_hz"] == 0.0
+
+
+def test_geometry_of_a_geo_satellite_that_sets(config_dir, tmp_path):
+    """Inclined GEO seen between 12.5 and 33.8 degrees: above 10 degrees
+    all day (inf), above 25 degrees for part of it, below 40 never."""
+    def at(min_el):
+        edit = lambda data: data.update(min_elevation_deg=min_el)
+        return _geometry_values(config_dir, tmp_path, "inclined_geo.json", edit)
+
+    always, part, never = at(10.0), at(25.0), at(40.0)
+    assert always["visibility_s"] == math.inf
+    assert 0.0 < part["visibility_s"] < SIDEREAL_DAY_S
+    assert 0.0 < part["max_doppler_hz"] <= always["max_doppler_hz"]
+    assert (never["visibility_s"], never["max_doppler_hz"]) == (0.0, 0.0)
 
 
 def test_doppler_trace_modes(config_dir, tmp_path):
@@ -367,12 +404,17 @@ def _set_fields(data, edits):
 
 
 # Configs that load but whose event times leave the int64 us range; the
-# last only through a transfer's offsets (four TTIs of 4e15 ms).
+# fourth only through a transfer's offsets (four TTIs of 4e15 ms).
 PAST_THE_US_RANGE = [
     {"transfer.tti_ms": 1e300},
     {"transfer.ack_processing_ms": 1e300},
     {"timers.ntn_start_offset_ms": 1e300},
     {"transfer.tti_ms": 4e15, "traffic.n_messages": 1},
+    # The CR start, each term in range but their sum not.
+    {"access.max_rtt_ms": 2.4e15, "access.device_processing_ms": 2.2e15,
+     "timers.ntn_start_offset_ms": 2.4e15},
+    # The RAR window's end.
+    {"access.max_rtt_ms": 4.6e15, "access.rar_window_length_ms": 4.6e15},
 ]
 
 

@@ -436,6 +436,18 @@ def test_run_scenario_dropped_preamble_counts_rar_timeouts():
     assert result.report.failure_causes == {"rar_timeout": 3}
 
 
+def test_report_sums_are_exact_beyond_int64(config_dir):
+    """Ten RAR windows of 1e15 ms add to 1e19 us, past the int64 range; the
+    report adds them in Python ints."""
+    data = json.loads((config_dir / "leo600_sband.json").read_text())
+    data["access"]["rar_window_length_ms"] = 1e15
+    data["channel"]["drop_kinds"] = ["msg1_preamble"]
+    data["traffic"]["n_messages"] = 10
+    report = run_scenario(load_config_dict(data)).report
+    assert report.failure_causes == {"rar_timeout": 10}
+    assert report.monitoring_time_ms == 1e16
+
+
 def test_config_unknown_field_and_type_errors_collected():
     bad = json.loads(json.dumps(MINIMAL))
     bad["bogus"] = 1

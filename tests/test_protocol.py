@@ -1,7 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntnsim.errors import DomainError, NotReachableError
@@ -27,6 +28,7 @@ from ntnsim.protocol import (
     TA_STEP_US,
     TimerConfig,
     TimerEvent,
+    access_attempts,
     apply_timer_rules,
     autonomous_ta_update,
     build_ta_command,
@@ -308,3 +310,86 @@ def test_geo_rlc_beats_two_process_harq(rtt):
     harq = harq_throughput(rtt, 1000.0, HarqConfig(n_processes=2))
     rlc = rlc_arq_throughput(rtt, 16, 1000.0, 4.0)
     assert rlc > harq
+
+
+def _ms(hi):
+    """Durations in ms: arbitrary floats, or on the half-us grid, where a
+    sum rounded to integer us depends on the order of float steps."""
+    return st.one_of(st.floats(0.0, hi), st.integers(0, int(hi * 2000)).map(lambda k: k / 2000))
+
+
+@st.composite
+def _links(draw):
+    """(channel, timers, timing, max_rtt_ms): one link and one set of access
+    timings, with messages that get through or not by their fade."""
+    channel = BentPipeChannel(
+        service_delay_ms=draw(_ms(150.0)),
+        feeder_delay_ms=draw(_ms(150.0)),
+        snr_dl_db=0.0,
+        snr_ul_db=0.0,
+        snr_threshold_dl_db=0.0,
+        snr_threshold_ul_db=0.0,
+    )
+    max_rtt = draw(st.one_of(st.sampled_from([12.3455, 26.0, 541.0]), _ms(700.0).filter(bool)))
+    timers = TimerConfig(
+        contention_resolution_ms=draw(_ms(10240.0)),
+        ntn_start_offset_ms=draw(st.one_of(st.none(), _ms(600.0))),
+    )
+    timing = AccessTiming(
+        bs_processing_ms=draw(_ms(20.0)),
+        device_processing_ms=draw(_ms(20.0)),
+        rar_window_length_ms=draw(_ms(2000.0)),
+    )
+    return channel, timers, timing, max_rtt
+
+
+def _log(sim):
+    """(times_us, (entity, kind, detail) of each entry), in log order."""
+    times, _, records = sim._columns()
+    return times, [rec[:3] for rec in records.tolist()]
+
+
+def _shape(outcome):
+    return outcome.success, outcome.cause, outcome.latency_ms, outcome.monitoring_ms
+
+
+@given(
+    _links(),
+    st.lists(st.tuples(st.integers(0, 10**10), st.floats(-3.0, 3.0), st.floats(-0.02, 0.02)),
+             min_size=1, max_size=8),
+    st.integers(1, 10**10),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_access_timeline_is_a_pure_shift_of_the_start(link, starts, k):
+    """Every attempt over one link has one timeline: starting it k us later
+    moves each logged event by exactly k us and changes no path, latency
+    or monitoring time, through the kernel and through one-attempt calls."""
+    channel, timers, timing, max_rtt = link
+    t1, fades, errors = (np.array(column) for column in zip(*starts))
+    # Short of the true delay, so no aggregate advance is negative.
+    delay_est = np.maximum(channel.service_delay_ms - np.abs(errors), 0.0)
+    runs = []
+    for shift in (0, k):
+        sim = Simulator()
+        got = access_attempts(
+            sim, t1 + shift, channel, fades, delay_est, max_rtt, timers, timing
+        )
+        runs.append((_log(sim), got.outcomes()))
+    ((times, records), outcomes), ((shifted, shifted_records), shifted_outcomes) = runs
+    assert shifted.tolist() == (times + k).tolist()
+    assert shifted_records == records
+    assert list(map(_shape, shifted_outcomes)) == list(map(_shape, outcomes))
+
+    si = SystemInformation(ephemeris=Ephemeris(orbits=(GEO,)), max_rtt_ms=max_rtt)
+    for start, estimate in zip(t1.tolist(), delay_est.tolist()):
+        runs = []
+        for shift in (0, k):
+            sim = Simulator()
+            outcome = run_random_access(
+                DeviceContext(gnss_position=OBS), si, channel, timers, timing, sim,
+                start_ms=(start + shift) / 1000, delay_est_ms=estimate,
+            )
+            runs.append((_log(sim), _shape(outcome)))
+        ((times, records), outcome), ((shifted, shifted_records), shifted_outcome) = runs
+        assert shifted.tolist() == (times + k).tolist()
+        assert (shifted_records, shifted_outcome) == (records, outcome)
