@@ -307,10 +307,18 @@ class ScenarioConfig:
         _check_elevation("max elevation", self.max_elevation_deg)
         if self.min_elevation_deg > self.max_elevation_deg:
             raise DomainError("min elevation exceeds max elevation")
-        for link in self.links:
-            if link is not None and not 0 <= link.orbit_index < len(self.constellation):
+        first = {}  # (orbit_index, direction) -> the index of its link
+        for i, link in enumerate(self.links):
+            if link is None:
+                continue
+            if not 0 <= link.orbit_index < len(self.constellation):
                 raise DomainError(
                     f"link {link.name!r}: orbit_index {link.orbit_index} outside the constellation"
+                )
+            key = (link.orbit_index, link.direction)
+            if first.setdefault(key, i) != i:
+                raise DomainError(
+                    f"links[{i}]: duplicates links[{first[key]}] (orbit_index, direction) {key}"
                 )
         # harq/transfer are None only when they failed to load.  The ratio is
         # compared before rounding up, because two finite sizes may give inf.

@@ -16,7 +16,7 @@ from .config import LinkCfg, ScenarioConfig
 from .constants import SPEED_OF_LIGHT_M_S
 from .errors import ConfigError, DomainError
 from .events import _RX, _TX, Simulator, checked_us, ms_to_us, ms_to_us_array
-from .events import record, records_array, us_to_ms
+from .events import record, us_to_ms
 # geometry_sample, propagate and run_random_access stay importable from this
 # module (unused here): perfbench/tracing.py patches them to count calls.
 from .geometry import GroundPosition, OrbitKind, OrbitSpec, _sweep_times, geometry_samples
@@ -38,7 +38,7 @@ def harq_transfer(
     """Stop-and-wait transfer with at most ``n_processes`` outstanding
     blocks; returns the time the last acknowledgment arrives."""
     offsets, records, end = _harq_events(n_blocks, n_processes, tti_ms, rtt_ms, ack_processing_ms)
-    sim.append(start_us + offsets, records)
+    sim.append(start_us + offsets, range(len(records)), records)
     return start_us + end
 
 
@@ -53,7 +53,7 @@ def rlc_transfer(
     """Windowed transfer with a status poll on the last PDU of each
     window; returns the arrival time of the final status report."""
     offsets, records, end = _rlc_events(n_pdus, window_pdus, tti_ms, rtt_ms)
-    sim.append(start_us + offsets, records)
+    sim.append(start_us + offsets, range(len(records)), records)
     return start_us + end
 
 
@@ -65,13 +65,12 @@ def rlc_transfer(
 # rule, BentPipeChannel.one_way_us.
 
 
-def _template(events: list, end: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(offsets_us, records, end_us) of ``(offset_us, record)`` events, as
-    read-only arrays: the caches hand the same arrays to every caller."""
+def _template(events: list, end: int) -> tuple[np.ndarray, tuple, int]:
+    """(offsets_us, records, end_us) of ``(offset_us, record)`` events, a
+    read-only array and a tuple: the caches hand them to every caller."""
     offsets = np.array(checked_us([offset for offset, _ in events]), dtype=np.int64)
-    records = records_array([rec for _, rec in events])
-    offsets.flags.writeable = records.flags.writeable = False
-    return offsets, records, end
+    offsets.flags.writeable = False
+    return offsets, tuple(rec for _, rec in events), end
 
 
 @functools.lru_cache(maxsize=64)

@@ -2,17 +2,22 @@
 
 Time is carried as integer microseconds so long GEO scenarios never
 accumulate float drift in timer arithmetic.  The protocol and transfer
-models compute every event time in closed form and only log it here:
-one event (``schedule``) or many at once (``append``: a transfer template
-at its start time, or a whole scenario's events).  The log is kept as
-columns, appended in chunks of (int64 times, seqs, records), seq being
-the log position; ``run`` sorts it once, stably by time, into (time, seq)
-order, so events at equal times keep the order they were logged in.
+models compute every event time in closed form and only log it here, in
+one way: ``append(times_us, codes, table)`` logs ``table[codes[k]]`` at
+``times_us[k]`` (a transfer template at its start time, or a whole
+scenario's events); ``schedule`` logs one event.  The log is kept as int64
+columns (times, seqs, codes), seq being the log position and code an
+index into the simulator's one list of records; ``run`` sorts them once,
+stably by time, into (time, seq) order, so events at equal times keep the
+order they were logged in.
 
 A record (see ``record``) is built once per distinct event and shared by
-every entry that logs it, and it carries its CSV line tail, so
-``write_csv`` formats only the time and seq of each entry.  The log stays
-in integer us until it is written; ``trace_rows`` builds float rows only
+every entry that logs it, and it carries its CSV line tail.
+``write_csv`` builds the trace bytes block by block with array
+operations: each row is the whole ms and the seq as ASCII digits, an
+8-byte ms fraction from a table, and the tail of the row's record, in a
+NUL-padded uint8 matrix whose NULs are then dropped.  The log stays in
+integer us until it is written; ``trace_rows`` builds float rows only
 when asked.
 """
 
@@ -63,76 +68,102 @@ _TX, _RX, _TIMER, _MEASUREMENT = (kind.value for kind in EventKind)
 def record(entity: str, kind: str, detail: str = "") -> tuple[str, str, str, str]:
     """``(entity, kind, detail, csv_tail)`` of one event; ``kind`` is an
     ``EventKind`` value and ``csv_tail`` the event's trace line after its
-    time and seq."""
+    time and seq.  No field may hold a NUL, which ``write_csv`` pads with."""
+    if "\0" in entity + kind + detail:
+        raise DomainError("trace fields must not contain NUL")
     return entity, kind, detail, f",{entity},{kind},{detail}\n"
-
-
-def records_array(records) -> np.ndarray:
-    """A 1-d object array of records (a plain ``np.array`` would read each
-    record tuple as a row)."""
-    return np.fromiter(records, dtype=object, count=len(records))
 
 
 # The ms fraction and the comma after it of each time_us % 1000, as
 # f"{t / 1000:.6f}" prints it, for 0 <= t < 2**33 ms (about 99 days): there
 # the float t / 1000 lies within half a printed digit of its decimal value.
 # The log holds no negative time.
-_FRAC = np.array([f".{k:03d}000," for k in range(US_PER_MS)], dtype=object)
+_FRAC = np.array([f".{k:03d}000,".encode() for k in range(US_PER_MS)])
+_FRAC = _FRAC.view(np.uint8).reshape(US_PER_MS, _FRAC.itemsize)
+# Rows per block of write_csv and trace_rows, which bounds their memory.
+_BLOCK_ROWS = 1 << 14
+# The least value that shows a digit k places left of the units digit:
+# 10**k, and 0 for the units digit, which always shows.
+_SHOWN_FROM = np.array([0] + [10**k for k in range(1, 19)], np.int64)
+
+
+def _digits(x: np.ndarray) -> np.ndarray:
+    """``(len(x), width)`` uint8: each non-negative int of ``x`` in ASCII
+    decimal, right-aligned, NUL where a leading zero would be."""
+    width = len(str(int(x.max())))
+    shown = x >= _SHOWN_FROM[width - 1::-1, None]
+    out = np.empty((width, len(x)), np.uint8)
+    for j in reversed(range(width)):
+        quotient = x // 10
+        out[j] = x - 10 * quotient
+        x = quotient
+    out += ord("0")
+    out *= shown
+    return out.T
 
 
 class Simulator:
     """Event log with a CSV-able trace."""
 
     def __init__(self):
-        # (times_us, seqs, records) chunks in log order; equal times sort
-        # by seq within and across chunks.
+        # (times_us, seqs, codes) chunks in log order; equal times sort by
+        # seq within and across chunks.  A code indexes self._records.
         self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._records: list[tuple[str, str, str, str]] = []
         self._size = 0
 
-    def append(self, times_us, records: np.ndarray) -> None:
-        """Log ``records[k]`` (an object array) at ``times_us[k]``, in order."""
+    def append(self, times_us, codes, table) -> None:
+        """Log ``table[codes[k]]`` (a record) at ``times_us[k]``, in order."""
         times_us = np.asarray(times_us, dtype=np.int64)
         if times_us.size and times_us.min() < 0:
             raise DomainError("event times must be non-negative")
         seqs = np.arange(self._size, self._size + len(times_us))
-        self._chunks.append((times_us, seqs, records))
+        self._chunks.append((times_us, seqs, len(self._records) + np.asarray(codes, np.int64)))
+        self._records += table
         self._size += len(times_us)
 
     def schedule(self, time_us: int, kind: EventKind, entity: str, detail: str = "") -> None:
-        self.append([int(time_us)], records_array([record(entity, kind._value_, detail)]))
+        self.append([int(time_us)], [0], [record(entity, kind._value_, detail)])
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(times_us, seqs, records) of the whole log, merged into one chunk."""
+        """(times_us, seqs, codes) of the whole log, merged into one chunk."""
         if not self._chunks:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, object)
+            return (np.zeros(0, np.int64),) * 3
         if len(self._chunks) > 1:
             self._chunks = [tuple(np.concatenate(part) for part in zip(*self._chunks))]
         return self._chunks[0]
 
     def run(self) -> None:
         """Sort the log by (time, seq); (time, seq) pairs are unique."""
-        times, seqs, records = self._columns()
+        times, seqs, codes = self._columns()
         order = np.argsort(times, kind="stable")
-        self._chunks = [(times[order], seqs[order], records[order])]
+        self._chunks = [(times[order], seqs[order], codes[order])]
+
+    def _blocks(self):
+        """(times_us, seqs, codes) of the log, ``_BLOCK_ROWS`` entries at a time."""
+        columns = self._columns()
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            yield tuple(column[start:start + _BLOCK_ROWS] for column in columns)
 
     def trace_rows(self) -> list[tuple[float, int, str, str, str]]:
         """(time_ms, seq, entity, kind, detail) rows of the event trace."""
-        times, seqs, records = self._columns()
         return [
             (time_us / US_PER_MS, seq, entity, kind, detail)  # us_to_ms, inlined
+            for times, seqs, codes in self._blocks()
             for time_us, seq, (entity, kind, detail, _) in zip(
-                times.tolist(), seqs.tolist(), records.tolist()
+                times.tolist(), seqs.tolist(), map(self._records.__getitem__, codes.tolist())
             )
         ]
 
     def write_csv(self, fh) -> None:
         """Write the trace CSV (header, then one line per entry) to ``fh``."""
         fh.write("time_ms,seq,entity,kind,detail\n")
-        times, seqs, records = self._columns()
-        ms, frac = np.divmod(times, US_PER_MS)
-        fh.write("".join([
-            f"{whole}{part}{seq}{rec[3]}"
-            for whole, part, seq, rec in zip(
-                ms.tolist(), _FRAC[frac].tolist(), seqs.tolist(), records.tolist()
+        tails = np.array([rec[3].encode() for rec in self._records], dtype=bytes)
+        tails = tails.view(np.uint8).reshape(len(tails), tails.itemsize)
+        for times, seqs, codes in self._blocks():
+            ms, frac = np.divmod(times, US_PER_MS)
+            rows = np.concatenate(
+                (_digits(ms), _FRAC.take(frac, 0), _digits(seqs), tails.take(codes, 0)), axis=1
             )
-        ]))
+            flat = rows.reshape(-1)
+            fh.write(flat[flat != 0].tobytes().decode())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NotReachableError
 from .events import _MEASUREMENT, _RX, _TIMER, _TX, Simulator
-from .events import checked_us, ms_to_us, record, records_array, us_to_ms
+from .events import checked_us, ms_to_us, record, us_to_ms
 from .geometry import GeometrySample, GroundPosition, OrbitSpec, geometry_sample, propagate
 from .geometry import one_way_delay_ms, slant_range
 from .linkbudget import DL_SNR_FLOOR_DB, UL_SNR_FLOOR_DB
@@ -299,22 +299,20 @@ def schedule_rar_window(
 PATH_SUCCESS, PATH_RAR_TIMEOUT, PATH_TA_RANGE, PATH_CR_TIMEOUT = range(4)
 PATH_CAUSES = (None, FailureCause.RAR_TIMEOUT, FailureCause.TA_RANGE, FailureCause.CR_TIMEOUT)
 
-# Each slot's record; None where it has a per-attempt detail (residual, TA
-# steps, reported delay), which gets one record per distinct value in a
-# call, so a long scenario's log holds no per-attempt copies.
-_SLOT_RECORDS = [
-    record("device", _TX, "msg1_preamble"),
-    None,
-    record("bs", _MEASUREMENT, "ta_out_of_range"),
-    record("bs", _TX, "msg2_rar"),
-    record("device", _TIMER, "rar_window_expiry"),
-    None,
-    None,
-    record("bs", _RX, "msg3_rrc_connection_request"),
-    record("bs", _TX, "msg4_contention_resolution"),
-    record("device", _TIMER, "contention_resolution_expiry"),
-    record("device", _RX, "msg4_contention_resolution"),
-]
+# The record of each slot with a fixed detail.  The other three slots carry
+# a per-attempt detail (residual, TA steps, reported delay), which gets one
+# record per distinct value in a call, so a long scenario's log holds no
+# per-attempt copies.
+_SLOT_RECORDS = {
+    MSG1_TX: record("device", _TX, "msg1_preamble"),
+    TA_OUT: record("bs", _MEASUREMENT, "ta_out_of_range"),
+    MSG2_TX: record("bs", _TX, "msg2_rar"),
+    RAR_EXPIRY: record("device", _TIMER, "rar_window_expiry"),
+    MSG3_RX: record("bs", _RX, "msg3_rrc_connection_request"),
+    MSG4_TX: record("bs", _TX, "msg4_contention_resolution"),
+    CR_EXPIRY: record("device", _TIMER, "contention_resolution_expiry"),
+    MSG4_RX: record("device", _RX, "msg4_contention_resolution"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,7 +363,7 @@ def access_attempts(
     max_rtt_ms: float,
     timers: TimerConfig,
     timing: AccessTiming,
-    transfer: tuple[np.ndarray, np.ndarray] = (np.zeros(0, np.int64), np.zeros(0, object)),
+    transfer: tuple[np.ndarray, tuple] = (np.zeros(0, np.int64), ()),
 ) -> Attempts:
     """The four-message exchange of independent attempts, in closed form.
 
@@ -431,8 +429,9 @@ def access_attempts(
         rar & d3, rar & d3, rar & ~success, success,
     ], axis=1)
     # Each logged event's record, as an index into `table`.
-    table = list(_SLOT_RECORDS)
-    codes = np.tile(np.arange(len(table)), (len(t1), 1))
+    table = list(_SLOT_RECORDS.values())
+    codes = np.empty(times.shape, np.int64)
+    codes[:, list(_SLOT_RECORDS)] = np.arange(len(table))
     for slot, values, entity, kind, detail in (
         (MSG1_RX, residual_us, "bs", _RX, "msg1_preamble residual_us={:.3f}"),
         (MSG2_RX, ta_steps, "device", _RX, "msg2_rar ta_steps={}"),
@@ -451,14 +450,14 @@ def access_attempts(
     sizes = n_access + len(transfer_offsets) * success
     base = np.cumsum(sizes) - sizes
     log_times = np.empty(int(sizes.sum()), np.int64)
-    log_codes = np.empty(len(log_times), np.intp)
+    log_codes = np.empty(len(log_times), np.int64)
     at = (base[:, None] + np.cumsum(logged, axis=1) - 1)[logged]
     log_times[at] = times[logged]
     log_codes[at] = codes[logged]
     at = (base + n_access)[success][:, None] + np.arange(len(transfer_offsets))
     log_times[at] = t1[success][:, None] + (transfer_start + transfer_offsets)
     log_codes[at] = len(table) + np.arange(len(transfer_offsets))
-    sim.append(log_times, np.concatenate([records_array(table), transfer_records])[log_codes])
+    sim.append(log_times, log_codes, table + list(transfer_records))
     return Attempts(path, ta_steps, ta_built, reported_delay_ms, msg4_arr, monitoring)
 
 

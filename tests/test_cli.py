@@ -300,6 +300,18 @@ def test_link_orbit_index_outside_constellation_exits_2(config_dir, tmp_path, ca
     _exits_2_at_load(path, tmp_path, capsys, "orbit_index 7 outside the constellation")
 
 
+def test_duplicate_link_exits_2(config_dir, tmp_path, capsys):
+    """Two links for one (orbit_index, direction) are rejected, not left to
+    the last one."""
+    path = _edited_leo_config(
+        config_dir, tmp_path, lambda d: d["links"].append(dict(d["links"][0], name="dl2"))
+    )
+    _exits_2_at_load(
+        path, tmp_path, capsys,
+        "config: links[2]: duplicates links[0] (orbit_index, direction) (0, 'downlink')",
+    )
+
+
 def test_non_finite_number_exits_2(config_dir, tmp_path, capsys):
     path = _edited_leo_config(
         config_dir, tmp_path, lambda d: d["access"].update(gnss_error_m=float("nan"))

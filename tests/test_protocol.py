@@ -345,8 +345,8 @@ def _links(draw):
 
 def _log(sim):
     """(times_us, (entity, kind, detail) of each entry), in log order."""
-    times, _, records = sim._columns()
-    return times, [rec[:3] for rec in records.tolist()]
+    times, _, codes = sim._columns()
+    return times, [sim._records[code][:3] for code in codes.tolist()]
 
 
 def _shape(outcome):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ntnsim.errors import DomainError
-from ntnsim.events import EventKind, Simulator, record, records_array
+from ntnsim.events import _BLOCK_ROWS, EventKind, Simulator, record
 
 HEADER = "time_ms,seq,entity,kind,detail\n"
 MAX_TIME_US = 10**12
@@ -85,7 +85,7 @@ def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
     def append(start, template):
         """Log ``(offset_us, record)`` entries at ``start + offset_us``."""
         offsets = np.array([offset for offset, _ in template], dtype=np.int64)
-        sim.append(start + offsets, records_array([rec for _, rec in template]))
+        sim.append(start + offsets, range(len(template)), [rec for _, rec in template])
 
     sim, oracle = Simulator(), OracleLog()
     for op in ops:
@@ -120,7 +120,7 @@ REC = record("device", "timer_fire")
     "log",
     [
         lambda sim: sim.schedule(-1, EventKind.TIMER_FIRE, "device"),
-        lambda sim: sim.append(np.array([0, -1]), records_array([REC, REC])),
+        lambda sim: sim.append(np.array([0, -1]), [0, 0], [REC]),
     ],
     ids=["schedule", "append"],
 )
@@ -131,3 +131,97 @@ def test_a_negative_time_is_rejected(log):
         log(sim)
     sim.run()
     assert sim.trace_rows() == []
+
+
+def _check_logged(times, records):
+    """Log ``records[k]`` at ``times[k]`` in one append, and check the
+    written trace and the rows against the oracle."""
+    sim, oracle = Simulator(), OracleLog()
+    sim.append(np.array(times, dtype=np.int64), range(len(records)), records)
+    oracle.append(0, [(t, *rec[:3]) for t, rec in zip(times, records)])
+    sim.run()
+    rows = oracle.trace_rows()
+    assert sim.trace_rows() == rows
+    out = io.StringIO()
+    sim.write_csv(out)
+    # Line by line: pytest's diff of two long texts would take minutes.
+    lines, want = out.getvalue().splitlines(True), oracle_csv(rows).splitlines(True)
+    for k, (line, wanted) in enumerate(zip(lines, want)):
+        assert line == wanted, f"line {k}"
+    assert len(lines) == len(want)
+    return rows
+
+
+RECS = [record("device", "tx_start", "msg1_preamble"), record("bs", "rx_arrival", "x=1,y"),
+        record("bs", "timer_fire")]
+
+
+def test_a_log_of_several_blocks_splits_between_equal_times():
+    n = 2 * _BLOCK_ROWS + 5
+    # Groups of three equal times, logged out of time order.
+    times = (np.random.default_rng(7).permutation(n) // 3 * 1_001).tolist()
+    rows = _check_logged(times, [RECS[k % 3] for k in range(n)])
+    assert rows[_BLOCK_ROWS - 1][0] == rows[_BLOCK_ROWS][0]
+
+
+def test_digit_widths_change_inside_a_block():
+    # Whole ms on both sides of each width change (9 -> 10, 99 -> 100, ...)
+    # from 0 to MAX_TIME_US, with fractions 0, 1 and 999 us.
+    edges = sorted(
+        t for t in {(10**k + d) * 1000 + f for k in range(10) for d in (-1, 0) for f in (0, 1, 999)}
+        if t <= MAX_TIME_US
+    )
+    assert (edges[0], edges[-1]) == (0, MAX_TIME_US)
+    # Over 1000 entries, logged round after round, so seqs of every width
+    # share each time.
+    times = [edges[k % len(edges)] for k in range(1_200)]
+    rows = _check_logged(times, [RECS[k % 3] for k in range(len(times))])
+    assert {len(str(seq)) for _, seq, *_ in rows} == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("time_us", [0, 1, 999, 1000, 123_456_789, MAX_TIME_US])
+def test_one_row(time_us):
+    """Time 0 is "0.000000" and the first seq is 0."""
+    _check_logged([time_us], [RECS[1]])
+
+
+def test_an_empty_log_writes_the_header_only():
+    plain, records_only = Simulator(), Simulator()
+    records_only.append([], [], RECS)  # records without entries log nothing
+    for sim in (plain, records_only):
+        sim.run()
+        out = io.StringIO()
+        sim.write_csv(out)
+        assert out.getvalue() == HEADER and sim.trace_rows() == []
+
+
+@pytest.mark.parametrize(
+    "fields", [("dev\0ice", "tx_start", ""), ("bs", "\0", ""), ("bs", "tx_start", "sn=1\0")]
+)
+def test_a_nul_in_a_record_is_rejected(fields):
+    """``write_csv`` drops the NUL bytes it pads rows with, so a record may hold none."""
+    with pytest.raises(DomainError, match="NUL"):
+        record(*fields)
+
+
+def test_schedule_rejects_a_nul_detail():
+    sim = Simulator()
+    with pytest.raises(DomainError, match="NUL"):
+        sim.schedule(0, EventKind.TX_START, "device", "sn=1\0")
+    sim.run()
+    assert sim.trace_rows() == []
+
+
+def test_a_non_ascii_detail_is_written_byte_for_byte(tmp_path):
+    """UTF-8 holds no 0x00 byte outside NUL itself, so any other text passes
+    the writer's NUL compaction unchanged."""
+    detail = "rlc_pdu sn=1 \u00e9\u00e8 \u6771\u4eac \U0001f6f0"
+    rows = _check_logged([1_500, 0], [record("device", "tx_start", detail), RECS[0]])
+    sim = Simulator()
+    sim.schedule(1_500, EventKind.TX_START, "device", detail)
+    sim.schedule(0, EventKind.TX_START, "device", "msg1_preamble")
+    sim.run()
+    path = tmp_path / "trace.csv"
+    with path.open("w", encoding="utf-8") as fh:
+        sim.write_csv(fh)
+    assert path.read_bytes() == oracle_csv(rows).encode("utf-8")
