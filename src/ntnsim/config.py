@@ -29,7 +29,7 @@ from .protocol import AccessTiming, HarqConfig, MessageKind, TimerConfig, _check
 _MISSING = dataclasses.MISSING
 
 # Most HARQ blocks or RLC PDUs one message may need; a transfer logs four
-# (HARQ) or two (RLC) events per unit and caches its event template.
+# (HARQ) or two (RLC) events per unit from a template built per scenario.
 MAX_TRANSFER_UNITS = 1_000_000
 
 

@@ -1,11 +1,10 @@
 """Deterministic scenario engine binding geometry, link budget and the
-access/data procedures.  An optional seeded log-normal shadow-fading term
-(off by default) is the only source of randomness.
+access/data procedures.  Its one seeded stream draws each message's GNSS
+error and log-normal fade (both off by default): no other randomness.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import asdict, dataclass, field
@@ -58,22 +57,18 @@ def rlc_transfer(
 
 
 # A transfer's event times are its start plus offsets that depend only on
-# its arguments (every process is free at the start), so each argument set
-# is worked out once, relative to 0, and logged per transfer, by the
-# functions above and by run_scenario.  The caches are keyed on the ms
-# arguments; the timings become integer us inside, the hop by the link's
-# rule, BentPipeChannel.one_way_us.
+# its arguments (every process is free at the start), so a transfer is
+# worked out relative to 0 and logged at its start, by the functions above,
+# or after each successful attempt, by run_scenario.  The ms timings become
+# integer us inside, the hop by the link's rule, BentPipeChannel.one_way_us.
 
 
 def _template(events: list, end: int) -> tuple[np.ndarray, tuple, int]:
-    """(offsets_us, records, end_us) of ``(offset_us, record)`` events, a
-    read-only array and a tuple: the caches hand them to every caller."""
+    """(offsets_us, records, end_us) of ``(offset_us, record)`` events."""
     offsets = np.array(checked_us([offset for offset, _ in events]), dtype=np.int64)
-    offsets.flags.writeable = False
     return offsets, tuple(rec for _, rec in events), end
 
 
-@functools.lru_cache(maxsize=64)
 def _harq_events(n_blocks: int, n_processes: int, tti_ms: float, rtt_ms: float, ack_ms: float):
     """The ``_template`` of a HARQ transfer started at 0, ending at its
     last acknowledgment."""
@@ -105,7 +100,6 @@ def _harq_events(n_blocks: int, n_processes: int, tti_ms: float, rtt_ms: float, 
     return _template(events, last_ack)
 
 
-@functools.lru_cache(maxsize=64)
 def _rlc_events(n_pdus: int, window_pdus: int, tti_ms: float, rtt_ms: float):
     """The ``_template`` of an RLC transfer started at 0, ending at its
     final status report."""

@@ -407,25 +407,20 @@ def overhead_pass_orbit(
     )
 
 
-def _tangent_basis(center: GroundPosition, along: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _tangent_basis(center: GroundPosition, along: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal tangent basis at a ground point; first axis follows
-    ``along`` projected into the tangent plane (east if degenerate)."""
+    ``along`` projected into the tangent plane (east where ``along`` is
+    radial, and +x where east is undefined, at a pole)."""
     u0 = center.unit_vector()
-    e1 = None
-    if along is not None:
-        horiz = along - u0 * float(np.dot(along, u0))
-        norm = float(np.linalg.norm(horiz))
-        if norm > 1e-9:
-            e1 = horiz / norm
-    if e1 is None:
+    e1 = along - u0 * float(np.dot(along, u0))
+    norm = float(np.linalg.norm(e1))
+    if not norm > 1e-9:
         e1 = np.cross(np.array([0.0, 0.0, 1.0]), u0)
         norm = float(np.linalg.norm(e1))
         if norm < 1e-12:
-            e1 = np.array([1.0, 0.0, 0.0])
-        else:
-            e1 /= norm
-    e2 = np.cross(u0, e1)
-    return e1, e2
+            e1, norm = np.array([1.0, 0.0, 0.0]), 1.0
+    e1 = e1 / norm
+    return e1, np.cross(u0, e1)
 
 
 def beam_doppler_profile(

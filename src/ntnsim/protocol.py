@@ -248,9 +248,7 @@ def delay_residual(service_delay_ms: float, delay_est_ms: float) -> tuple[float,
     """(residual_us, reported_delay_ms) of a delay estimate: the round-trip
     misalignment left after the preamble advance, and the delay the device
     reports in Msg3, quantized to 0.1 ms.  Scalar or array."""
-    if np.any(delay_est_ms < 0):
-        raise DomainError("delay estimate must be non-negative")
-    residual_us = 2.0 * (service_delay_ms - delay_est_ms) * 1000.0
+    residual_us = (2.0 * service_delay_ms - precompensate_preamble(delay_est_ms)) * 1000.0
     reported_delay_ms = (
         np.rint(delay_est_ms / REPORTED_DELAY_QUANTUM_MS) * REPORTED_DELAY_QUANTUM_MS
     )
@@ -289,15 +287,31 @@ def schedule_rar_window(
     return start, start + window_length_ms
 
 
-# The slots of one attempt's access events, in the order the exchange logs
-# them; an attempt ends with Msg4's arrival (success) or the CR timer's
-# expiry, never both.
-(MSG1_TX, MSG1_RX, TA_OUT, MSG2_TX, RAR_EXPIRY, MSG2_RX, MSG3_TX, MSG3_RX, MSG4_TX,
- CR_EXPIRY, MSG4_RX) = range(11)
+# The slots of one attempt's access events: the exchange's seven messages
+# in the order it sends and receives them, then the four events that can
+# end an attempt.
+(MSG1_TX, MSG1_RX, MSG2_TX, MSG2_RX, MSG3_TX, MSG3_RX, MSG4_TX,
+ TA_OUT, RAR_EXPIRY, CR_EXPIRY, MSG4_RX) = range(11)
 
 # An attempt's path indexes PATH_CAUSES: success, then the three failures.
 PATH_SUCCESS, PATH_RAR_TIMEOUT, PATH_TA_RANGE, PATH_CR_TIMEOUT = range(4)
 PATH_CAUSES = (None, FailureCause.RAR_TIMEOUT, FailureCause.TA_RANGE, FailureCause.CR_TIMEOUT)
+
+# An attempt's stage is how many of these checks it passes in turn: Msg1
+# received, TA in range, Msg2 inside the RAR window, Msg3 received, Msg4
+# before CR expiry.  A stage's row: its path, how many message slots it
+# logs (the first ones), and the slot that ends it.
+_STAGES = (
+    (PATH_RAR_TIMEOUT, 1, RAR_EXPIRY),
+    (PATH_TA_RANGE, 2, TA_OUT),
+    (PATH_RAR_TIMEOUT, 3, RAR_EXPIRY),
+    (PATH_CR_TIMEOUT, 5, CR_EXPIRY),
+    (PATH_CR_TIMEOUT, 7, CR_EXPIRY),
+    (PATH_SUCCESS, 7, MSG4_RX),
+)
+_SLOTS = np.arange(MSG4_RX + 1)
+_STAGE_PATHS = np.array([path for path, _, _ in _STAGES])
+_STAGE_LOGS = np.array([(_SLOTS < n) | (_SLOTS == end) for _, n, end in _STAGES])
 
 # The record of each slot with a fixed detail.  The other three slots carry
 # a per-attempt detail (residual, TA steps, reported delay), which gets one
@@ -402,21 +416,18 @@ def access_attempts(
     msg4_tx = _response_tx(msg3_arr, bs_proc, cr_start, one_way)
     msg4_arr = msg4_tx + one_way
     offsets = [
-        0, one_way, one_way + bs_proc, msg2_tx, window_end, msg2_arr, msg3_tx, msg3_arr, msg4_tx,
-        cr_end, msg4_arr,
+        0, one_way, msg2_tx, msg2_arr, msg3_tx, msg3_arr, msg4_tx,
+        one_way + bs_proc, window_end, cr_end, msg4_arr,
     ]
     transfer_offsets, transfer_records = transfer
     transfer_start = msg4_arr + dev_proc
     checked_us(max(offsets + [transfer_start + int(transfer_offsets.max(initial=0))]))
 
-    ta_built = d1 & in_range
-    rar = ta_built & d2 & (msg2_arr <= window_end)
-    success = rar & d3 & d4 & (msg4_arr <= cr_end)
-    path = np.select(
-        [success, rar, ta_built, d1],
-        [PATH_SUCCESS, PATH_CR_TIMEOUT, PATH_RAR_TIMEOUT, PATH_TA_RANGE],
-        PATH_RAR_TIMEOUT,
-    )
+    msg2_in_time, msg4_in_time = msg2_arr <= window_end, msg4_arr <= cr_end
+    passed = np.stack([d1, in_range, d2 & msg2_in_time, d3, d4 & msg4_in_time], axis=1)
+    stage = np.logical_and.accumulate(passed, axis=1).sum(axis=1)
+    path, logged = _STAGE_PATHS[stage], _STAGE_LOGS[stage]
+    success = path == PATH_SUCCESS
     # Each path's monitoring time, in PATH_CAUSES order.
     rar_monitoring = msg2_arr - window_start
     monitoring = (
@@ -424,10 +435,6 @@ def access_attempts(
     )
 
     times = t1[:, None] + np.array(offsets, np.int64)
-    logged = np.stack([
-        np.ones_like(d1), d1, d1 & ~in_range, ta_built, path == PATH_RAR_TIMEOUT, rar, rar,
-        rar & d3, rar & d3, rar & ~success, success,
-    ], axis=1)
     # Each logged event's record, as an index into `table`.
     table = list(_SLOT_RECORDS.values())
     codes = np.empty(times.shape, np.int64)
@@ -458,7 +465,7 @@ def access_attempts(
     log_times[at] = t1[success][:, None] + (transfer_start + transfer_offsets)
     log_codes[at] = len(table) + np.arange(len(transfer_offsets))
     sim.append(log_times, log_codes, table + list(transfer_records))
-    return Attempts(path, ta_steps, ta_built, reported_delay_ms, msg4_arr, monitoring)
+    return Attempts(path, ta_steps, stage >= 2, reported_delay_ms, msg4_arr, monitoring)
 
 
 def run_random_access(

@@ -424,6 +424,10 @@ FAILURE_CASES = {
                   "cr_timeout", "cr_timeout"),
     "drop_msg4": ({"channel": {"drop_kinds": ["msg4_contention_resolution"]}},
                   "cr_timeout", "cr_timeout"),
+    "msg2_late": ({"access": {"max_rtt_ms": 1.0, "rar_window_length_ms": 1.0}},
+                  "rar_timeout", "rar_timeout"),
+    "msg4_late": ({"timers": {"ntn_start_offset_ms": 0.0, "contention_resolution_ms": 1.0}},
+                  "cr_timeout", "cr_timeout"),
     "rlc_window_3": ({"harq": {"enabled": False}, "transfer": {"rlc_window_pdus": 3}},
                      "success", "success"),
     "overlapping_attempts": ({"traffic": {"inter_arrival_ms": 10.0}}, "success", "success"),

@@ -156,7 +156,7 @@ def test_a_transfer_past_the_us_range_is_rejected(tti_ms, rtt_ms):
 
 
 # One schedule call per event, with every time worked out from start_us:
-# the reference that the cached-template replay must match.
+# the reference that the template replay must match.
 def harq_transfer_reference(
     sim, start_us, n_blocks, n_processes, tti_ms, rtt_ms, ack_processing_ms=0.0
 ):
@@ -236,8 +236,9 @@ def _transfer(sim, start_us, params, reference):
 @settings(max_examples=150, deadline=None)
 def test_transfer_replay_matches_per_event_loop(prefix, first, second, start_us, overlap):
     """Two transfers with different parameters, the second starting while
-    the first runs, after some unrelated events, and the first again (a
-    template cache hit): the same trace and end times as the loops."""
+    the first runs, after some unrelated events, and the first again (its
+    template rebuilt at a new start): the same trace and end times as the
+    loops."""
     if first == second:
         second = (*second[:3], second[3] + 1.0, *second[4:])
     traces, ends = [], []
