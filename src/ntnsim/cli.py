@@ -57,7 +57,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> str:
     return text
 
 
-def _emit(args, name: str, header: list[str], rows: list[list]) -> Path:
+def _emit(args, name: str, header: list[str], rows: list) -> int:
+    """Write ``name``.csv to ``--out`` and print it; a command ends on this."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.csv"
@@ -69,10 +70,12 @@ def _emit(args, name: str, header: list[str], rows: list[list]) -> Path:
         widths = [max(map(len, column)) for column in zip(header, *cells)]
         for line in [header, *cells]:
             print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
-    return path
+    return EXIT_OK
 
 
-def cmd_linkbudget(config: ScenarioConfig, args) -> int:
+def linkbudget_rows(config: ScenarioConfig) -> tuple[list[str], list[list]]:
+    """Header and rows of ``ntnsim linkbudget``: each link's FSPL and SNR
+    at the config's min (worst) and max (best) elevation."""
     if not config.links:
         raise ConfigError(["config.links: required for the linkbudget command"])
     rows = []
@@ -91,87 +94,98 @@ def cmd_linkbudget(config: ScenarioConfig, args) -> int:
                 link_snr(link, d_best, fc, link.atmospheric_db_min),
             ]
         )
-    _emit(
-        args,
-        "linkbudget",
-        ["link", "direction", "fspl_worst_db", "fspl_best_db", "snr_worst_db", "snr_best_db"],
-        rows,
-    )
-    return EXIT_OK
+    header = ["link", "direction", "fspl_worst_db", "fspl_best_db", "snr_worst_db", "snr_best_db"]
+    return header, rows
 
 
-def cmd_geometry(config: ScenarioConfig, args) -> int:
+def _over_sidereal_day(orbit, ground):
+    """Time of day (s), every 60 s over one sidereal day from the epoch,
+    and the (elevation, distance, range rate) of ``orbit`` seen from
+    ``ground`` at those times."""
+    t = np.arange(0.0, SIDEREAL_DAY_S, 60.0)
+    return t, geometry_samples(*propagate_many(orbit, orbit.epoch_s + t), ground)
+
+
+def _beam_satellite(orbit, beam):
+    """The satellite that serves a beam: a geosynchronous one at its epoch
+    position, any other overhead the beam centre."""
+    if orbit.kind is OrbitKind.GEOSYNCHRONOUS:
+        return propagate(orbit, orbit.epoch_s)
+    return satellite_state_over(beam.center, orbit.altitude_km)
+
+
+def geometry_rows(config: ScenarioConfig) -> tuple[list[str], list[list]]:
+    """Header and rows of ``ntnsim geometry``: per orbit, the RTT envelope,
+    the Doppler and visibility of one look at it (a sidereal day from the
+    observer for GEO, else a pass overhead the equator at t = 3000 s) and
+    the differential delay over the widest beam."""
     rows = []
     fc = config.carrier_frequency_hz
     min_el = config.min_elevation_deg
     max_el = config.max_elevation_deg
+    beam = max(config.beams, key=lambda b: b.diameter_km).to_beam() if config.beams else None
     for idx, orbit_cfg in enumerate(config.constellation):
         orbit = orbit_cfg.to_orbit_spec()
         alt = orbit_cfg.altitude_km
-        rtt_min = BentPipeChannel.at(alt, max_el, max_el).rtt_ms
-        rtt_max = BentPipeChannel.at(alt, min_el, min_el).rtt_ms
-        rows.append([idx, orbit_cfg.kind, "rtt_min_ms", rtt_min])
-        rows.append([idx, orbit_cfg.kind, "rtt_max_ms", rtt_max])
-
+        metrics = {
+            "rtt_min_ms": BentPipeChannel.at(alt, max_el, max_el).rtt_ms,
+            "rtt_max_ms": BentPipeChannel.at(alt, min_el, min_el).rtt_ms,
+        }
         if orbit.kind is OrbitKind.GEOSYNCHRONOUS:
             seen, ground = orbit, config.observer.to_ground()
-            t = np.arange(orbit.epoch_s, orbit.epoch_s + SIDEREAL_DAY_S, 60.0)
+            _, (elevation, _, rr) = _over_sidereal_day(orbit, ground)
         else:
             ground = GroundPosition(0.0, 0.0)
             seen = overhead_pass_orbit(
                 orbit.kind, alt, orbit_cfg.inclination_deg, ground, overhead_at_s=3000.0
             )
             t = np.arange(2000.0, 4000.0, 1.0)
-        elevation, _, rr = geometry_samples(*propagate_many(seen, t), ground)
+            elevation, _, rr = geometry_samples(*propagate_many(seen, t), ground)
         above = elevation >= min_el
-        rr = rr[above]
-        if orbit.kind is OrbitKind.GEOSYNCHRONOUS and above.all():
-            visibility = math.inf
-        else:
-            visibility = visibility_duration(seen, ground, min_el)
-        max_rr = float(np.abs(rr).max(initial=0.0))
-        ppm = max_rr / SPEED_OF_LIGHT_KM_S * 1e6
-        rows.append([idx, orbit_cfg.kind, "max_doppler_ppm", ppm])
-        rows.append([idx, orbit_cfg.kind, "max_doppler_hz", ppm * 1e-6 * fc])
-        rows.append([idx, orbit_cfg.kind, "max_delay_drift_us_s", ppm])
-        rows.append([idx, orbit_cfg.kind, "visibility_s", visibility])
-
-        if config.beams:
-            beam = max(config.beams, key=lambda b: b.diameter_km).to_beam()
-            if orbit.kind is OrbitKind.GEOSYNCHRONOUS:
-                sat = propagate(orbit, orbit.epoch_s)
-            else:
-                sat = satellite_state_over(beam.center, alt)
+        always_up = orbit.kind is OrbitKind.GEOSYNCHRONOUS and above.all()
+        ppm = float(np.abs(rr[above]).max(initial=0.0)) / SPEED_OF_LIGHT_KM_S * 1e6
+        metrics.update(
+            max_doppler_ppm=ppm, max_doppler_hz=ppm * 1e-6 * fc, max_delay_drift_us_s=ppm,
+            visibility_s=math.inf if always_up else visibility_duration(seen, ground, min_el),
+        )
+        if beam is not None:
+            sat = _beam_satellite(orbit, beam)
             try:
-                dd = differential_delay(sat, beam)
-                rows.append([idx, orbit_cfg.kind, "differential_delay_ms", dd])
+                metrics["differential_delay_ms"] = differential_delay(sat, beam)
             except DomainError as exc:
                 log.warning("differential delay skipped for orbit %d: %s", idx, exc)
-    _emit(args, "geometry", ["orbit", "kind", "metric", "value"], rows)
-    return EXIT_OK
+        rows += [[idx, orbit_cfg.kind, metric, value] for metric, value in metrics.items()]
+    return ["orbit", "kind", "metric", "value"], rows
+
+
+def doppler_trace_rows(config: ScenarioConfig, mode: str) -> tuple[list[str], list]:
+    """Header and rows of ``ntnsim doppler-trace --mode``: orbit 0's Doppler
+    over a sidereal day (``inclined_geo``), or across beam 0 from the
+    satellite that serves it (``beam_profile``)."""
+    fc = config.carrier_frequency_hz
+    orbit = config.constellation[0].to_orbit_spec()
+    if mode == "inclined_geo":
+        if orbit.kind is not OrbitKind.GEOSYNCHRONOUS:
+            raise ConfigError(["config.constellation[0]: inclined_geo mode needs a geosynchronous orbit"])
+        t, (_, _, rr) = _over_sidereal_day(orbit, config.observer.to_ground())
+        return ["time_of_day_s", "doppler_hz"], list(zip(t.tolist(), doppler_hz(rr, fc).tolist()))
+    if not config.beams:
+        raise ConfigError(["config.beams: required for beam_profile mode"])
+    beam = config.beams[0].to_beam()
+    profile = beam_doppler_profile(_beam_satellite(orbit, beam), beam, fc, n=101)
+    return ["offset_km", "doppler_hz"], profile
+
+
+def cmd_linkbudget(config: ScenarioConfig, args) -> int:
+    return _emit(args, "linkbudget", *linkbudget_rows(config))
+
+
+def cmd_geometry(config: ScenarioConfig, args) -> int:
+    return _emit(args, "geometry", *geometry_rows(config))
 
 
 def cmd_doppler_trace(config: ScenarioConfig, args) -> int:
-    fc = config.carrier_frequency_hz
-    if args.mode == "inclined_geo":
-        orbit = config.constellation[0].to_orbit_spec()
-        if orbit.kind is not OrbitKind.GEOSYNCHRONOUS:
-            raise ConfigError(["config.constellation[0]: inclined_geo mode needs a geosynchronous orbit"])
-        obs = config.observer.to_ground()
-        t = np.arange(0.0, SIDEREAL_DAY_S + 1.0, 60.0)
-        _, _, rr = geometry_samples(*propagate_many(orbit, orbit.epoch_s + t), obs)
-        rows = [list(row) for row in zip(t.tolist(), doppler_hz(rr, fc).tolist())]
-        _emit(args, "doppler_trace_inclined_geo", ["time_of_day_s", "doppler_hz"], rows)
-    else:
-        if not config.beams:
-            raise ConfigError(["config.beams: required for beam_profile mode"])
-        beam = config.beams[0].to_beam()
-        orbit_cfg = config.constellation[0]
-        sat = satellite_state_over(beam.center, orbit_cfg.altitude_km)
-        profile = beam_doppler_profile(sat, beam, fc, n=101)
-        rows = [[offset, doppler] for offset, doppler in profile]
-        _emit(args, "doppler_trace_beam_profile", ["offset_km", "doppler_hz"], rows)
-    return EXIT_OK
+    return _emit(args, f"doppler_trace_{args.mode}", *doppler_trace_rows(config, args.mode))
 
 
 def cmd_simulate(config: ScenarioConfig, args) -> int:
@@ -195,8 +209,7 @@ def cmd_simulate(config: ScenarioConfig, args) -> int:
         [r.seed, r.access_attempts, r.access_successes, r.access_latency_p50_ms, r.goodput_bps]
         for r in reports
     ]
-    _emit(args, "simulate_summary", header, rows)
-    return EXIT_OK
+    return _emit(args, "simulate_summary", header, rows)
 
 
 def cmd_rank_cells(config: ScenarioConfig, args) -> int:
@@ -226,13 +239,8 @@ def cmd_rank_cells(config: ScenarioConfig, args) -> int:
         [rank + 1, c.cell_id, c.center_distance_km, c.estimated_rtt_ms, c.max_rtt_ms]
         for rank, c in enumerate(ranked)
     ]
-    _emit(
-        args,
-        "rank_cells",
-        ["rank", "cell_id", "center_distance_km", "estimated_rtt_ms", "max_rtt_ms"],
-        rows,
-    )
-    return EXIT_OK
+    header = ["rank", "cell_id", "center_distance_km", "estimated_rtt_ms", "max_rtt_ms"]
+    return _emit(args, "rank_cells", header, rows)
 
 
 def _positive_int(text: str) -> int:

@@ -8,21 +8,29 @@ assertions hold, so a -s run gives a compact scorecard.
 import json
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
 
-from ntnsim.claims import CLAIMS, EQUATOR, FC_HZ, LEO_ALTITUDE_KM
+from ntnsim import claims
+from ntnsim.claims import CLAIMS
 from ntnsim.config import load_config
 from ntnsim.constants import SIDEREAL_DAY_S, SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import run_scenario
 from ntnsim.events import EventKind
 from ntnsim.geometry import GEO_ALTITUDE_KM, BeamSpec, GroundPosition, OrbitKind, OrbitSpec
 from ntnsim.geometry import beam_doppler_profile, geometry_sample, ground_track
-from ntnsim.geometry import overhead_pass_orbit, propagate, satellite_state_over, slant_range
+from ntnsim.geometry import overhead_pass_orbit, propagate, satellite_state_over
 from ntnsim.linkbudget import LinkBudgetParams, bandwidth_rescale
 from ntnsim.mobility import CellCandidate, cell_model_snr, cell_suitability, rank_cells
-from ntnsim.protocol import HarqConfig, build_ta_command, harq_throughput, rlc_arq_throughput
+from ntnsim.protocol import BentPipeChannel, HarqConfig, build_ta_command
+from ntnsim.protocol import harq_throughput, rlc_arq_throughput
+
+FC_HZ = 2.0e9
+LEO_ALTITUDE_KM = 600.0
+# The ground point the LEO pass and beams are centred on.
+EQUATOR = GroundPosition(0.0, 0.0)
 
 
 def _ok(label):
@@ -42,6 +50,24 @@ def test_paper_claim(claim):
     tolerance = {"rel" if claim.relative else "abs": claim.tolerance}
     assert value == pytest.approx(claim.paper, **tolerance)
     _ok(f"{claim.name}: {value:.4g} {claim.unit}, paper {claim.paper:g}")
+
+
+def test_claims_read_the_bundled_configs(config_dir, tmp_path, monkeypatch):
+    """The claims table keeps no private copy of a scenario: with
+    geo_sband's downlink EIRP 1 dB higher, both GEO DL SNR rows read 1 dB
+    more and the GEO UL rows do not move."""
+    configs = shutil.copytree(config_dir, tmp_path / "configs")
+    data = json.loads((configs / "geo_sband.json").read_text())
+    next(link for link in data["links"] if link["name"] == "geo_dl")["eirp_dbw"] += 1.0
+    (configs / "geo_sband.json").write_text(json.dumps(data))
+    rows = [c for c in CLAIMS if c.name.startswith(("GEO DL SNR", "GEO UL SNR"))]
+    assert len(rows) == 4
+    before = [c.compute() for c in rows]
+    monkeypatch.setattr(claims, "CONFIG_DIR", configs)
+    for claim, value in zip(rows, before):
+        step = 1.0 if claim.name.startswith("GEO DL") else 0.0
+        assert claim.compute() == pytest.approx(value + step, abs=1e-9)
+    _ok("the GEO DL SNR claims follow geo_sband.json's downlink EIRP")
 
 
 def test_c04_leo_kinematics():
@@ -160,8 +186,7 @@ def test_c09_protocol_invariants(config_dir):
 
     # RLC ARQ outruns two-process HARQ on the GEO RTT, and the simulated
     # engine agrees with the formulas within 2 percent.
-    service = slant_range(10.0, GEO_ALTITUDE_KM) / SPEED_OF_LIGHT_KM_S * 1000.0
-    rtt = 4.0 * service
+    rtt = BentPipeChannel.at(GEO_ALTITUDE_KM, 10.0, 10.0).rtt_ms
     tbs, tti, window = 1000.0, 4.0, 16
     harq_rate = harq_throughput(rtt, tbs, HarqConfig(n_processes=2), proc_delay_ms=tti)
     rlc_rate = rlc_arq_throughput(rtt, window, tbs, tti)

@@ -93,6 +93,19 @@ def test_doppler_trace_modes(config_dir, tmp_path):
     assert (tmp_path / "doppler_trace_beam_profile.csv").exists()
 
 
+def test_geo_beam_profile_is_seen_from_the_geo_satellite(config_dir, tmp_path):
+    """geo_sband's 3500 km beam is served by the geostationary satellite at
+    its epoch position, as for the geometry command's differential delay,
+    not by one overhead the beam centre: no Doppler spread across it."""
+    assert main([
+        "doppler-trace", "--config", str(config_dir / "geo_sband.json"),
+        "--mode", "beam_profile", "--out", str(tmp_path),
+    ]) == 0
+    rows = (tmp_path / "doppler_trace_beam_profile.csv").read_text().splitlines()[1:]
+    assert len(rows) == 101
+    assert max(abs(float(row.split(",")[1])) for row in rows) < 1e-3
+
+
 def test_simulate_writes_report_and_trace(config_dir, tmp_path):
     assert main([
         "simulate", "--config", str(config_dir / "leo600_sband.json"),
