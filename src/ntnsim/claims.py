@@ -3,7 +3,9 @@ from (arXiv 2010.04906; 3GPP TR 36.763).  The bundled configs in
 ``CONFIG_DIR`` are the paper's scenarios: a row reads what the ``ntnsim``
 command behind it prints for one of them (``cli.linkbudget_rows``,
 ``geometry_rows`` or ``doppler_trace_rows``), loaded when the row is
-computed.  The rescale, LEO600 speed and period rows call the API.
+computed.  ``CONFIG_DIR`` is ``<repo>/configs``, so the table runs from a
+source checkout only: an installed wheel has no configs.  The rescale,
+LEO600 speed and period rows call the API.
 
 ``tests/test_acceptance.py`` checks every row against its tolerance and
 ``scripts/reproduce_overview_numbers.py`` prints the table.  A row whose

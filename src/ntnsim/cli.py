@@ -47,7 +47,8 @@ EXIT_RUNTIME = 3
 
 
 def _cell(value) -> str:
-    return f"{value:.6f}" if isinstance(value, float) else str(value)
+    """A float at 6 places, with no ``-0.000000``; anything else as ``str``."""
+    return f"{round(value, 6) + 0.0:.6f}" if isinstance(value, float) else str(value)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> str:
@@ -87,7 +88,7 @@ def linkbudget_rows(config: ScenarioConfig) -> tuple[list[str], list[list]]:
         rows.append(
             [
                 link.name,
-                link.direction,
+                link.direction.value,
                 fspl(d_worst, fc / 1e9),
                 fspl(d_best, fc / 1e9),
                 link_snr(link, d_worst, fc, link.atmospheric_db_max),
@@ -154,7 +155,7 @@ def geometry_rows(config: ScenarioConfig) -> tuple[list[str], list[list]]:
                 metrics["differential_delay_ms"] = differential_delay(sat, beam)
             except DomainError as exc:
                 log.warning("differential delay skipped for orbit %d: %s", idx, exc)
-        rows += [[idx, orbit_cfg.kind, metric, value] for metric, value in metrics.items()]
+        rows += [[idx, orbit.kind.value, metric, value] for metric, value in metrics.items()]
     return ["orbit", "kind", "metric", "value"], rows
 
 

@@ -1,7 +1,10 @@
 """Scenario configuration: JSON with explicit-unit field names.
 
-Unknown fields are rejected and all validation failures are reported
-together through :class:`ConfigError`.
+Orbit kinds, link directions and drop kinds load as the domain enums
+(``OrbitKind``, ``LinkDirection``, ``MessageKind``).  Unknown fields are
+rejected, and every bad field is reported once, at its own path, through
+:class:`ConfigError`.  An object's own cross-field checks run only once
+all of its fields have loaded, with no unknown field beside them.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import json
 import math
 import typing
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Optional
 
@@ -23,6 +27,7 @@ from .linkbudget import (
     SCINTILLATION_DB,
     SHADOW_FADING_DB,
     UL_SNR_FLOOR_DB,
+    LinkDirection,
 )
 from .protocol import AccessTiming, HarqConfig, MessageKind, TimerConfig, _check_non_negative
 
@@ -38,7 +43,11 @@ def _check_elevation(name: str, value: float) -> None:
         raise DomainError(f"{name} must lie in [0, 90] degrees")
 
 
+_EXPECTED = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
 def _coerce(tp, value, path, errors):
+    """``value`` loaded as a ``tp``, or None once its error is in ``errors``."""
     origin = typing.get_origin(tp)
     if origin is typing.Union:
         args = [a for a in typing.get_args(tp) if a is not type(None)]
@@ -48,70 +57,70 @@ def _coerce(tp, value, path, errors):
     if origin is list:
         if not isinstance(value, list):
             errors.append(f"{path}: expected a list")
-            return []
+            return None
         inner = typing.get_args(tp)[0]
         return [_coerce(inner, v, f"{path}[{i}]", errors) for i, v in enumerate(value)]
     if dataclasses.is_dataclass(tp):
         return _build(tp, value, path, errors)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            allowed = ", ".join(repr(member.value) for member in tp)
+            errors.append(f"{path}: unknown value {value!r}, expected one of {allowed}")
+            return None
     if tp is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{path}: expected a number")
-            return 0.0
+            return None
         try:
             value = float(value)
         except OverflowError:  # an integer beyond the float range
             value = math.inf
         if not math.isfinite(value):
             errors.append(f"{path}: expected a finite number")
-            return 0.0
+            return None
         return value
-    if tp is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.append(f"{path}: expected an integer")
-            return 0
-        return value
-    if tp is bool:
-        if not isinstance(value, bool):
-            errors.append(f"{path}: expected a boolean")
-            return False
-        return value
-    if tp is str:
-        if not isinstance(value, str):
-            errors.append(f"{path}: expected a string")
-            return ""
+    if tp in _EXPECTED:
+        if type(value) is not tp:  # so a boolean is not an integer
+            errors.append(f"{path}: expected {_EXPECTED[tp]}")
+            return None
         return value
     errors.append(f"{path}: unsupported field type {tp!r}")
     return None
 
 
 def _build(cls, data, path, errors):
+    """A ``cls`` from the object ``data``, or None once its errors are in
+    ``errors``; ``cls`` is built only if ``data`` added no error."""
     if not isinstance(data, dict):
         errors.append(f"{path}: expected an object")
         return None
+    n_errors = len(errors)
     hints = typing.get_type_hints(cls)
     known = {f.name: f for f in dataclasses.fields(cls)}
     for key in sorted(set(data) - set(known)):
         errors.append(f"{path}.{key}: unknown field")
     kwargs = {}
-    complete = True
     for name, f in known.items():
         if name in data:
             kwargs[name] = _coerce(hints[name], data[name], f"{path}.{name}", errors)
         elif f.default is _MISSING and f.default_factory is _MISSING:
             errors.append(f"{path}.{name}: missing required field")
-            complete = False
-    if not complete:
+    if len(errors) > n_errors:
         return None
     try:
         return cls(**kwargs)
-    except (DomainError, ValueError) as exc:
+    except ValueError as exc:  # DomainError included
         errors.append(f"{path}: {exc}")
         return None
 
 
 @dataclass(frozen=True)
 class OrbitCfg:
-    kind: str
+    """``OrbitSpec``'s fields, with ``altitude_km`` required."""
+
+    kind: OrbitKind
     altitude_km: float
     inclination_deg: float = 0.0
     raan_deg: float = 0.0
@@ -119,19 +128,10 @@ class OrbitCfg:
     epoch_s: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("geosynchronous", "leo_circular"):
-            raise DomainError(f"unknown orbit kind {self.kind!r}")
         self.to_orbit_spec()  # surface altitude/inclination errors at load time
 
     def to_orbit_spec(self) -> OrbitSpec:
-        return OrbitSpec(
-            kind=OrbitKind(self.kind),
-            altitude_km=self.altitude_km,
-            inclination_deg=self.inclination_deg,
-            raan_deg=self.raan_deg,
-            phase_deg=self.phase_deg,
-            epoch_s=self.epoch_s,
-        )
+        return OrbitSpec(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ class CellCfg:
 class LinkCfg:
     name: str
     orbit_index: int
-    direction: str
+    direction: LinkDirection
     eirp_dbw: float
     g_over_t_db_k: float
     bandwidth_hz: float
@@ -193,8 +193,6 @@ class LinkCfg:
     atmospheric_db_max: float = ATMOSPHERIC_DB_MAX
 
     def __post_init__(self):
-        if self.direction not in ("downlink", "uplink"):
-            raise DomainError(f"unknown link direction {self.direction!r}")
         if self.bandwidth_hz <= 0:
             raise DomainError("bandwidth must be positive")
         _check_non_negative(
@@ -263,16 +261,13 @@ class ChannelCfg:
     snr_threshold_ul_db: float = UL_SNR_FLOOR_DB
     repetitions: int = 1
     fading_sigma_db: float = 0.0
-    drop_kinds: list[str] = field(default_factory=list)
+    drop_kinds: list[MessageKind] = field(default_factory=list)
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise DomainError("repetitions must be >= 1")
         if self.fading_sigma_db < 0:
             raise DomainError("fading sigma must be non-negative")
-        unknown = sorted(set(self.drop_kinds) - {k.value for k in MessageKind})
-        if unknown:
-            raise DomainError(f"unknown drop kinds {unknown}")
 
 
 @dataclass(frozen=True)
@@ -309,23 +304,18 @@ class ScenarioConfig:
             raise DomainError("min elevation exceeds max elevation")
         first = {}  # (orbit_index, direction) -> the index of its link
         for i, link in enumerate(self.links):
-            if link is None:
-                continue
             if not 0 <= link.orbit_index < len(self.constellation):
                 raise DomainError(
                     f"link {link.name!r}: orbit_index {link.orbit_index} outside the constellation"
                 )
-            key = (link.orbit_index, link.direction)
+            key = (link.orbit_index, link.direction.value)
             if first.setdefault(key, i) != i:
                 raise DomainError(
                     f"links[{i}]: duplicates links[{first[key]}] (orbit_index, direction) {key}"
                 )
-        # harq/transfer are None only when they failed to load.  The ratio is
-        # compared before rounding up, because two finite sizes may give inf.
+        # The ratio is compared before rounding up: two finite sizes may give inf.
         if (
             self.traffic is not None
-            and self.harq is not None
-            and self.transfer is not None
             and self.traffic.message_size_bits / self._unit_bits() > MAX_TRANSFER_UNITS
         ):
             raise DomainError(f"a message needs more than {MAX_TRANSFER_UNITS} transfer units")

@@ -20,9 +20,9 @@ from .events import record, us_to_ms
 # module (unused here): perfbench/tracing.py patches them to count calls.
 from .geometry import GroundPosition, OrbitKind, OrbitSpec, _sweep_times, geometry_samples
 from .geometry import geometry_sample, propagate, propagate_many, slant_range  # noqa: F401
-from .linkbudget import LinkBudgetParams, fspl, snr
+from .linkbudget import LinkBudgetParams, LinkDirection, fspl, snr
 from .protocol import PATH_CAUSES, PATH_SUCCESS, AccessOutcome, Attempts, BentPipeChannel
-from .protocol import MessageKind, access_attempts, run_random_access  # noqa: F401
+from .protocol import access_attempts, run_random_access  # noqa: F401
 
 
 def harq_transfer(
@@ -257,7 +257,7 @@ def _link_snrs(config: ScenarioConfig, elevation_deg: float) -> tuple[float, flo
         if link.orbit_index != 0:
             continue
         value = link_snr(link, distance, config.carrier_frequency_hz, link.atmospheric_db_max)
-        if link.direction == "downlink":
+        if link.direction is LinkDirection.DOWNLINK:
             dl = value
         else:
             ul = value
@@ -295,7 +295,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         snr_threshold_dl_db=channel.snr_threshold_dl_db,
         snr_threshold_ul_db=channel.snr_threshold_ul_db,
         repetitions=channel.repetitions,
-        drop_kinds=frozenset(map(MessageKind, channel.drop_kinds)),
+        drop_kinds=frozenset(channel.drop_kinds),
     )
     units, tti = config.transfer_units(), config.transfer.tti_ms
     if config.harq.enabled:

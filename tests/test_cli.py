@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ntnsim import cli
 from ntnsim.cli import _cell, _write_csv, main
@@ -14,6 +16,17 @@ from ntnsim.config import load_config
 from ntnsim.constants import SIDEREAL_DAY_S, SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import run_scenario
 from ntnsim.events import EventKind, Simulator
+
+
+@pytest.mark.parametrize("value", [-0.0, -4e-7, -5e-7, 0.0, 4e-7])
+def test_cell_prints_no_negative_zero(value):
+    assert _cell(value) == "0.000000"
+
+
+@given(st.floats())
+def test_cell_prints_other_floats_at_six_places(value):
+    if round(value, 6) != 0.0:
+        assert _cell(value) == f"{value:.6f}"
 
 
 def test_linkbudget_text_and_csv(config_dir, tmp_path, capsys):
@@ -301,11 +314,20 @@ def _exits_2_at_load(config_path, tmp_path, capsys, message):
     assert not out.exists()
 
 
-def test_unknown_drop_kind_exits_2(config_dir, tmp_path, capsys):
-    path = _edited_leo_config(
-        config_dir, tmp_path, lambda d: d["channel"].update(drop_kinds=["msg2_rar", "bogus"])
-    )
-    _exits_2_at_load(path, tmp_path, capsys, "config.channel: unknown drop kinds ['bogus']")
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["constellation"][0].update(kind="meo"),
+         "config.constellation[0].kind: unknown value 'meo'"),
+        (lambda d: d["links"][0].update(direction="sideways"),
+         "config.links[0].direction: unknown value 'sideways'"),
+        (lambda d: d["channel"].update(drop_kinds=["msg2_rar", "bogus"]),
+         "config.channel.drop_kinds[1]: unknown value 'bogus'"),
+    ],
+    ids=["orbit_kind", "link_direction", "drop_kind"],
+)
+def test_unknown_enum_value_exits_2(config_dir, tmp_path, capsys, edit, message):
+    _exits_2_at_load(_edited_leo_config(config_dir, tmp_path, edit), tmp_path, capsys, message)
 
 
 def test_link_orbit_index_outside_constellation_exits_2(config_dir, tmp_path, capsys):

@@ -30,6 +30,7 @@ from ntnsim.geometry import (
     visibility_duration,
 )
 from ntnsim.protocol import (
+    BentPipeChannel,
     HarqConfig,
     harq_throughput,
     reception_ok,
@@ -115,6 +116,70 @@ def test_rlc_transfer_matches_throughput_formula():
     simulated = n_pdus * pdu / (us_to_ms(end) / 1000.0)
     formula = rlc_arq_throughput(rtt, window, pdu, tti)
     assert simulated == pytest.approx(formula, rel=1e-9)
+
+
+def harq_end_us(n_blocks, n_processes, tti_ms, rtt_ms, ack_ms):
+    """End of a HARQ transfer started at 0, in integer us.  With T the TTI,
+    h the hop and R' = 2h + ACK processing, the processes take turns in
+    rounds of T + R' while R' >= (P - 1)T; otherwise the transmitter never
+    waits and the last ACK comes R' after the last block."""
+    tti, hop = ms_to_us(tti_ms), BentPipeChannel.one_way_us(rtt_ms)
+    r = 2 * hop + ms_to_us(ack_ms)
+    if r >= (n_processes - 1) * tti:
+        rounds = -(-n_blocks // n_processes)
+        return rounds * (tti + r) + (n_blocks - 1) % n_processes * tti
+    return n_blocks * tti + r
+
+
+def rlc_end_us(n_pdus, window_pdus, tti_ms, rtt_ms):
+    """End of an RLC transfer started at 0, in integer us: each full window
+    takes W*T + 2h, and a last partial window (N mod W)*T + 2h."""
+    tti, hop = ms_to_us(tti_ms), BentPipeChannel.one_way_us(rtt_ms)
+    full, rest = divmod(n_pdus, window_pdus)
+    return full * (window_pdus * tti + 2 * hop) + (rest * tti + 2 * hop if rest else 0)
+
+
+TTI_MS = st.floats(min_value=0.001, max_value=50.0)
+RTT_MS = st.floats(min_value=0.0, max_value=1000.0)
+
+
+@given(
+    st.integers(min_value=1, max_value=200),
+    st.integers(min_value=1, max_value=8),
+    TTI_MS,
+    RTT_MS,
+    st.floats(min_value=0.0, max_value=50.0),
+    st.integers(min_value=0, max_value=10**9),
+)
+@settings(max_examples=200, deadline=None)
+def test_harq_transfer_ends_at_the_closed_form(n_blocks, n_processes, tti, rtt, ack, start):
+    end = harq_transfer(Simulator(), start, n_blocks, n_processes, tti, rtt, ack)
+    assert end == start + harq_end_us(n_blocks, n_processes, tti, rtt, ack)
+
+
+@given(
+    st.integers(min_value=1, max_value=500),
+    st.integers(min_value=1, max_value=64),
+    TTI_MS,
+    RTT_MS,
+    st.integers(min_value=0, max_value=10**9),
+)
+@settings(max_examples=200, deadline=None)
+def test_rlc_transfer_ends_at_the_closed_form(n_pdus, window, tti, rtt, start):
+    end = rlc_transfer(Simulator(), start, n_pdus, window, tti, rtt)
+    assert end == start + rlc_end_us(n_pdus, window, tti, rtt)
+
+
+@pytest.mark.parametrize(
+    "n_processes, end_us",
+    [(2, 2 * (1000 + 2000) + 1000), (8, 4 * 1000 + 2000)],
+    ids=["processes_wait", "transmitter_bound"],
+)
+def test_harq_closed_form_covers_both_regimes(n_processes, end_us):
+    """Four blocks, a 1 ms TTI and a 2 ms round trip: two processes wait
+    for their ACKs (two rounds of T + R', then one TTI); eight never do."""
+    assert harq_transfer(Simulator(), 0, 4, n_processes, 1.0, 2.0) == end_us
+    assert harq_end_us(4, n_processes, 1.0, 2.0, 0.0) == end_us
 
 
 @given(

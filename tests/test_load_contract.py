@@ -4,7 +4,8 @@ Fields are dropped, retyped, negated, scaled out of range or replaced
 with NaN, +-inf and other bad values.  Loading must then either return a
 ``ScenarioConfig`` or raise ``ConfigError``, and ``ntnsim linkbudget``
 must exit 0, 2 or 3 without a traceback.  ``simulate`` is left out: a
-loadable config may ask for any number of messages.
+loadable config may ask for any number of messages.  A few single bad
+fields pin the error list itself: one error each, at the field's path.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,3 +91,41 @@ def test_mutated_config_loads_or_raises_config_error_and_never_crashes(data):
     assert code in (0, 2, 3)
     assert loaded or code == 2
     assert "Traceback" not in stderr.getvalue()
+
+
+MSG_KINDS = "'msg1_preamble', 'msg2_rar', 'msg3_rrc_connection_request', 'msg4_contention_resolution'"
+
+
+@pytest.mark.parametrize(
+    "edit, errors",
+    [
+        (lambda d: d["transfer"].update(tti_ms="x"), ["config.transfer.tti_ms: expected a number"]),
+        (
+            lambda d: d["links"][0].update(direction=None),
+            ["config.links[0].direction: unknown value None, expected one of 'downlink', 'uplink'"],
+        ),
+        (
+            lambda d: d["channel"].update(drop_kinds=["bogus", 3]),
+            [
+                f"config.channel.drop_kinds[0]: unknown value 'bogus', expected one of {MSG_KINDS}",
+                f"config.channel.drop_kinds[1]: unknown value 3, expected one of {MSG_KINDS}",
+            ],
+        ),
+        (
+            lambda d: d["constellation"][0].update(kind="meo"),
+            [
+                "config.constellation[0].kind: unknown value 'meo', "
+                "expected one of 'geosynchronous', 'leo_circular'"
+            ],
+        ),
+    ],
+    ids=["tti_ms", "direction", "drop_kinds", "kind"],
+)
+def test_each_bad_field_gives_one_error_at_its_own_path(edit, errors):
+    """An object whose field failed is not built, so its own checks add no
+    second error about a value the config never held."""
+    data = copy.deepcopy(BUNDLED["leo600_sband.json"])
+    edit(data)
+    with pytest.raises(ConfigError) as exc:
+        load_config_dict(data)
+    assert exc.value.fields == errors
