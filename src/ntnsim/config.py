@@ -46,6 +46,11 @@ def _check_elevation(name: str, value: float) -> None:
 _EXPECTED = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
+class CsvText(str):
+    """A string field that a CLI CSV writes as one cell, so it may hold no
+    comma, CR or LF; it loads as a plain ``str``."""
+
+
 def _coerce(tp, value, path, errors):
     """``value`` loaded as a ``tp``, or None once its error is in ``errors``."""
     origin = typing.get_origin(tp)
@@ -81,6 +86,12 @@ def _coerce(tp, value, path, errors):
             errors.append(f"{path}: expected a finite number")
             return None
         return value
+    if tp is CsvText:
+        text = _coerce(str, value, path, errors)
+        if text is not None and set(text) & set(",\r\n"):
+            errors.append(f"{path}: {text!r} holds a comma, CR or LF")
+            return None
+        return text
     if tp in _EXPECTED:
         if type(value) is not tp:  # so a boolean is not an integer
             errors.append(f"{path}: expected {_EXPECTED[tp]}")
@@ -165,7 +176,7 @@ class BeamCfg:
 
 @dataclass(frozen=True)
 class CellCfg:
-    cell_id: str
+    cell_id: CsvText
     center_latitude_deg: float
     center_longitude_deg: float
     max_rtt_ms: float
@@ -181,7 +192,7 @@ class CellCfg:
 
 @dataclass(frozen=True)
 class LinkCfg:
-    name: str
+    name: CsvText
     orbit_index: int
     direction: LinkDirection
     eirp_dbw: float
@@ -336,9 +347,19 @@ def load_config_dict(data: dict) -> ScenarioConfig:
     return cfg
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a key given twice is an error."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ValueError(f"duplicate key {key!r}")
+        members[key] = value
+    return members
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ConfigError([f"config: {exc}"])
     return load_config_dict(data)

@@ -57,77 +57,74 @@ def rlc_transfer(
 
 
 # A transfer's event times are its start plus offsets that depend only on
-# its arguments (every process is free at the start), so a transfer is
-# worked out relative to 0 and logged at its start, by the functions above,
-# or after each successful attempt, by run_scenario.  The ms timings become
-# integer us inside, the hop by the link's rule, BentPipeChannel.one_way_us.
+# its arguments, so a transfer is worked out relative to 0 and logged at its
+# start, by the functions above, or after each successful attempt, by
+# run_scenario.  With T = ms_to_us(tti_ms), h = BentPipeChannel.one_way_us
+# (rtt_ms) and A = ms_to_us(ack_ms), unit u (a HARQ block or an RLC PDU) is
+# sent at s(u) = u*T + (u // G)*W, and each of its events falls a fixed sum
+# of T, h and A after s(u):
+# - HARQ: G = P processes, W = max(0, 2h + A - (P - 1)T); block b runs on
+#   process b mod P, and its data tx, data rx, ACK tx and ACK rx fall at
+#   s, s + T + h, s + T + h + A and s + T + 2h + A.
+# - RLC: G = the window, W = 2h; PDU tx and rx fall at s and s + T + h, and
+#   a window's status report goes at its last PDU's arrival and arrives h
+#   later.
+# Each transfer ends at its last event: the last ACK or status arrival.
 
 
-def _template(events: list, end: int) -> tuple[np.ndarray, tuple, int]:
-    """(offsets_us, records, end_us) of ``(offset_us, record)`` events."""
-    offsets = np.array(checked_us([offset for offset, _ in events]), dtype=np.int64)
-    return offsets, tuple(rec for _, rec in events), end
+def _unit_offsets(n_units: int, group: int, tti: int, wait: int, after_send: list):
+    """(offsets, end): the int64 matrix of unit u's events, sent at s(u) =
+    u*tti + (u // group)*wait plus ``after_send``, and the last of them,
+    s(n_units - 1) + after_send[-1], which is range-checked in Python ints
+    before any numpy arithmetic.  ``group`` is at most ``n_units``."""
+    end = checked_us((n_units - 1) * tti + (n_units - 1) // group * wait + after_send[-1])
+    u = np.arange(n_units, dtype=np.int64)
+    return (u * tti + u // group * wait)[:, None] + np.array(after_send), end
 
 
 def _harq_events(n_blocks: int, n_processes: int, tti_ms: float, rtt_ms: float, ack_ms: float):
-    """The ``_template`` of a HARQ transfer started at 0, ending at its
-    last acknowledgment."""
+    """(offsets_us, records, end_us) of a HARQ transfer started at 0."""
     if n_blocks < 1 or n_processes < 1:
         raise DomainError("need at least one block and one process")
-    tti, one_way = ms_to_us(tti_ms), BentPipeChannel.one_way_us(rtt_ms)
-    ack_proc = ms_to_us(ack_ms)
-    events = []
-    proc_free = [0] * n_processes
-    tx_free = 0
-    last_ack = 0
-    for block in range(n_blocks):
-        p = min(range(n_processes), key=lambda i: proc_free[i])
-        t_tx = max(tx_free, proc_free[p])
-        data, ack = f"harq_data block={block} proc={p}", f"harq_ack block={block} proc={p}"
-        tx_end = t_tx + tti
-        tx_free = tx_end
-        data_arr = tx_end + one_way
-        ack_tx = data_arr + ack_proc
-        ack_arr = ack_tx + one_way
-        events += [
-            (t_tx, record("device", _TX, data)),
-            (data_arr, record("bs", _RX, data)),
-            (ack_tx, record("bs", _TX, ack)),
-            (ack_arr, record("device", _RX, ack)),
-        ]
-        proc_free[p] = ack_arr
-        last_ack = max(last_ack, ack_arr)
-    return _template(events, last_ack)
+    tti, hop, ack = ms_to_us(tti_ms), BentPipeChannel.one_way_us(rtt_ms), ms_to_us(ack_ms)
+    after_send = [0, tti + hop, tti + hop + ack, tti + 2 * hop + ack]
+    # Processes beyond the block count never run; with no round trip at all,
+    # each ACK arrives as its block goes and process 0 takes every block.
+    n_processes = min(n_processes, n_blocks) if after_send[-1] else 1
+    wait = max(0, 2 * hop + ack - (n_processes - 1) * tti)
+    offsets, end = _unit_offsets(n_blocks, n_processes, tti, wait, after_send)
+    records = tuple(
+        record(entity, kind, f"harq_{what} block={b} proc={b % n_processes}")
+        for b in range(n_blocks)
+        for entity, kind, what in (
+            ("device", _TX, "data"), ("bs", _RX, "data"), ("bs", _TX, "ack"), ("device", _RX, "ack")
+        )
+    )
+    return offsets.ravel(), records, end
 
 
 def _rlc_events(n_pdus: int, window_pdus: int, tti_ms: float, rtt_ms: float):
-    """The ``_template`` of an RLC transfer started at 0, ending at its
-    final status report."""
+    """(offsets_us, records, end_us) of an RLC transfer started at 0."""
     if n_pdus < 1 or window_pdus < 1:
         raise DomainError("need at least one PDU and a window of at least one PDU")
-    tti, one_way = ms_to_us(tti_ms), BentPipeChannel.one_way_us(rtt_ms)
-    events = []
-    t = 0
-    sent = 0
-    while sent < n_pdus:
-        batch = min(window_pdus, n_pdus - sent)
-        for j in range(batch):
-            tx = t + j * tti
-            pdu = f"rlc_pdu sn={sent + j}"
-            events += [
-                (tx, record("device", _TX, pdu)),
-                (tx + tti + one_way, record("bs", _RX, pdu)),
-            ]
-        last_arr = t + batch * tti + one_way
-        status = f"rlc_status upto={sent + batch}"
-        status_arr = last_arr + one_way
-        events += [
-            (last_arr, record("bs", _TX, status)),
-            (status_arr, record("device", _RX, status)),
-        ]
-        sent += batch
-        t = status_arr
-    return _template(events, t)
+    tti, hop = ms_to_us(tti_ms), BentPipeChannel.one_way_us(rtt_ms)
+    window = min(window_pdus, n_pdus)
+    offsets, end = _unit_offsets(
+        n_pdus, window, tti, 2 * hop, [0, tti + hop, tti + hop, tti + 2 * hop]
+    )
+    # A PDU's status pair is logged only if it closes its window.
+    upto = np.arange(1, n_pdus + 1)
+    closes = (upto % window == 0) | (upto == n_pdus)
+    logged = np.ones(offsets.shape, bool)
+    logged[:, 2:] = closes[:, None]
+    records = []
+    for sn, last in enumerate(closes.tolist()):
+        pdu = f"rlc_pdu sn={sn}"
+        records += [record("device", _TX, pdu), record("bs", _RX, pdu)]
+        if last:
+            status = f"rlc_status upto={sn + 1}"
+            records += [record("bs", _TX, status), record("device", _RX, status)]
+    return offsets[logged], tuple(records), end
 
 
 @dataclass(frozen=True)

@@ -347,6 +347,58 @@ def test_duplicate_link_exits_2(config_dir, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"seed": 1,', '"seed": 7, "seed": 1,', "seed"),
+        ('"max_rtt_ms": 26.0,', '"max_rtt_ms": 1.0, "max_rtt_ms": 26.0,', "max_rtt_ms"),
+    ],
+    ids=["top_level", "nested"],
+)
+def test_a_key_repeated_in_one_object_exits_2(config_dir, tmp_path, capsys, old, new, key):
+    """JSON would keep the last value; the config rejects the repeat."""
+    text = (config_dir / "leo600_sband.json").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, new))
+    _exits_2_at_load(str(path), tmp_path, capsys, f"config: duplicate key {key!r}")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["cells"][0].update(cell_id="a,b"),
+         "config.cells[0].cell_id: 'a,b' holds a comma, CR or LF"),
+        (lambda d: d["links"][1].update(name="leo\nul"),
+         "config.links[1].name: 'leo\\nul' holds a comma, CR or LF"),
+        (lambda d: d["links"][0].update(name="dl\r"),
+         "config.links[0].name: 'dl\\r' holds a comma, CR or LF"),
+    ],
+    ids=["comma_in_cell_id", "lf_in_link_name", "cr_in_link_name"],
+)
+def test_a_name_that_would_split_a_csv_row_exits_2(config_dir, tmp_path, capsys, edit, message):
+    path = _edited_leo_config(config_dir, tmp_path, edit)
+    assert main(["rank-cells", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    _exits_2_at_load(path, tmp_path, capsys, message)
+
+
+def test_an_rlc_window_beyond_int64_simulates_as_the_whole_message(config_dir, tmp_path):
+    """geo_sband's message is 4 RLC PDUs: a window of 2**70 sends them as
+    one window of 4 does, byte for byte."""
+    outputs = []
+    for window in (4, 2**70):
+        data = json.loads((config_dir / "geo_sband.json").read_text())
+        data["harq"]["enabled"] = False
+        data["transfer"]["rlc_window_pdus"] = window
+        path, out = tmp_path / f"w{window}.json", tmp_path / f"out{window}"
+        path.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--seed", "2"]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("report_seed2.json", "trace_seed2.csv")])
+    assert load_config(tmp_path / "w4.json").transfer_units() == 4
+    assert outputs[1] == outputs[0]
+
+
 def test_non_finite_number_exits_2(config_dir, tmp_path, capsys):
     path = _edited_leo_config(
         config_dir, tmp_path, lambda d: d["access"].update(gnss_error_m=float("nan"))

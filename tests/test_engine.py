@@ -220,8 +220,9 @@ def test_a_transfer_past_the_us_range_is_rejected(tti_ms, rtt_ms):
         rlc_transfer(Simulator(), 0, 4, 4, tti_ms, rtt_ms)
 
 
-# One schedule call per event, with every time worked out from start_us:
-# the reference that the template replay must match.
+# One schedule call per event, with every time worked out from start_us by
+# stepping through the processes or windows: the oracle that the closed-form
+# templates of engine._harq_events and _rlc_events must match.
 def harq_transfer_reference(
     sim, start_us, n_blocks, n_processes, tti_ms, rtt_ms, ack_processing_ms=0.0
 ):
@@ -320,6 +321,60 @@ def test_transfer_replay_matches_per_event_loop(prefix, first, second, start_us,
         ends.append((end1, end2, end3))
     assert traces[1] == traces[0]
     assert ends[1] == ends[0]
+
+
+def _logged(transfer, *args):
+    """(trace rows, end) of one transfer logged at 7 us."""
+    sim = Simulator()
+    end = transfer(sim, 7, *args)
+    sim.run()
+    return sim.trace_rows(), end
+
+
+BEYOND_THE_UNITS = pytest.mark.parametrize(
+    "beyond", [lambda n: n + 1, lambda n: n + 7, lambda n: 2**70], ids=["n+1", "n+7", "2**70"]
+)
+
+
+@pytest.mark.parametrize("n_units", [1, 5, 9])
+@BEYOND_THE_UNITS
+def test_rlc_window_beyond_the_pdu_count_matches_the_loop(n_units, beyond):
+    """A window wider than the transfer (up to 2**70, which no int64 holds)
+    sends every PDU back to back, as the loop does."""
+    expected = _logged(rlc_transfer_reference, n_units, beyond(n_units), 3.0, 541.0)
+    assert _logged(rlc_transfer, n_units, beyond(n_units), 3.0, 541.0) == expected
+
+
+@pytest.mark.parametrize("n_units", [1, 5, 9])
+@BEYOND_THE_UNITS
+def test_harq_processes_beyond_the_block_count_match_the_loop(n_units, beyond):
+    """More processes than blocks: block b runs on process b, none waits.
+    The loop keeps a list slot per process, so it runs with n_units + 1 of
+    them, which gives the same trace as any larger count."""
+    expected = _logged(harq_transfer_reference, n_units, n_units + 1, 3.0, 541.0, 2.0)
+    assert _logged(harq_transfer, n_units, beyond(n_units), 3.0, 541.0, 2.0) == expected
+
+
+@pytest.mark.parametrize("n_processes", [2, 3])
+@pytest.mark.parametrize("ack_us", [-1, 0, 1], ids=["below", "at", "above"])
+def test_harq_regime_boundary_matches_the_loop(n_processes, ack_us):
+    """2h + A against (P - 1)T, exactly and 1 us either side: T = 4 ms,
+    h = 1.5 ms, and A = (P - 1)T - 2h + ack_us."""
+    tti_ms, rtt_ms = 4.0, 3.0
+    ack_ms = ((n_processes - 1) * 4000 - 3000 + ack_us) / 1000
+    args = (11, n_processes, tti_ms, rtt_ms, ack_ms)
+    rows, end = _logged(harq_transfer, *args)
+    assert (rows, end) == _logged(harq_transfer_reference, *args)
+    assert end == 7 + harq_end_us(*args)
+
+
+def test_harq_with_a_zero_us_round_trip_matches_the_loop():
+    """A TTI that rounds to 0 us, no hop and no ACK processing: every ACK
+    arrives as its block is sent, so process 0 takes each block."""
+    args = (5, 2, 0.0004, 0.0, 0.0)
+    rows, end = _logged(harq_transfer, *args)
+    assert (rows, end) == _logged(harq_transfer_reference, *args)
+    assert {row[4].split()[-1] for row in rows} == {"proc=0"}
 
 
 def test_beam_schedule_static_geo():
