@@ -35,7 +35,7 @@ from .geometry import (
     slant_range,
     visibility_duration,
 )
-from .linkbudget import fspl
+from .linkbudget import LinkDirection, fspl
 from .mobility import CellCandidate, cell_suitability, rank_cells
 from .protocol import BentPipeChannel, DeviceContext, Ephemeris, estimate_service_delay
 
@@ -190,6 +190,19 @@ def cmd_doppler_trace(config: ScenarioConfig, args) -> int:
 
 
 def cmd_simulate(config: ScenarioConfig, args) -> int:
+    # A scenario runs over one orbit and that orbit's two links, so a config
+    # that it would read only in part is refused before it runs.
+    on_orbit_0 = {link.direction for link in config.links if link.orbit_index == 0}
+    holes = [
+        f"config.links: orbit 0 has no {direction.value}, which simulate needs"
+        for direction in LinkDirection
+        if direction not in on_orbit_0
+    ]
+    if len(config.constellation) > 1:
+        n = len(config.constellation)
+        holes.append(f"config.constellation: simulate runs one orbit, not {n}")
+    if holes:
+        raise ConfigError(holes)
     base_seed = config.seed if args.seed is None else args.seed
     if base_seed + args.jobs - 1 >= 2**64:
         print(f"--jobs {args.jobs}: seeds from {base_seed} run past 2**64 - 1", file=sys.stderr)

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, DomainError
+from .events import US_PER_MS
 from .geometry import BeamSpec, GroundPosition, OrbitKind, OrbitSpec
 from .linkbudget import (
     ATMOSPHERIC_DB,
@@ -225,8 +226,11 @@ class TransferCfg:
     rlc_pdu_bits: float = 1000.0
 
     def __post_init__(self):
-        if self.tti_ms <= 0:
-            raise DomainError("TTI must be positive")
+        # ms_to_us(tti_ms) >= 1 (round takes 0.5 us to 0), as the TTI spaces
+        # a transfer's sends; compared in float, since ms_to_us refuses a TTI
+        # past the int64 us range, which fails at run time instead.
+        if not self.tti_ms * US_PER_MS > 0.5:
+            raise DomainError("TTI must round to at least 1 us")
         if self.tbs_bits <= 0 or self.rlc_pdu_bits <= 0:
             raise DomainError("transport block and RLC PDU sizes must be positive")
         if self.rlc_window_pdus < 1:

@@ -18,8 +18,8 @@ from .events import _RX, _TX, Simulator, checked_us, ms_to_us, ms_to_us_array
 from .events import record, us_to_ms
 # geometry_sample, propagate and run_random_access stay importable from this
 # module (unused here): perfbench/tracing.py patches them to count calls.
-from .geometry import GroundPosition, OrbitKind, OrbitSpec, _sweep_times, geometry_samples
-from .geometry import geometry_sample, propagate, propagate_many, slant_range  # noqa: F401
+from .geometry import GroundPosition, OrbitKind, OrbitSpec, _sweep_times, highest_satellite
+from .geometry import geometry_sample, propagate, slant_range  # noqa: F401
 from .linkbudget import LinkBudgetParams, LinkDirection, fspl, snr
 from .protocol import PATH_CAUSES, PATH_SUCCESS, AccessOutcome, Attempts, BentPipeChannel
 from .protocol import access_attempts, run_random_access  # noqa: F401
@@ -143,30 +143,26 @@ def earth_fixed_beam_schedule(
 ) -> list[ServiceInterval]:
     """Intervals during which each satellite serves an earth-fixed cell.
 
-    The serving satellite is the one with the highest cell-center
-    elevation above the threshold; a change of serving satellite starts a
-    new interval (a service-link switch).
+    The serving satellite is ``highest_satellite`` of the cell center at
+    the threshold; a change of serving satellite starts a new interval (a
+    service-link switch).
     """
     if not 0 < step_s < math.inf or not (horizon_s is None or 0 < horizon_s < math.inf):
         raise DomainError("horizon and step must be positive and finite")
     if isinstance(orbits, OrbitSpec):
         orbits = [orbits]
-    if not orbits:
-        return []
     static = all(
         o.kind is OrbitKind.GEOSYNCHRONOUS and o.inclination_deg == 0.0 for o in orbits
     )
-    epoch = max(o.epoch_s for o in orbits)
+    epoch = max((o.epoch_s for o in orbits), default=0.0)  # with no orbits, none serves
     if static:
-        serving = _serving_satellite(orbits, np.array([epoch]), cell_center, min_elevation_deg)
-        if serving[0] < 0:
-            return []
-        return [ServiceInterval(epoch, math.inf, int(serving[0]))]
+        serving = int(highest_satellite(orbits, epoch, cell_center, min_elevation_deg)[0])
+        return [ServiceInterval(epoch, math.inf, serving)] if serving >= 0 else []
 
     if horizon_s is None:
         horizon_s = max(o.period_s() for o in orbits)
     t = _sweep_times(epoch, horizon_s, step_s)
-    serving = _serving_satellite(orbits, t, cell_center, min_elevation_deg)
+    serving = highest_satellite(orbits, t, cell_center, min_elevation_deg)[0]
     # Runs of one serving index; each ends where the next starts, the last
     # at the final step.
     starts = np.concatenate(([0], np.flatnonzero(serving[1:] != serving[:-1]) + 1))
@@ -176,21 +172,6 @@ def earth_fixed_beam_schedule(
         for start, end in zip(starts, ends)
         if serving[start] >= 0
     ]
-
-
-def _serving_satellite(
-    orbits: list[OrbitSpec], t: np.ndarray, cell_center: GroundPosition, min_elevation_deg: float
-) -> np.ndarray:
-    """Index of the satellite with the highest cell-center elevation at or
-    above the threshold at each time (ties go to the later index), or -1."""
-    serving = np.full(t.shape, -1)
-    best = np.full(t.shape, float(min_elevation_deg))
-    for idx, orbit in enumerate(orbits):
-        elevation, _, _ = geometry_samples(*propagate_many(orbit, t), cell_center)
-        take = elevation >= best
-        serving[take] = idx
-        best[take] = elevation[take]
-    return serving
 
 
 @dataclass

@@ -334,6 +334,32 @@ def doppler_hz(range_rate_km_s, fc_hz: float):
     return -range_rate_km_s / SPEED_OF_LIGHT_KM_S * fc_hz
 
 
+def highest_satellite(
+    orbits: list[OrbitSpec] | tuple[OrbitSpec, ...],
+    t_s,
+    ground: GroundPosition,
+    min_elevation_deg: float = -math.inf,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The satellite serving a ground point at each time: the highest of
+    ``orbits`` at or above ``min_elevation_deg``, ties to the later index,
+    each orbit seen at ``max(t, orbit.epoch_s)``.  Returns ``(index,
+    elevation_deg, slant_range_km, range_rate_km_s)`` in the shape of
+    ``t_s``, with index -1 and NaNs where no satellite is that high."""
+    t = np.asarray(t_s, dtype=float)
+    index = np.full(t.shape, -1)
+    elevation = np.full(t.shape, float(min_elevation_deg))
+    distance = np.full(t.shape, np.nan)
+    range_rate = np.full(t.shape, np.nan)
+    for i, orbit in enumerate(orbits):
+        el, d, rr = geometry_samples(*propagate_many(orbit, np.maximum(t, orbit.epoch_s)), ground)
+        take = el >= elevation
+        index[take] = i
+        elevation[take] = el[take]
+        distance[take] = d[take]
+        range_rate[take] = rr[take]
+    return index, np.where(index >= 0, elevation, np.nan), distance, range_rate
+
+
 def visibility_duration(
     orbit: OrbitSpec,
     ground: GroundPosition,

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, NotReachableError
 from .events import _MEASUREMENT, _RX, _TIMER, _TX, Simulator
 from .events import checked_us, ms_to_us, record, us_to_ms
-from .geometry import GeometrySample, GroundPosition, OrbitSpec, geometry_sample, propagate
+from .geometry import GroundPosition, OrbitSpec, doppler_hz, highest_satellite
 from .geometry import one_way_delay_ms, slant_range
 from .linkbudget import DL_SNR_FLOOR_DB, UL_SNR_FLOOR_DB
 
@@ -205,31 +205,17 @@ class AccessOutcome:
     reported_delay_ms: Optional[float]
 
 
-def _highest_satellite(
-    device: DeviceContext, eph: Ephemeris, fc_hz: float, t_s: float
-) -> Optional[GeometrySample]:
-    """The device's view of the ephemeris satellite highest above its GNSS
-    fix, each evaluated at ``t - staleness`` (not before its epoch); the
-    first one on a tie, None for an empty ephemeris."""
-    fix = device.gnss_position
-    samples = [
-        geometry_sample(propagate(o, max(o.epoch_s, t_s - eph.staleness_s)), fix, fc_hz)
-        for o in eph.orbits
-    ]
-    return max(samples, key=lambda sample: sample.elevation_deg, default=None)
-
-
 def estimate_service_delay(device: DeviceContext, eph: Ephemeris, t_s: float) -> float:
     """One-way service-link delay (ms) as the device would compute it.
 
-    Uses the device's (possibly erroneous) GNSS fix and the ephemeris
-    evaluated at ``t - staleness``, which bounds the estimation error by
-    (gnss_error + staleness * |range rate|) / c.
+    Uses ``highest_satellite`` above the device's (possibly erroneous)
+    GNSS fix, from the ephemeris at ``t - staleness``, which bounds the
+    estimation error by (gnss_error + staleness * |range rate|) / c.
     """
-    best = _highest_satellite(device, eph, 1e9, t_s)
-    if best is None or best.elevation_deg < 0.0:
+    index, _, d, _ = highest_satellite(eph.orbits, t_s - eph.staleness_s, device.gnss_position, 0.0)
+    if index < 0:
         raise NotReachableError("no satellite above the horizon")
-    return best.one_way_delay_ms
+    return float(one_way_delay_ms(d))
 
 
 def precompensate_preamble(delay_est_ms: float) -> float:
@@ -531,10 +517,12 @@ def doppler_precompensation(
     device: DeviceContext, eph: Ephemeris, fc_hz: float, t_s: float
 ) -> float:
     """Transmit frequency offset cancelling the predicted Doppler."""
-    best = _highest_satellite(device, eph, fc_hz, t_s)
-    if best is None:
+    if fc_hz <= 0:
+        raise DomainError("carrier frequency must be positive")
+    index, _, _, rr = highest_satellite(eph.orbits, t_s - eph.staleness_s, device.gnss_position)
+    if index < 0:
         raise NotReachableError("empty ephemeris")
-    offset = -best.doppler_hz
+    offset = float(-doppler_hz(rr, fc_hz))
     device.frequency_offset_hz = offset
     return offset
 

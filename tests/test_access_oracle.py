@@ -12,12 +12,12 @@ import io
 import json
 import math
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import CONFIG_DIR
 from ntnsim.config import load_config_dict
 from ntnsim.constants import SPEED_OF_LIGHT_KM_S, SPEED_OF_LIGHT_M_S
 from ntnsim.engine import (
@@ -54,7 +54,6 @@ from ntnsim.protocol import (
 )
 
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 LEO_LINKS = json.loads((CONFIG_DIR / "leo600_sband.json").read_text())["links"]
 
 

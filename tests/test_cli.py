@@ -347,6 +347,52 @@ def test_duplicate_link_exits_2(config_dir, tmp_path, capsys):
     )
 
 
+def _second_orbit(data):
+    data["constellation"].append(dict(data["constellation"][0], phase_deg=180.0))
+
+
+def _weak_uplink_on_orbit_1(data):
+    _second_orbit(data)
+    data["links"][1].update(eirp_dbw=-67.0, orbit_index=1)
+
+
+NO_UPLINK = "config.links: orbit 0 has no uplink, which simulate needs"
+TWO_ORBITS = "config.constellation: simulate runs one orbit, not 2"
+LINK_HOLES = {
+    # Each ran and exited 0, reading a missing direction as 100 dB (5 of 5
+    # successes) and ignoring every orbit but the first.
+    "uplink_removed": (lambda d: d["links"].pop(1), [NO_UPLINK]),
+    "downlink_removed": (
+        lambda d: d["links"].pop(0),
+        ["config.links: orbit 0 has no downlink, which simulate needs"],
+    ),
+    "weak_uplink_on_orbit_1": (_weak_uplink_on_orbit_1, [NO_UPLINK, TWO_ORBITS]),
+    "second_orbit": (_second_orbit, [TWO_ORBITS]),
+}
+
+
+@pytest.mark.parametrize("hole", LINK_HOLES)
+def test_simulate_refuses_a_link_hole(config_dir, tmp_path, capsys, hole):
+    edit, messages = LINK_HOLES[hole]
+    path = _edited_leo_config(config_dir, tmp_path, edit)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(message in err for message in messages) and "Traceback" not in err
+    assert not out.exists()
+    # The other commands keep reading every orbit and link.
+    assert main(["linkbudget", "--config", path, "--out", str(out)]) == 0
+
+
+def test_simulate_runs_a_weak_uplink_on_orbit_0(config_dir, tmp_path):
+    """The hole table's control: the weak uplink of the orbit-1 row, left
+    on orbit 0, is read, and no access gets through it."""
+    path = _edited_leo_config(config_dir, tmp_path, lambda d: d["links"][1].update(eirp_dbw=-67.0))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert json.loads((out / "report_seed1.json").read_text())["access_successes"] == 0
+
+
 @pytest.mark.parametrize(
     "old, new, key",
     [
@@ -412,6 +458,9 @@ def test_negative_gnss_error_exits_2(config_dir, tmp_path, capsys):
 
 
 OUT_OF_RANGE = [
+    # A TTI that rounds to 0 us would send two blocks in the same us.
+    ({"transfer.tti_ms": 0.0004}, "config.transfer: TTI must round to at least 1 us"),
+    ({"transfer.tti_ms": 0.0005}, "config.transfer: TTI must round to at least 1 us"),
     ({"transfer.tbs_bits": 0.0}, "transport block and RLC PDU sizes must be positive"),
     ({"transfer.rlc_pdu_bits": -1.0}, "transport block and RLC PDU sizes must be positive"),
     (

@@ -383,6 +383,8 @@ def test_beam_schedule_static_geo():
     assert intervals == [ServiceInterval(0.0, math.inf, 0)]
     # A cell the satellite cannot see gets no service.
     assert earth_fixed_beam_schedule(geo, GroundPosition(85.0, 0.0), 10.0) == []
+    # Nor does any cell of an empty constellation.
+    assert earth_fixed_beam_schedule([], GroundPosition(30.0, 0.0), 10.0) == []
 
 
 def test_beam_schedule_leo_switch():

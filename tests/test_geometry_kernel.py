@@ -8,6 +8,7 @@ them sample by sample, and every sweep must return what a plain loop
 over them returns.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from ntnsim.config import load_config
 from ntnsim.constants import EARTH_RADIUS_KM, OMEGA_EARTH_RAD_S, SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import ServiceInterval, earth_fixed_beam_schedule
-from ntnsim.errors import DomainError
+from ntnsim.errors import DomainError, NotReachableError
 from ntnsim.geometry import (
     BeamSpec,
     GeometrySample,
@@ -41,6 +42,8 @@ from ntnsim.geometry import (
     visibility_duration,
 )
 from ntnsim.geometry import _rot_x, _rot_z, _tangent_basis
+from ntnsim.protocol import DeviceContext, Ephemeris, doppler_precompensation
+from ntnsim.protocol import estimate_service_delay
 
 RTOL = 1e-9
 
@@ -376,6 +379,45 @@ def test_beam_schedule_ties_go_to_the_later_satellite():
     # The threshold is inclusive: a satellite exactly at it serves.
     elevation = geometry_sample(propagate(geo, 0.0), cell, 1e9).elevation_deg
     assert earth_fixed_beam_schedule([geo], cell, elevation) == [ServiceInterval(0.0, math.inf, 0)]
+
+
+def highest_reference(orbits, t_s, ground, fc_hz):
+    """The serving rule on the scalar oracle: each orbit sampled at
+    max(t, epoch), the highest kept, the later one on a tie."""
+    best = None
+    for orbit in orbits:
+        state = propagate_reference(orbit, max(t_s, orbit.epoch_s))
+        sample = geometry_sample_reference(state, ground, fc_hz)
+        if best is None or sample.elevation_deg >= best.elevation_deg:
+            best = sample
+    return best
+
+
+@given(
+    st.floats(0.0, 2e4),
+    st.floats(0.0, 60.0),
+    st.lists(st.one_of(st.none(), st.floats(0.0, 60.0)), min_size=24, max_size=24),
+    grounds,
+)
+@settings(max_examples=40, deadline=None)
+def test_ephemeris_estimate_serves_the_highest_orbit(t, staleness, lags, fix):
+    """A 24-satellite ephemeris of age ``staleness``: an orbit with a lag
+    has its epoch that long after t - staleness, so it is seen at its
+    epoch; the others (epoch 0) at t - staleness, or at 0 before that."""
+    orbits = tuple(
+        orbit if lag is None else dataclasses.replace(orbit, epoch_s=t - staleness + lag)
+        for orbit, lag in zip(walker(), lags)
+    )
+    device, eph = DeviceContext(gnss_position=fix), Ephemeris(orbits, staleness)
+    best = highest_reference(orbits, t - staleness, fix, 2e9)
+    if best.elevation_deg >= 0.0:
+        delay = estimate_service_delay(device, eph, t)
+        assert close(delay, best.one_way_delay_ms, one_way_delay_ms(EARTH_RADIUS_KM))
+    else:
+        with pytest.raises(NotReachableError):
+            estimate_service_delay(device, eph, t)
+    offset = doppler_precompensation(device, eph, 2e9, t)
+    assert close(offset, -best.doppler_hz, -doppler_hz(8.0, 2e9))
 
 
 def test_ground_track_matches_scalar_loop():

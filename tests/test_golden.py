@@ -18,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CONFIG_DIR
 from ntnsim.cli import main
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "cli_sha256.json"
 SCRIPTS_GOLDEN_PATH = GOLDEN_PATH.with_name("scripts_sha256.json")

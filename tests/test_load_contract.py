@@ -20,11 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CONFIG_DIR
 from ntnsim.cli import main
 from ntnsim.config import ScenarioConfig, load_config_dict
 from ntnsim.errors import ConfigError
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BUNDLED = {path.name: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
 
 BAD_VALUES = [

@@ -276,6 +276,8 @@ def test_doppler_precompensation_cancels_prediction():
     sample = geometry_sample(propagate(orbit, 20000.0), device.gnss_position, 2e9)
     assert offset == pytest.approx(-sample.doppler_hz)
     assert device.frequency_offset_hz == offset
+    with pytest.raises(DomainError, match="carrier frequency"):
+        doppler_precompensation(device, eph, 0.0, 20000.0)
 
 
 def test_harq_throughput_formula():
