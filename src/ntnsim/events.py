@@ -11,14 +11,20 @@ index into the simulator's one list of records; ``run`` sorts them once,
 stably by time, into (time, seq) order, so events at equal times keep the
 order they were logged in.
 
-A record (see ``record``) is built once per distinct event and shared by
-every entry that logs it, and it carries its CSV line tail.
+A record (see ``record``) is built once per printed event and shared by
+every entry that logs it, and it carries its CSV line tail: the access
+kernel logs each attempt from its stage's template of (offset, code)
+pairs and builds one record per printed detail (residual, TA steps,
+reported delay), not one per attempt.
 ``write_csv`` builds the trace bytes block by block with array
 operations: each row is the whole ms and the seq as ASCII digits, an
 8-byte ms fraction from a table, and the tail of the row's record, in a
 NUL-padded uint8 matrix whose NULs are then dropped.  The log stays in
-integer us until it is written; ``trace_rows`` builds float rows only
-when asked.
+integer us until it is written, so the CSV prints each time's exact us.
+``trace_rows`` builds float rows only when asked; its ``time_us / 1000``
+prints as ``f"{t:.6f}"`` to the CSV's text only below 2**33 ms (past it,
+9000000038228 us is 9000000038.228000 in the CSV and 9000000038.228001
+from the float).
 """
 
 from __future__ import annotations

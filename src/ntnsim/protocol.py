@@ -295,14 +295,24 @@ _STAGES = (
     (PATH_CR_TIMEOUT, 7, CR_EXPIRY),
     (PATH_SUCCESS, 7, MSG4_RX),
 )
-_SLOTS = np.arange(MSG4_RX + 1)
 _STAGE_PATHS = np.array([path for path, _, _ in _STAGES])
-_STAGE_LOGS = np.array([(_SLOTS < n) | (_SLOTS == end) for _, n, end in _STAGES])
+# Each stage's log template is its logged slots in slot order; the
+# templates lie end to end in _TEMPLATE_SLOTS, the success stage's last, so
+# that a transfer template can follow it.  _RANK[stage, slot] is the
+# slot's position in the stage's template, -1 where the stage skips it.
+_STAGE_SLOTS = [[*range(n), end] for _, n, end in _STAGES]
+_TEMPLATE_SLOTS = np.concatenate(_STAGE_SLOTS)
+_TEMPLATE_SIZES = np.array([len(slots) for slots in _STAGE_SLOTS])
+_TEMPLATE_STARTS = np.cumsum(_TEMPLATE_SIZES) - _TEMPLATE_SIZES
+_RANK = np.array([
+    [slots.index(slot) if slot in slots else -1 for slot in range(MSG4_RX + 1)]
+    for slots in _STAGE_SLOTS
+])
 
-# The record of each slot with a fixed detail.  The other three slots carry
-# a per-attempt detail (residual, TA steps, reported delay), which gets one
-# record per distinct value in a call, so a long scenario's log holds no
-# per-attempt copies.
+# The record of each slot with a fixed detail, and its code: its index in
+# the table.  The other three slots carry a per-attempt detail (residual,
+# TA steps, reported delay), which gets one record per printed detail in a
+# call, so a long scenario's log holds no per-attempt copies.
 _SLOT_RECORDS = {
     MSG1_TX: record("device", _TX, "msg1_preamble"),
     TA_OUT: record("bs", _MEASUREMENT, "ta_out_of_range"),
@@ -313,6 +323,66 @@ _SLOT_RECORDS = {
     CR_EXPIRY: record("device", _TIMER, "contention_resolution_expiry"),
     MSG4_RX: record("device", _RX, "msg4_contention_resolution"),
 }
+_SLOT_CODES = np.zeros(MSG4_RX + 1, np.int64)
+_SLOT_CODES[list(_SLOT_RECORDS)] = range(len(_SLOT_RECORDS))
+# The slots with a per-attempt detail: (slot, entity, kind, detail prefix,
+# decimal places of a float value, None for an int).
+_DETAIL_SLOTS = (
+    (MSG1_RX, "bs", _RX, "msg1_preamble residual_us=", 3),
+    (MSG2_RX, "device", _RX, "msg2_rar ta_steps=", None),
+    (MSG3_TX, "device", _TX, "msg3 reported_delay_ms=", 1),
+)
+
+# From 2**52 on a float is an integer, which f"{v:.3f}" prints exactly.
+_EXACT_BITS = int(np.array(2.0**52).view(np.int64))
+# The decimal fraction of each text of _detail_texts, by its places and its
+# value in units of the last place.
+_FRACTIONS = {
+    places: [f".{f:0{places}d}" for f in range(10**places)] for *_, places in _DETAIL_SLOTS if places
+}
+
+
+def _detail_keys(values: np.ndarray, places: int) -> np.ndarray:
+    """One int64 key per text ``f"{v:.{places}f}"`` (``places`` 1 or 3) of
+    each float of ``values``: equal keys for equal texts, and
+    ``_detail_texts`` gives the texts back.  Below 2**52 in magnitude the
+    key is ``2 * round_half_even(|v| * 10**places) + signbit(v)``, exact in
+    int64 from the float's significand and exponent.  From 2**52 on (and
+    inf, and nan, which prints "nan" whatever its sign) it is negative:
+    ``-1 - 2 * (the magnitude's bits - _EXACT_BITS) - signbit(v)``."""
+    values = np.where(np.isnan(values), np.nan, values)
+    sign = np.signbit(values).astype(np.int64)
+    magnitude = np.abs(values)
+    exact = magnitude < 2.0**52
+    mantissa, exponent = np.frexp(np.where(exact, magnitude, 0.0))
+    # |v| * 10**places = scaled / 2**shift, with scaled < 2**53 * 1000 < 2**63.
+    scaled = (mantissa * 2.0**53).astype(np.int64) * 10**places
+    shift = 53 - exponent.astype(np.int64)
+    scaled[shift > 63] = 0  # under half a unit: rounds to 0
+    shift = np.minimum(shift, 63)
+    units = scaled >> shift
+    rest, half = scaled - (units << shift), 1 << (shift - 1)
+    units += (rest > half) | ((rest == half) & (units % 2 == 1))
+    beyond = np.maximum(magnitude.view(np.int64), _EXACT_BITS) - _EXACT_BITS
+    return np.where(exact, 2 * units + sign, -1 - 2 * beyond - sign)
+
+
+def _detail_texts(keys: np.ndarray, places: int) -> list[str]:
+    """The text ``f"{v:.{places}f}"`` of the floats of each ``_detail_keys``
+    key of ``keys``."""
+    units, sign = np.divmod(keys, 2)
+    whole, fraction = np.divmod(units, 10**places)
+    fractions = _FRACTIONS[places]
+    texts = [
+        "-" * s + str(w) + fractions[f]
+        for s, w, f in zip(sign.tolist(), whole.tolist(), fraction.tolist())
+    ]
+    beyond = np.flatnonzero(keys < 0)
+    bits, sign = np.divmod(-1 - keys[beyond], 2)
+    values = (bits + _EXACT_BITS).view(np.float64) * (1 - 2 * sign)
+    for i, value in zip(beyond.tolist(), values.tolist()):
+        texts[i] = f"{value:.{places}f}"
+    return texts
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,45 +482,43 @@ def access_attempts(
     msg2_in_time, msg4_in_time = msg2_arr <= window_end, msg4_arr <= cr_end
     passed = np.stack([d1, in_range, d2 & msg2_in_time, d3, d4 & msg4_in_time], axis=1)
     stage = np.logical_and.accumulate(passed, axis=1).sum(axis=1)
-    path, logged = _STAGE_PATHS[stage], _STAGE_LOGS[stage]
-    success = path == PATH_SUCCESS
+    path = _STAGE_PATHS[stage]
     # Each path's monitoring time, in PATH_CAUSES order.
     rar_monitoring = msg2_arr - window_start
     monitoring = (
         rar_monitoring + msg4_arr - cr_start, window_len, window_len, rar_monitoring + cr_len
     )
 
-    times = t1[:, None] + np.array(offsets, np.int64)
-    # Each logged event's record, as an index into `table`.
-    table = list(_SLOT_RECORDS.values())
-    codes = np.empty(times.shape, np.int64)
-    codes[:, list(_SLOT_RECORDS)] = np.arange(len(table))
-    for slot, values, entity, kind, detail in (
-        (MSG1_RX, residual_us, "bs", _RX, "msg1_preamble residual_us={:.3f}"),
-        (MSG2_RX, ta_steps, "device", _RX, "msg2_rar ta_steps={}"),
-        (MSG3_TX, reported_delay_ms, "device", _TX, "msg3 reported_delay_ms={:.1f}"),
-    ):
-        # Distinct bit patterns, so -0.0 keeps its own "-0.000" detail.
-        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        codes[:, slot] = len(table) + inverse.reshape(-1)
-        table += [
-            record(entity, kind, detail.format(v)) for v in distinct.view(values.dtype).tolist()
-        ]
-
-    # Each attempt's access events, then its transfer template on success,
-    # at consecutive log positions starting at `base`.
-    n_access = logged.sum(axis=1)
-    sizes = n_access + len(transfer_offsets) * success
+    # The stage templates as (offset, code) pairs, the transfer's after the
+    # success stage's; a code indexes `table`: the fixed-detail slots' records,
+    # the transfer's, then one per printed per-attempt detail.
+    n_transfer = len(transfer_offsets)
+    template_times = np.concatenate(
+        (np.array(offsets, np.int64)[_TEMPLATE_SLOTS], transfer_start + transfer_offsets)
+    )
+    template_codes = np.concatenate(
+        (_SLOT_CODES[_TEMPLATE_SLOTS], len(_SLOT_RECORDS) + np.arange(n_transfer))
+    )
+    table = [*_SLOT_RECORDS.values(), *transfer_records]
+    # Each attempt logs its stage's template at consecutive log positions
+    # from `base`: entry k of the log is entry `entry[k]` of the templates.
+    sizes = (_TEMPLATE_SIZES + n_transfer * (_STAGE_PATHS == PATH_SUCCESS))[stage]
     base = np.cumsum(sizes) - sizes
-    log_times = np.empty(int(sizes.sum()), np.int64)
-    log_codes = np.empty(len(log_times), np.int64)
-    at = (base[:, None] + np.cumsum(logged, axis=1) - 1)[logged]
-    log_times[at] = times[logged]
-    log_codes[at] = codes[logged]
-    at = (base + n_access)[success][:, None] + np.arange(len(transfer_offsets))
-    log_times[at] = t1[success][:, None] + (transfer_start + transfer_offsets)
-    log_codes[at] = len(table) + np.arange(len(transfer_offsets))
-    sim.append(log_times, log_codes, table + list(transfer_records))
+    entry = np.repeat(_TEMPLATE_STARTS[stage] - base, sizes)
+    entry += np.arange(len(entry))
+    log_times, log_codes = template_times.take(entry), template_codes.take(entry)
+    log_times += np.repeat(t1, sizes)
+    for (slot, entity, kind, prefix, places), values in zip(
+        _DETAIL_SLOTS, (residual_us, ta_steps, reported_delay_ms)
+    ):
+        keys = values if places is None else _detail_keys(values, places)
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        rank = _RANK[stage, slot]
+        logs = rank >= 0
+        log_codes[(base + rank)[logs]] = len(table) + inverse.reshape(-1)[logs]
+        texts = map(str, distinct.tolist()) if places is None else _detail_texts(distinct, places)
+        table += [record(entity, kind, prefix + text) for text in texts]
+    sim.append(log_times, log_codes, table)
     return Attempts(path, ta_steps, stage >= 2, reported_delay_ms, msg4_arr, monitoring)
 
 
@@ -516,12 +584,13 @@ def autonomous_ta_update(
 def doppler_precompensation(
     device: DeviceContext, eph: Ephemeris, fc_hz: float, t_s: float
 ) -> float:
-    """Transmit frequency offset cancelling the predicted Doppler."""
+    """Transmit frequency offset cancelling the predicted Doppler of the
+    satellite ``estimate_service_delay`` serves from."""
     if fc_hz <= 0:
         raise DomainError("carrier frequency must be positive")
-    index, _, _, rr = highest_satellite(eph.orbits, t_s - eph.staleness_s, device.gnss_position)
+    index, _, _, rr = highest_satellite(eph.orbits, t_s - eph.staleness_s, device.gnss_position, 0.0)
     if index < 0:
-        raise NotReachableError("empty ephemeris")
+        raise NotReachableError("no satellite above the horizon")
     offset = float(-doppler_hz(rr, fc_hz))
     device.frequency_offset_hz = offset
     return offset

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -623,3 +624,18 @@ def test_bundled_configs_load(config_dir):
     ):
         cfg = load_config(config_dir / name)
         assert cfg.constellation
+
+
+def test_past_2_33_ms_the_csv_prints_the_exact_us(config_dir):
+    """The CSV prints each time's exact integer us; ``trace_rows`` gives the
+    float ``time_us / 1000``, which prints the same at 6 places only below
+    2**33 ms.  Message 3 of a 3e9 ms spacing sends Msg3 at 9000000038.228 ms."""
+    data = json.loads((config_dir / "leo600_sband.json").read_text())
+    data["traffic"].update(inter_arrival_ms=3e9, n_messages=5)
+    result = run_scenario(load_config_dict(data))
+    out = io.StringIO()
+    result.trace.write_csv(out)
+    line = "9000000038.228000,76,device,tx_start,msg3 reported_delay_ms=6.4"
+    assert line in out.getvalue().splitlines()
+    (row,) = [row for row in result.trace_rows if row[1] == 76]
+    assert f"{row[0]:.6f}" == "9000000038.228001"

@@ -413,11 +413,13 @@ def test_ephemeris_estimate_serves_the_highest_orbit(t, staleness, lags, fix):
     if best.elevation_deg >= 0.0:
         delay = estimate_service_delay(device, eph, t)
         assert close(delay, best.one_way_delay_ms, one_way_delay_ms(EARTH_RADIUS_KM))
+        offset = doppler_precompensation(device, eph, 2e9, t)
+        assert close(offset, -best.doppler_hz, -doppler_hz(8.0, 2e9))
     else:
         with pytest.raises(NotReachableError):
             estimate_service_delay(device, eph, t)
-    offset = doppler_precompensation(device, eph, 2e9, t)
-    assert close(offset, -best.doppler_hz, -doppler_hz(8.0, 2e9))
+        with pytest.raises(NotReachableError):
+            doppler_precompensation(device, eph, 2e9, t)
 
 
 def test_ground_track_matches_scalar_loop():

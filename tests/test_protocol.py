@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -5,6 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntnsim.config import load_config_dict
+from ntnsim.engine import run_scenario
 from ntnsim.errors import DomainError, NotReachableError
 from ntnsim.events import Simulator, ms_to_us
 from ntnsim.geometry import (
@@ -40,6 +43,7 @@ from ntnsim.protocol import (
     run_random_access,
     schedule_rar_window,
 )
+from ntnsim.protocol import _detail_keys, _detail_texts
 
 GEO = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS)
 OBS = GroundPosition(0.0, 0.0)
@@ -144,6 +148,19 @@ def test_no_satellite_above_the_horizon_is_not_reachable():
         estimate_service_delay(device, empty, 0.0)
     with pytest.raises(NotReachableError):
         doppler_precompensation(device, empty, 2e9, 0.0)
+
+
+def test_doppler_precompensation_refuses_what_the_delay_estimate_refuses():
+    # Both serve from the highest satellite above the horizon, so a fix
+    # that sees none gets no Doppler offset either, and keeps its old one.
+    eph = Ephemeris(orbits=(GEO,))
+    low = DeviceContext(gnss_position=GroundPosition(0.0, 81.0))  # elevation +0.31
+    assert doppler_precompensation(low, eph, 2e9, 0.0) == low.frequency_offset_hz
+    for lon in (82.0, 180.0):  # elevations -0.69 and -90
+        device = DeviceContext(gnss_position=GroundPosition(0.0, lon), frequency_offset_hz=5.0)
+        with pytest.raises(NotReachableError, match="above the horizon"):
+            doppler_precompensation(device, eph, 2e9, 0.0)
+        assert device.frequency_offset_hz == 5.0
 
 
 def test_access_success_timeline():
@@ -395,3 +412,43 @@ def test_the_access_timeline_is_a_pure_shift_of_the_start(link, starts, k):
         ((times, records), outcome), ((shifted, shifted_records), shifted_outcome) = runs
         assert shifted.tolist() == (times + k).tolist()
         assert (shifted_records, shifted_outcome) == (records, outcome)
+
+
+def _check_detail_keys(values):
+    """The key -> text path prints each value as f"{v:.3f}" and f"{v:.1f}"
+    do, and the keys are as many as the texts: one record per text."""
+    values = np.array(values, dtype=float)
+    for places in (3, 1):
+        keys = _detail_keys(values, places)
+        texts = [f"{v:.{places}f}" for v in values.tolist()]
+        assert _detail_texts(keys, places) == texts
+        assert len(set(keys.tolist())) == len(set(texts))
+
+
+def test_detail_keys_on_ties_and_their_neighbours():
+    """Decimal ties k/2000 (at 3 places; k/20 among them at 1), exact binary
+    ties k/16, the floats either side of each, signed zeros, the least
+    subnormal, and floats at and past 2**52, where every float is an integer."""
+    ties = [k / 2000 for k in range(-4000, 4001)] + [k / 16 for k in range(-320, 321)]
+    ties += [k / 2000 for k in (2**31 + 1, 10**12 + 1, 2**40 + 3, 2**45 + 5)]
+    ties += [2.0**52 - 0.5, 2.0**52, 2.0**52 + 1, 2.0**53, 2.0**53 + 2, 1e300, 2.0**1023]
+    neighbours = [np.nextafter(v, side) for v in ties for side in (-math.inf, math.inf)]
+    _check_detail_keys(ties + neighbours + [0.0, -0.0, 5e-324, -5e-324])
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_detail_keys_on_any_floats(values):
+    _check_detail_keys(values + [-v for v in values])
+
+
+def test_detail_keys_of_nan_and_inf():
+    nans = np.array([math.nan, -math.nan]).view(np.int64) | np.array([0, 1])  # two payloads
+    _check_detail_keys([*nans.view(float).tolist(), math.inf, -math.inf, math.nan])
+
+
+def test_a_long_scenario_builds_one_record_per_printed_detail(config_dir):
+    data = json.loads((config_dir / "leo600_sband.json").read_text())
+    data["traffic"]["n_messages"] = 5000
+    sim = run_scenario(load_config_dict(data)).trace
+    assert len(sim._records) == len(set(sim._records))
