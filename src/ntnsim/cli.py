@@ -37,7 +37,7 @@ from .geometry import (
 )
 from .linkbudget import LinkDirection, fspl
 from .mobility import CellCandidate, cell_suitability, rank_cells
-from .protocol import BentPipeChannel, DeviceContext, Ephemeris, estimate_service_delay
+from .protocol import PATH_CAUSES, BentPipeChannel, DeviceContext, Ephemeris, estimate_service_delay
 
 log = logging.getLogger("ntnsim")
 
@@ -218,12 +218,30 @@ def cmd_simulate(config: ScenarioConfig, args) -> int:
         with (out_dir / f"trace_seed{seed}.csv").open("w") as fh:
             result.trace.write_csv(fh)
         reports.append(result.report)
+        _log_outcomes(seed, result)
     header = ["seed", "attempts", "successes", "latency_p50_ms", "goodput_bps"]
     rows = [
         [r.seed, r.access_attempts, r.access_successes, r.access_latency_p50_ms, r.goodput_bps]
         for r in reports
     ]
     return _emit(args, "simulate_summary", header, rows)
+
+
+def _log_outcomes(seed: int, result) -> None:
+    """INFO: the seed's report counts; DEBUG: each path that occurred, how
+    often, and the first message that took it."""
+    report = result.report
+    log.info(
+        "seed %d: %d attempts, %d successes, failure causes %s",
+        seed, report.access_attempts, report.access_successes, report.failure_causes,
+    )
+    if not log.isEnabledFor(logging.DEBUG):
+        return
+    for path, cause in enumerate(PATH_CAUSES):
+        hits = np.flatnonzero(result.attempts.path == path)
+        if len(hits):
+            name = cause.value if cause else "success"
+            log.debug("seed %d: %s: %d messages, the first is message %d", seed, name, len(hits), hits[0])
 
 
 def cmd_rank_cells(config: ScenarioConfig, args) -> int:

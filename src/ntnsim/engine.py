@@ -1,6 +1,8 @@
 """Deterministic scenario engine binding geometry, link budget and the
 access/data procedures.  Its one seeded stream draws each message's GNSS
 error and log-normal fade (both off by default): no other randomness.
+The draws are ``random.Random(seed).gauss`` values, formed as arrays from
+one read of the generator's words.
 """
 
 from __future__ import annotations
@@ -242,6 +244,36 @@ def _link_snrs(config: ScenarioConfig, elevation_deg: float) -> tuple[float, flo
     return dl, ul
 
 
+def _message_draws(seed: int, n: int, sigmas: tuple[float, ...]) -> np.ndarray:
+    """(n, len(sigmas)) float64: message i's draw for each sigma, exactly
+    ``random.Random(seed).gauss(0.0, sigma)`` called message by message and
+    sigma by sigma, a sigma of 0 drawing nothing and giving +0.0.
+
+    The generator's 32-bit words are read at once, and each value is formed
+    as ``random()`` and ``gauss`` form it.  ``math`` gives the log, cos and
+    sin, because numpy's differ from libm in the last bit for some values;
+    the other operations are correctly rounded in both.
+    """
+    drawn = [sigma > 0 for sigma in sigmas]
+    per_message = sum(drawn)
+    count = n * per_message
+    pairs = -(-count // 2)
+    # getrandbits puts the first word generated least significant, on any host.
+    bits = random.Random(seed).getrandbits(128 * pairs).to_bytes(16 * pairs, "little")
+    words = np.frombuffer(bits, "<u4")
+    # random(): 53 bits from two words, exact in float64.
+    u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
+    # gauss(): cos and then sin of one angle, each times one radius.
+    angle = (u[0::2] * (2.0 * math.pi)).tolist()
+    radius = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[1::2]).tolist()), float, pairs))
+    z = np.empty(2 * pairs)
+    z[0::2] = np.fromiter(map(math.cos, angle), float, pairs) * radius
+    z[1::2] = np.fromiter(map(math.sin, angle), float, pairs) * radius
+    draws = np.zeros((n, len(sigmas)))
+    draws[:, drawn] = 0.0 + z[:count].reshape(n, per_message) * np.array(sigmas)[drawn]
+    return draws
+
+
 def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioResult:
     """Run the access + data-transfer scenario; deterministic per seed.
 
@@ -259,7 +291,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         raise ConfigError(["config.traffic: required to run a scenario"])
     if seed is None:
         seed = config.seed
-    gauss = random.Random(seed).gauss
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed {seed} outside [0, 2**64)")
     access = config.access
     traffic = config.traffic
     channel = config.channel
@@ -286,13 +319,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         )
 
     n = traffic.n_messages
-    # Message by message, its GNSS error and then its fade, so each seed's
-    # stream is read in message order.
-    draws = np.array([
-        gauss(0.0, sigma) if sigma > 0 else 0.0
-        for _ in range(n)
-        for sigma in (access.gnss_error_m, channel.fading_sigma_db)
-    ]).reshape(n, 2)
+    draws = _message_draws(seed, n, (access.gnss_error_m, channel.fading_sigma_db))
     gnss_err_m, fade_db = draws[:, 0], draws[:, 1]
     sim = Simulator()
     attempts = access_attempts(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -382,6 +383,48 @@ def test_simulate_refuses_a_link_hole(config_dir, tmp_path, capsys, hole):
     assert not out.exists()
     # The other commands keep reading every orbit and link.
     assert main(["linkbudget", "--config", path, "--out", str(out)]) == 0
+
+
+def test_simulate_logs_each_seed_at_info_and_each_path_at_debug(
+    config_dir, tmp_path, capsys, caplog
+):
+    """INFO gives a seed's report counts; DEBUG adds each path that
+    occurred, with its count and first message.  At WARNING nothing is
+    logged, and at every level stdout and the files are the same bytes."""
+    def noisy(data):
+        data["access"]["gnss_error_m"] = 3000.0
+        data["channel"]["fading_sigma_db"] = 6.0
+        data["traffic"]["n_messages"] = 200
+
+    path = _edited_leo_config(config_dir, tmp_path, noisy)
+    info = [
+        "seed 3: 200 attempts, 175 successes, failure causes {'rar_timeout': 1, 'ta_range': 24}",
+        "seed 4: 200 attempts, 178 successes, failure causes {'rar_timeout': 1, 'ta_range': 21}",
+    ]
+    debug = [
+        "seed 3: success: 175 messages, the first is message 0",
+        "seed 3: rar_timeout: 1 messages, the first is message 191",
+        "seed 3: ta_range: 24 messages, the first is message 3",
+        "seed 4: success: 178 messages, the first is message 0",
+        "seed 4: rar_timeout: 1 messages, the first is message 56",
+        "seed 4: ta_range: 21 messages, the first is message 16",
+    ]
+    expected = {
+        logging.WARNING: [],
+        logging.INFO: info,
+        logging.DEBUG: [info[0], *debug[:3], info[1], *debug[3:]],
+    }
+    outputs = []
+    for level, messages in expected.items():
+        caplog.clear()
+        caplog.set_level(level, logger="ntnsim")
+        out = tmp_path / logging.getLevelName(level)
+        argv = ["simulate", "--config", path, "--out", str(out), "--seed", "3", "--jobs", "2"]
+        assert main(argv) == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "ntnsim"] == messages
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((capsys.readouterr().out, files))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_simulate_runs_a_weak_uplink_on_orbit_0(config_dir, tmp_path):

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -518,6 +520,49 @@ def test_run_scenario_deterministic_per_seed():
     r2 = run_scenario(cfg, seed=7)
     assert r1.report.to_dict() == r2.report.to_dict()
     assert r1.trace_rows == r2.trace_rows
+
+
+@pytest.mark.parametrize("seed", [-7, -1, 2**64, 2**64 + 7])
+def test_run_scenario_rejects_a_seed_outside_u64(seed):
+    """random.Random seeds with abs(seed), so -7 would run seed 7 and report
+    -7; the API takes the config's and the CLI's seed range."""
+    cfg = load_config_dict(json.loads(json.dumps(MINIMAL)))
+    with pytest.raises(DomainError, match=re.escape(f"seed {seed} outside [0, 2**64)")):
+        run_scenario(cfg, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_run_scenario_runs_the_ends_of_the_seed_range(seed):
+    cfg = load_config_dict(json.loads(json.dumps(MINIMAL)))
+    assert run_scenario(cfg, seed=seed).report.seed == seed
+
+
+def _gauss_draws(seed, n, sigmas):
+    """The draw oracle: ``gauss`` called message by message and sigma by
+    sigma, a sigma of 0 drawing nothing."""
+    gauss = random.Random(seed).gauss
+    return np.array([
+        gauss(0.0, sigma) if sigma > 0 else 0.0 for _ in range(n) for sigma in sigmas
+    ]).reshape(n, len(sigmas))
+
+
+SIGMAS = st.sampled_from([0.0, 5e-324, 1e-300, 6.0, 50.0, 1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 2000), st.tuples(SIGMAS, SIGMAS))
+def test_message_draws_are_the_gauss_stream_bit_for_bit(seed, n, sigmas):
+    got = engine._message_draws(seed, n, sigmas)
+    assert got.shape == (n, 2)
+    np.testing.assert_array_equal(got.view(np.int64), _gauss_draws(seed, n, sigmas).view(np.int64))
+
+
+def test_message_draws_match_the_gauss_stream_over_200001_messages():
+    sigmas = (3000.0, 6.0)
+    got = engine._message_draws(2**63 + 1, 200_001, sigmas)
+    np.testing.assert_array_equal(
+        got.view(np.int64), _gauss_draws(2**63 + 1, 200_001, sigmas).view(np.int64)
+    )
 
 
 def test_start_times_beyond_the_int64_us_range_raise():
