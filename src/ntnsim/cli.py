@@ -125,6 +125,7 @@ def geometry_rows(config: ScenarioConfig) -> tuple[list[str], list[list]]:
     min_el = config.min_elevation_deg
     max_el = config.max_elevation_deg
     beam = max(config.beams, key=lambda b: b.diameter_km).to_beam() if config.beams else None
+    samples, visibility = 0, []
     for idx, orbit_cfg in enumerate(config.constellation):
         orbit = orbit_cfg.to_orbit_spec()
         alt = orbit_cfg.altitude_km
@@ -149,6 +150,9 @@ def geometry_rows(config: ScenarioConfig) -> tuple[list[str], list[list]]:
             max_doppler_ppm=ppm, max_doppler_hz=ppm * 1e-6 * fc, max_delay_drift_us_s=ppm,
             visibility_s=math.inf if always_up else visibility_duration(seen, ground, min_el),
         )
+        # The look's samples, then visibility_duration's 1 s grid over a period.
+        samples += elevation.size + (0 if always_up else math.ceil(seen.period_s()) + 1)
+        visibility.append(metrics["visibility_s"])
         if beam is not None:
             sat = _beam_satellite(orbit, beam)
             try:
@@ -156,6 +160,7 @@ def geometry_rows(config: ScenarioConfig) -> tuple[list[str], list[list]]:
             except DomainError as exc:
                 log.warning("differential delay skipped for orbit %d: %s", idx, exc)
         rows += [[idx, orbit.kind.value, metric, value] for metric, value in metrics.items()]
+    log.info("geometry: orbits %d, samples %d, visibility_s %s", len(visibility), samples, visibility)
     return ["orbit", "kind", "metric", "value"], rows
 
 
@@ -264,6 +269,10 @@ def cmd_rank_cells(config: ScenarioConfig, args) -> int:
         for cell in config.cells
     ]
     suitable = [c for c in candidates if cell_suitability(c)]
+    log.info(
+        "rank-cells: candidate cells %d, suitable %d, estimated RTT %.3f ms",
+        len(candidates), len(suitable), est_rtt,
+    )
     if not suitable:
         raise NoCellError("no suitable cells")
     ranked = rank_cells(device, suitable)

@@ -202,28 +202,50 @@ def propagate_many(orbit: OrbitSpec, t_s: np.ndarray) -> tuple[np.ndarray, np.nd
     t = np.asarray(t_s, dtype=float)
     if np.any(t < orbit.epoch_s):
         raise DomainError("t must not precede the orbit epoch")
+    dt = t - orbit.epoch_s
+    turn = _earth_turn(dt)
+    pos, cos_u, sin_u = _positions(orbit, dt, turn)
     a = orbit.semi_major_axis_km
     n = orbit.mean_motion_rad_s()
-    dt = t - orbit.epoch_s
-    u = math.radians(orbit.phase_deg) + n * dt
-    cos_u, sin_u = np.cos(u), np.sin(u)
-    m = _rot_z(math.radians(orbit.raan_deg)) @ _rot_x(math.radians(orbit.inclination_deg))
-    theta = -OMEGA_EARTH_RAD_S * dt
-    c, s = np.cos(theta), np.sin(theta)
-    pos = np.empty(t.shape + (3,))
-    vel = np.empty(t.shape + (3,))
-    # Inertial state (the in-plane z component is zero, so only two columns
-    # of m act), rotated into the earth-fixed frame; v_ef = rot @ v_in -
-    # omega x r_ef with omega along +z.
-    for out, p0, p1 in ((pos, a * cos_u, a * sin_u), (vel, -a * n * sin_u, a * n * cos_u)):
-        x_in = m[0, 0] * p0 + m[0, 1] * p1
-        y_in = m[1, 0] * p0 + m[1, 1] * p1
-        out[..., 0] = c * x_in - s * y_in
-        out[..., 1] = s * x_in + c * y_in
-        out[..., 2] = m[2, 0] * p0 + m[2, 1] * p1
+    # v_ef = rot @ v_in - omega x r_ef with omega along +z.
+    vel = _earth_fixed(orbit, -a * n * sin_u, a * n * cos_u, turn)
     vel[..., 0] += OMEGA_EARTH_RAD_S * pos[..., 1]
     vel[..., 1] -= OMEGA_EARTH_RAD_S * pos[..., 0]
     return pos, vel
+
+
+def _earth_turn(dt):
+    """cos and sin of the Earth's turn ``-omega * dt`` over ``dt`` seconds
+    since an orbit's epoch: the rotation from the inertial into the
+    earth-fixed frame.  It depends on the epoch, not on the orbit."""
+    theta = -OMEGA_EARTH_RAD_S * dt
+    return np.cos(theta), np.sin(theta)
+
+
+def _positions(orbit: OrbitSpec, dt, turn):
+    """Earth-fixed positions of ``orbit`` ``dt`` seconds past its epoch
+    (``turn`` is ``_earth_turn(dt)``), with the cos and sin of its
+    argument of latitude there."""
+    a = orbit.semi_major_axis_km
+    u = math.radians(orbit.phase_deg) + orbit.mean_motion_rad_s() * dt
+    cos_u, sin_u = np.cos(u), np.sin(u)
+    return _earth_fixed(orbit, a * cos_u, a * sin_u, turn), cos_u, sin_u
+
+
+def _earth_fixed(orbit: OrbitSpec, p0, p1, turn) -> np.ndarray:
+    """Earth-fixed vectors (trailing axis 3) of the in-plane components
+    ``(p0, p1)`` of ``orbit``: into the inertial frame, then through the
+    Earth's turn ``(cos, sin)``."""
+    # The in-plane z component is zero, so only two columns of m act.
+    m = _rot_z(math.radians(orbit.raan_deg)) @ _rot_x(math.radians(orbit.inclination_deg))
+    c, s = turn
+    x_in = m[0, 0] * p0 + m[0, 1] * p1
+    y_in = m[1, 0] * p0 + m[1, 1] * p1
+    out = np.empty(np.shape(p0) + (3,))
+    out[..., 0] = c * x_in - s * y_in
+    out[..., 1] = s * x_in + c * y_in
+    out[..., 2] = m[2, 0] * p0 + m[2, 1] * p1
+    return out
 
 
 def _step_count(steps: float, rounding=math.ceil) -> int:
@@ -304,23 +326,33 @@ def geometry_samples(
     Returns ``(elevation_deg, slant_range_km, range_rate_km_s)``; delay
     and Doppler follow with ``one_way_delay_ms`` and ``doppler_hz``.
     """
-    if isinstance(ground, GroundPosition):
-        up, r_gnd = ground.unit_vector(), ground.ecef_km()
-    else:
-        up = np.asarray(ground, dtype=float)
-        r_gnd = EARTH_RADIUS_KM * up
-    los = pos - r_gnd
+    los, elevation = _sight(pos, *_ground_vectors(ground))
     d = np.sqrt(np.einsum("...i,...i->...", los, los))
     if np.any(d < 1e-9):
         raise DomainError("ground position coincides with the satellite")
+    range_rate = np.einsum("...i,...i->...", los, vel) / d
+    return elevation, d, range_rate
+
+
+def _ground_vectors(ground: GroundPosition | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Up unit vectors and earth-fixed positions (km) of a ``GroundPosition``
+    or of an array of unit vectors of points on the reference sphere."""
+    if isinstance(ground, GroundPosition):
+        return ground.unit_vector(), ground.ecef_km()
+    up = np.asarray(ground, dtype=float)
+    return up, EARTH_RADIUS_KM * up
+
+
+def _sight(pos: np.ndarray, up: np.ndarray, r_gnd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Line of sight from ground points (``_ground_vectors``) to satellite
+    positions, and its elevation in degrees."""
+    los = pos - r_gnd
     # atan2 of the vertical over the horizontal part: asin(vertical / d)
     # loses half the digits near the zenith, where its slope is infinite.
     vertical = np.einsum("...i,...i->...", los, up)
     horizontal = los - vertical[..., None] * up
     horizontal_km = np.sqrt(np.einsum("...i,...i->...", horizontal, horizontal))
-    elevation = np.degrees(np.arctan2(vertical, horizontal_km))
-    range_rate = np.einsum("...i,...i->...", los, vel) / d
-    return elevation, d, range_rate
+    return los, np.degrees(np.arctan2(vertical, horizontal_km))
 
 
 def one_way_delay_ms(slant_range_km):
@@ -348,15 +380,31 @@ def highest_satellite(
     t = np.asarray(t_s, dtype=float)
     index = np.full(t.shape, -1)
     elevation = np.full(t.shape, float(min_elevation_deg))
-    distance = np.full(t.shape, np.nan)
-    range_rate = np.full(t.shape, np.nan)
+    ground_vectors = _ground_vectors(ground)
+    # Rank every orbit by elevation alone: positions, no velocity, range or
+    # range rate.  The Earth's turn depends only on the epoch, so it is
+    # computed once for each run of equal epochs.  No coincidence check is
+    # needed: an orbit is at least 500 km up and a ground point at most
+    # 100 km, so no satellite meets the ground point.
+    epoch = None
     for i, orbit in enumerate(orbits):
-        el, d, rr = geometry_samples(*propagate_many(orbit, np.maximum(t, orbit.epoch_s)), ground)
+        if orbit.epoch_s != epoch:
+            epoch = orbit.epoch_s
+            dt = np.maximum(t, epoch) - epoch
+            turn = _earth_turn(dt)
+        _, el = _sight(_positions(orbit, dt, turn)[0], *ground_vectors)
         take = el >= elevation
         index[take] = i
         elevation[take] = el[take]
-        distance[take] = d[take]
-        range_rate[take] = rr[take]
+    # Then measure each serving orbit at the times it serves.
+    distance = np.full(t.shape, np.nan)
+    range_rate = np.full(t.shape, np.nan)
+    for i in set(index[index >= 0].tolist()):
+        served = index == i
+        seen = np.maximum(t[served], orbits[i].epoch_s)
+        _, distance[served], range_rate[served] = geometry_samples(
+            *propagate_many(orbits[i], seen), ground
+        )
     return index, np.where(index >= 0, elevation, np.nan), distance, range_rate
 
 
@@ -375,8 +423,8 @@ def visibility_duration(
         raise DomainError("min_elevation must lie in [0, 90]")
     if not 0 < step_s < math.inf:
         raise DomainError("step must be positive and finite")
-    t = _sweep_times(orbit.epoch_s, orbit.period_s(), step_s)
-    elevation, _, _ = geometry_samples(*propagate_many(orbit, t), ground)
+    dt = _sweep_times(orbit.epoch_s, orbit.period_s(), step_s) - orbit.epoch_s
+    _, elevation = _sight(_positions(orbit, dt, _earth_turn(dt))[0], *_ground_vectors(ground))
     above = np.concatenate(([0], (elevation >= min_elevation_deg).astype(np.int8), [0]))
     edges = np.flatnonzero(np.diff(above))  # alternating run starts and ends
     best = int((edges[1::2] - edges[::2]).max(initial=0))

@@ -751,3 +751,41 @@ def test_jobs_past_the_u64_range_exits_2(config_dir, tmp_path, capsys, seed_from
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--jobs 2" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+
+def _add_the_geo_orbit(data):
+    geo = {"kind": "geosynchronous", "altitude_km": 35786.0, "inclination_deg": 5.0}
+    data["constellation"].append(dict(geo, raan_deg=0.0, phase_deg=0.0, epoch_s=0.0))
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("geometry", _add_the_geo_orbit, "geometry: orbits 2, samples 9231, visibility_s [481.0, inf]"),
+        (
+            "rank-cells",
+            lambda data: data["cells"][1].update(max_rtt_ms=5.0),
+            "rank-cells: candidate cells 3, suitable 2, estimated RTT 8.006 ms",
+        ),
+    ],
+    ids=["geometry", "rank-cells"],
+)
+def test_geometry_and_rank_cells_log_one_info_line(
+    config_dir, tmp_path, capsys, caplog, command, edit, message
+):
+    """At INFO, one summary line per command: the orbits, the kernel samples
+    and each orbit's visibility; the candidate and suitable cells and the
+    RTT estimate.  Nothing at WARNING, and stdout and the files are the
+    same bytes at both levels."""
+    path = _edited_leo_config(config_dir, tmp_path, edit)
+    outputs = []
+    for level, messages in ((logging.WARNING, []), (logging.INFO, [message])):
+        caplog.clear()
+        caplog.set_level(level, logger="ntnsim")
+        out = tmp_path / logging.getLevelName(level)
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "ntnsim"] == messages
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((capsys.readouterr().out, files))
+    assert outputs[0] == outputs[1]

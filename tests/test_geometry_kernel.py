@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ntnsim import geometry
 from ntnsim.config import load_config
 from ntnsim.constants import EARTH_RADIUS_KM, OMEGA_EARTH_RAD_S, SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import ServiceInterval, earth_fixed_beam_schedule
@@ -33,6 +34,7 @@ from ntnsim.geometry import (
     geometry_sample,
     geometry_samples,
     ground_track,
+    highest_satellite,
     one_way_delay_ms,
     overhead_pass_orbit,
     propagate,
@@ -379,6 +381,114 @@ def test_beam_schedule_ties_go_to_the_later_satellite():
     # The threshold is inclusive: a satellite exactly at it serves.
     elevation = geometry_sample(propagate(geo, 0.0), cell, 1e9).elevation_deg
     assert earth_fixed_beam_schedule([geo], cell, elevation) == [ServiceInterval(0.0, math.inf, 0)]
+
+
+def highest_satellite_loop(orbits, t_s, ground, min_elevation_deg=-math.inf):
+    """The serving rule as one full kernel sample per orbit: every orbit's
+    elevation, range and range rate at max(t, epoch), the running highest
+    kept, ties to the later index.  ``highest_satellite`` ranks by
+    elevation first and measures only the winners; it must return these
+    bits."""
+    t = np.asarray(t_s, dtype=float)
+    index = np.full(t.shape, -1)
+    elevation = np.full(t.shape, float(min_elevation_deg))
+    distance = np.full(t.shape, np.nan)
+    range_rate = np.full(t.shape, np.nan)
+    for i, orbit in enumerate(orbits):
+        el, d, rr = geometry_samples(*propagate_many(orbit, np.maximum(t, orbit.epoch_s)), ground)
+        take = el >= elevation
+        index[take] = i
+        elevation[take] = el[take]
+        distance[take] = d[take]
+        range_rate[take] = rr[take]
+    return index, np.where(index >= 0, elevation, np.nan), distance, range_rate
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+# Epochs of orbit k: one for all, two that alternate, or one each.
+EPOCHS = {
+    "equal": lambda k: 500.0,
+    "alternate": lambda k: 500.0 * (k % 2),
+    "distinct": lambda k: 125.0 * k,
+}
+
+
+def with_epochs(orbits, pattern):
+    return [dataclasses.replace(o, epoch_s=EPOCHS[pattern](k)) for k, o in enumerate(orbits)]
+
+
+@pytest.mark.parametrize("pattern", sorted(EPOCHS))
+@pytest.mark.parametrize("threshold", [-math.inf, 0.0, 10.0, "exact"])
+def test_highest_satellite_is_the_full_sample_loop_bit_for_bit(pattern, threshold):
+    """The Walker constellation with its two most serving orbits repeated
+    at the end (each repeat ties with its original at every time), on a
+    1 s grid over a period that starts before some epochs, and at scalar
+    times.  "exact" is the median served elevation above 10 degrees, a
+    sample's own value, which must serve: the threshold is inclusive."""
+    constellation = with_epochs(walker(), pattern)
+    ground = GroundPosition(40.0, -75.0)
+    t = np.arange(0.0, constellation[0].period_s(), 1.0)
+    index, elevation, _, _ = highest_satellite_loop(constellation, t, ground, 10.0)
+    constellation += [constellation[k] for k in np.bincount(index[index >= 0]).argsort()[-2:]]
+    exact = threshold == "exact"
+    if exact:
+        served = np.sort(elevation[index >= 0])
+        threshold = float(served[len(served) // 2])
+    want = highest_satellite_loop(constellation, t, ground, threshold)
+    assert_same_bits(highest_satellite(constellation, t, ground, threshold), want)
+    assert {24, 25} <= set(want[0].tolist())
+    if exact:
+        assert np.count_nonzero(want[1] == threshold) == 1
+    for ti in t[::250]:
+        got = highest_satellite(constellation, float(ti), ground, threshold)
+        assert_same_bits(got, highest_satellite_loop(constellation, float(ti), ground, threshold))
+
+
+@given(
+    st.lists(st.integers(0, 23), min_size=1, max_size=6),
+    st.sampled_from(sorted(EPOCHS)),
+    st.one_of(st.floats(0.0, 7000.0), st.lists(st.floats(0.0, 7000.0), min_size=1, max_size=30)),
+    grounds,
+    st.sampled_from([-math.inf, 0.0, 10.0, "exact"]),
+)
+# Orbit 2 twice: the repeat ties with it, before and after its epoch.
+@example([2, 2, 7], "distinct", [0.0, 260.0, 3900.0], GroundPosition(0.0, 0.0), -math.inf)
+@settings(max_examples=80, deadline=None)
+def test_highest_satellite_on_walker_subsets(subset, pattern, times, ground, threshold):
+    """Any Walker subset, at one time or at several, against the loop; an
+    "exact" threshold is the first orbit's elevation at the first time."""
+    orbits = with_epochs([walker()[k] for k in subset], pattern)
+    if threshold == "exact":
+        first = orbits[0]
+        t0 = max(np.ravel(times)[0], first.epoch_s)
+        threshold = float(geometry_samples(*propagate_many(first, t0), ground)[0])
+    want = highest_satellite_loop(orbits, times, ground, threshold)
+    assert_same_bits(highest_satellite(orbits, times, ground, threshold), want)
+
+
+def test_visibility_ranks_the_kernel_elevations(monkeypatch):
+    """``visibility_duration`` takes positions and elevations alone; the
+    elevations it compares with the threshold are ``geometry_samples``'
+    bits."""
+    seen = []
+    sight = geometry._sight
+    monkeypatch.setattr(geometry, "_sight", lambda *args: seen.append(sight(*args)) or seen[-1])
+    ground = GroundPosition(0.0, 33.5)
+    pass_orbit = overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 53.0, ground, overhead_at_s=3000.0)
+    for orbit, step in ((pass_orbit, 1.0), (dataclasses.replace(walker()[13], epoch_s=123.25), 0.7)):
+        seen.clear()
+        visibility_duration(orbit, ground, 10.0, step)
+        assert len(seen) == 1
+        _, got = seen.pop()
+        t = geometry._sweep_times(orbit.epoch_s, orbit.period_s(), step)
+        want, _, _ = geometry_samples(*propagate_many(orbit, t), ground)
+        assert_same_bits((got,), (want,))
 
 
 def highest_reference(orbits, t_s, ground, fc_hz):
