@@ -183,7 +183,9 @@ def doppler_trace_rows(config: ScenarioConfig, mode: str) -> tuple[list[str], li
 
 
 def cmd_linkbudget(config: ScenarioConfig, args) -> int:
-    return _emit(args, "linkbudget", *linkbudget_rows(config))
+    header, rows = linkbudget_rows(config)
+    log.info("linkbudget: links %d, worst SNR %.3f dB", len(rows), min(row[4] for row in rows))
+    return _emit(args, "linkbudget", header, rows)
 
 
 def cmd_geometry(config: ScenarioConfig, args) -> int:
@@ -191,7 +193,12 @@ def cmd_geometry(config: ScenarioConfig, args) -> int:
 
 
 def cmd_doppler_trace(config: ScenarioConfig, args) -> int:
-    return _emit(args, f"doppler_trace_{args.mode}", *doppler_trace_rows(config, args.mode))
+    header, rows = doppler_trace_rows(config, args.mode)
+    log.info(
+        "doppler-trace: mode %s, rows %d, max |doppler| %.3f Hz",
+        args.mode, len(rows), max(abs(hz) for _, hz in rows),
+    )
+    return _emit(args, f"doppler_trace_{args.mode}", header, rows)
 
 
 def cmd_simulate(config: ScenarioConfig, args) -> int:
@@ -214,22 +221,27 @@ def cmd_simulate(config: ScenarioConfig, args) -> int:
         return EXIT_CONFIG
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for seed in range(base_seed, base_seed + args.jobs):
-        result = run_scenario(config, seed=seed)
-        (out_dir / f"report_seed{seed}.json").write_text(
-            json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n"
-        )
-        with (out_dir / f"trace_seed{seed}.csv").open("w") as fh:
-            result.trace.write_csv(fh)
-        reports.append(result.report)
-        _log_outcomes(seed, result)
+    seeds = range(base_seed, base_seed + args.jobs)
+    reports = [_simulate_seed(config, seed, out_dir) for seed in seeds]
     header = ["seed", "attempts", "successes", "latency_p50_ms", "goodput_bps"]
     rows = [
         [r.seed, r.access_attempts, r.access_successes, r.access_latency_p50_ms, r.goodput_bps]
         for r in reports
     ]
     return _emit(args, "simulate_summary", header, rows)
+
+
+def _simulate_seed(config: ScenarioConfig, seed: int, out_dir: Path):
+    """Run one seed and write its report and trace to ``out_dir``; returns
+    its report.  The seed's trace is freed on return, before the next runs."""
+    result = run_scenario(config, seed=seed)
+    (out_dir / f"report_seed{seed}.json").write_text(
+        json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n"
+    )
+    with (out_dir / f"trace_seed{seed}.csv").open("w") as fh:
+        result.trace.write_csv(fh)
+    _log_outcomes(seed, result)
+    return result.report
 
 
 def _log_outcomes(seed: int, result) -> None:

@@ -10,6 +10,7 @@ all of its fields have loaded, with no unknown field beside them.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import typing
@@ -102,6 +103,13 @@ def _coerce(tp, value, path, errors):
     return None
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """``cls``'s resolved field types; its string annotations are evaluated
+    once per process."""
+    return typing.get_type_hints(cls)
+
+
 def _build(cls, data, path, errors):
     """A ``cls`` from the object ``data``, or None once its errors are in
     ``errors``; ``cls`` is built only if ``data`` added no error."""
@@ -109,7 +117,7 @@ def _build(cls, data, path, errors):
         errors.append(f"{path}: expected an object")
         return None
     n_errors = len(errors)
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     known = {f.name: f for f in dataclasses.fields(cls)}
     for key in sorted(set(data) - set(known)):
         errors.append(f"{path}.{key}: unknown field")

@@ -6,10 +6,14 @@ models compute every event time in closed form and only log it here, in
 one way: ``append(times_us, codes, table)`` logs ``table[codes[k]]`` at
 ``times_us[k]`` (a transfer template at its start time, or a whole
 scenario's events); ``schedule`` logs one event.  The log is kept as int64
-columns (times, seqs, codes), seq being the log position and code an
-index into the simulator's one list of records; ``run`` sorts them once,
-stably by time, into (time, seq) order, so events at equal times keep the
-order they were logged in.
+columns (times, codes) in log order, code being an index into the
+simulator's one list of records, so an entry's seq is its log position
+and no column holds it.  ``run`` sorts the log once, stably by time, into
+(time, seq) order, so events at equal times keep the order they were
+logged in.  It keeps only the sort's permutation, which is the trace's
+seq column; the columns are gathered through it a block of rows at a
+time when the trace is read.  Entries logged after a sort follow the
+sorted ones until the next ``run``.
 
 A record (see ``record``) is built once per printed event and shared by
 every entry that logs it, and it carries its CSV line tail: the access
@@ -86,8 +90,11 @@ def record(entity: str, kind: str, detail: str = "") -> tuple[str, str, str, str
 # The log holds no negative time.
 _FRAC = np.array([f".{k:03d}000,".encode() for k in range(US_PER_MS)])
 _FRAC = _FRAC.view(np.uint8).reshape(US_PER_MS, _FRAC.itemsize)
-# Rows per block of write_csv and trace_rows, which bounds their memory.
-_BLOCK_ROWS = 1 << 14
+# Rows per block of write_csv and trace_rows, which bounds their memory: a
+# block's temporaries (the padded matrix, its mask, the compacted bytes and
+# the text) take about 220 B a row, under 1 MB at 4096 rows, and blocks
+# this size write no slower than 4x larger ones.
+_BLOCK_ROWS = 1 << 12
 # The least value that shows a digit k places left of the units digit:
 # 10**k, and 0 for the units digit, which always shows.
 _SHOWN_FROM = np.array([0] + [10**k for k in range(1, 19)], np.int64)
@@ -112,44 +119,67 @@ class Simulator:
     """Event log with a CSV-able trace."""
 
     def __init__(self):
-        # (times_us, seqs, codes) chunks in log order; equal times sort by
-        # seq within and across chunks.  A code indexes self._records.
-        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # (times_us, codes) chunks in log order, which no sort changes, so an
+        # entry's seq is its index; a code indexes self._records.
+        self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
         self._records: list[tuple[str, str, str, str]] = []
         self._size = 0
+        # The trace order of the entries ``run`` last sorted, the seq column
+        # of their rows; the entries logged since follow in log order.
+        self._seqs = np.zeros(0, np.int64)
 
     def append(self, times_us, codes, table) -> None:
-        """Log ``table[codes[k]]`` (a record) at ``times_us[k]``, in order."""
+        """Log ``table[codes[k]]`` (a record) at ``times_us[k]``, in order.
+        The log may keep int64 arrays it is given, so change none after."""
         times_us = np.asarray(times_us, dtype=np.int64)
         if times_us.size and times_us.min() < 0:
             raise DomainError("event times must be non-negative")
-        seqs = np.arange(self._size, self._size + len(times_us))
-        self._chunks.append((times_us, seqs, len(self._records) + np.asarray(codes, np.int64)))
+        codes = np.asarray(codes, np.int64)
+        # The first table's codes need no offset, so a log of one append
+        # holds the caller's arrays with no copy.
+        self._chunks.append((times_us, codes + len(self._records) if self._records else codes))
         self._records += table
         self._size += len(times_us)
 
     def schedule(self, time_us: int, kind: EventKind, entity: str, detail: str = "") -> None:
         self.append([int(time_us)], [0], [record(entity, kind._value_, detail)])
 
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(times_us, seqs, codes) of the whole log, merged into one chunk."""
+    def _merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """(times_us, codes) of the whole log in log order, merged into one chunk."""
         if not self._chunks:
-            return (np.zeros(0, np.int64),) * 3
+            return np.zeros(0, np.int64), np.zeros(0, np.int64)
         if len(self._chunks) > 1:
             self._chunks = [tuple(np.concatenate(part) for part in zip(*self._chunks))]
         return self._chunks[0]
 
+    def _seq_column(self) -> np.ndarray:
+        """The seq of each row of the trace: the sorted entries', then the
+        log positions of those logged since."""
+        seqs = self._seqs
+        if len(seqs) < self._size:
+            seqs = np.concatenate((seqs, np.arange(len(seqs), self._size)))
+        return seqs
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(times_us, seqs, codes) of the rows of the trace."""
+        times, codes = self._merged()
+        seqs = self._seq_column()
+        return times[seqs], seqs, codes[seqs]
+
     def run(self) -> None:
-        """Sort the log by (time, seq); (time, seq) pairs are unique."""
-        times, seqs, codes = self._columns()
-        order = np.argsort(times, kind="stable")
-        self._chunks = [(times[order], seqs[order], codes[order])]
+        """Sort the log by (time, seq); (time, seq) pairs are unique.  The
+        stable sort of the log-order times is that order, as each seq is a
+        log position; the columns are gathered block by block when read."""
+        if len(self._seqs) < self._size:
+            self._seqs = np.argsort(self._merged()[0], kind="stable")
 
     def _blocks(self):
-        """(times_us, seqs, codes) of the log, ``_BLOCK_ROWS`` entries at a time."""
-        columns = self._columns()
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            yield tuple(column[start:start + _BLOCK_ROWS] for column in columns)
+        """(times_us, seqs, codes) of the trace's rows, ``_BLOCK_ROWS`` at a time."""
+        times, codes = self._merged()
+        seqs = self._seq_column()
+        for start in range(0, len(seqs), _BLOCK_ROWS):
+            block = seqs[start:start + _BLOCK_ROWS]
+            yield times.take(block), block, codes.take(block)
 
     def trace_rows(self) -> list[tuple[float, int, str, str, str]]:
         """(time_ms, seq, entity, kind, detail) rows of the event trace."""

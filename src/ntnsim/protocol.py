@@ -507,6 +507,7 @@ def access_attempts(
     entry = np.repeat(_TEMPLATE_STARTS[stage] - base, sizes)
     entry += np.arange(len(entry))
     log_times, log_codes = template_times.take(entry), template_codes.take(entry)
+    del entry  # freed before the repeat, which needs as much memory
     log_times += np.repeat(t1, sizes)
     for (slot, entity, kind, prefix, places), values in zip(
         _DETAIL_SLOTS, (residual_us, ta_steps, reported_delay_ms)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -383,6 +384,58 @@ def test_simulate_refuses_a_link_hole(config_dir, tmp_path, capsys, hole):
     assert not out.exists()
     # The other commands keep reading every orbit and link.
     assert main(["linkbudget", "--config", path, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["linkbudget", "--config", "leo600_sband.json"], "linkbudget: links 2, worst SNR 0.557 dB"),
+        (["linkbudget", "--config", "geo_sband.json"], "linkbudget: links 2, worst SNR -7.991 dB"),
+        (
+            ["doppler-trace", "--config", "inclined_geo.json"],
+            "doppler-trace: mode inclined_geo, rows 1437, max |doppler| 496.931 Hz",
+        ),
+        (
+            ["doppler-trace", "--config", "beam_profile.json", "--mode", "beam_profile"],
+            "doppler-trace: mode beam_profile, rows 101, max |doppler| 2104.676 Hz",
+        ),
+    ],
+    ids=["linkbudget-leo", "linkbudget-geo", "inclined_geo", "beam_profile"],
+)
+def test_linkbudget_and_doppler_trace_log_one_info_line(
+    config_dir, tmp_path, capsys, caplog, argv, message
+):
+    """At INFO, one summary line: the links and the worst SNR; the mode, the
+    rows and the largest |Doppler|.  Nothing at WARNING, and stdout and the
+    files are the same bytes at both levels."""
+    argv = [*argv[:2], str(config_dir / argv[2]), *argv[3:]]
+    outputs = []
+    for level, messages in ((logging.WARNING, []), (logging.INFO, [message])):
+        caplog.clear()
+        caplog.set_level(level, logger="ntnsim")
+        out = tmp_path / logging.getLevelName(level)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "ntnsim"] == messages
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((capsys.readouterr().out, files))
+    assert outputs[0] == outputs[1]
+
+
+def test_simulate_frees_each_seed_before_the_next_runs(config_dir, tmp_path, monkeypatch):
+    """A seed's result, trace included, is dead when the next seed starts."""
+    traces = []
+
+    def run_scenario_checked(config, seed):
+        assert all(trace() is None for trace in traces)
+        result = run_scenario(config, seed=seed)
+        traces.append(weakref.ref(result.trace))
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", run_scenario_checked)
+    argv = ["simulate", "--config", str(config_dir / "leo600_sband.json"), "--out", str(tmp_path),
+            "--seed", "11", "--jobs", "3"]
+    assert main(argv) == 0
+    assert len(traces) == 3
 
 
 def test_simulate_logs_each_seed_at_info_and_each_path_at_debug(

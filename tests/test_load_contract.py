@@ -14,6 +14,7 @@ import io
 import json
 import math
 import tempfile
+import typing
 from pathlib import Path
 
 import pytest
@@ -129,3 +130,20 @@ def test_each_bad_field_gives_one_error_at_its_own_path(edit, errors):
     with pytest.raises(ConfigError) as exc:
         load_config_dict(data)
     assert exc.value.fields == errors
+
+
+@pytest.mark.parametrize("name", ["leo600_sband.json", "geo_sband.json"])
+def test_a_second_load_resolves_no_type_hints(name, monkeypatch):
+    """Each config dataclass's string annotations are evaluated once per
+    process, not on every load."""
+    first = load_config_dict(copy.deepcopy(BUNDLED[name]))
+    calls = []
+
+    def get_type_hints(*args, **kwargs):
+        calls.append(args)
+        return resolve(*args, **kwargs)
+
+    resolve = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints", get_type_hints)
+    assert load_config_dict(copy.deepcopy(BUNDLED[name])) == first
+    assert calls == []

@@ -6,13 +6,19 @@ row by row.  The writer must give the same bytes, and ``trace_rows`` the
 same rows, for any mix of single events and appended templates.
 """
 
+import gc
 import io
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CONFIG_DIR
+from ntnsim.config import load_config_dict
+from ntnsim.engine import run_scenario
 from ntnsim.errors import DomainError
 from ntnsim.events import _BLOCK_ROWS, EventKind, Simulator, record
 
@@ -68,8 +74,13 @@ append_ops = st.tuples(
 )
 
 
+# A sort in the middle of the log: the entries after it take their log
+# positions as seqs, and the final sort merges them into the sorted prefix.
+run_ops = st.just(("run",))
+
+
 @given(
-    ops=st.lists(st.one_of(schedule_ops, append_ops), max_size=25),
+    ops=st.lists(st.one_of(schedule_ops, append_ops, run_ops), max_size=25),
     overlap_starts=st.lists(st.integers(min_value=0, max_value=3_000), max_size=4),
 )
 @settings(max_examples=200, deadline=None)
@@ -81,6 +92,16 @@ append_ops = st.tuples(
     ],
     overlap_starts=[0, 0, 1],
 )
+@example(
+    ops=[
+        ("append", 5, [(0, "bs", EventKind.TX_START, ""), (0, "device", EventKind.RX_ARRIVAL, "")]),
+        ("schedule", 1, EventKind.TIMER_FIRE, "bs", ""),
+        ("run",),
+        ("schedule", 5, EventKind.MEASUREMENT, "device", "x=1,y"),
+        ("append", 0, [(1, "device", EventKind.TX_START, "rlc_pdu sn=0")]),
+    ],
+    overlap_starts=[4],
+)
 def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
     def append(start, template):
         """Log ``(offset_us, record)`` entries at ``start + offset_us``."""
@@ -89,7 +110,10 @@ def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
 
     sim, oracle = Simulator(), OracleLog()
     for op in ops:
-        if op[0] == "schedule":
+        if op[0] == "run":
+            sim.run()
+            assert sim.trace_rows() == oracle.trace_rows()
+        elif op[0] == "schedule":
             _, t, kind, entity, detail = op
             sim.schedule(t, kind, entity, detail)
             oracle.schedule(t, kind, entity, detail)
@@ -111,6 +135,19 @@ def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
     out = io.StringIO()
     sim.write_csv(out)
     assert out.getvalue() == oracle_csv(rows)
+
+
+def test_run_twice_is_run_once():
+    sim = Simulator()
+    sim.append(np.random.default_rng(3).integers(0, 5_000, 300), np.arange(300) % 3, RECS)
+    sim.schedule(0, EventKind.TIMER_FIRE, "bs")
+    sim.run()
+    once = sim.trace_rows(), [column.copy() for column in sim._columns()]
+    sim.run()
+    assert sim.trace_rows() == once[0]
+    for column, before in zip(sim._columns(), once[1]):
+        np.testing.assert_array_equal(column, before)
+    assert sorted(seq for _, seq, *_ in once[0]) == list(range(301))
 
 
 REC = record("device", "timer_fire")
@@ -225,3 +262,50 @@ def test_a_non_ascii_detail_is_written_byte_for_byte(tmp_path):
     with path.open("w", encoding="utf-8") as fh:
         sim.write_csv(fh)
     assert path.read_bytes() == oracle_csv(rows).encode("utf-8")
+
+
+def _traced_peak(call):
+    """``call()`` and the most memory, in bytes, that it held at once above
+    what it started with, by tracemalloc, which numpy reports its array
+    data to."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def leo_harq_config():
+    """The LEO600 access and HARQ scenario of 5000 messages, 2 processes:
+    120 000 trace entries."""
+    data = json.loads((CONFIG_DIR / "leo600_sband.json").read_text())
+    data["traffic"]["n_messages"] = 5000
+    data["harq"] = {"enabled": True, "n_processes": 2}
+    return load_config_dict(data)
+
+
+def test_a_scenario_holds_at_most_five_entry_length_arrays(leo_harq_config):
+    """The log keeps no seq column and no sorted copy of a column, and the
+    access kernel frees its entry index early."""
+    run_scenario(leo_harq_config)  # first-call set-up is not the log's memory
+    result, peak = _traced_peak(lambda: run_scenario(leo_harq_config))
+    entries = len(result.trace._columns()[0])
+    assert entries == 120_000
+    assert peak <= 5 * 8 * entries
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_write_csv_peaks_under_1_5_mb(leo_harq_config):
+    """``write_csv`` builds a block of rows at a time, so its memory does
+    not grow with the log."""
+    trace = run_scenario(leo_harq_config).trace
+    _, peak = _traced_peak(lambda: trace.write_csv(_Discard()))
+    assert peak <= 1.5e6
