@@ -326,63 +326,30 @@ _SLOT_RECORDS = {
 _SLOT_CODES = np.zeros(MSG4_RX + 1, np.int64)
 _SLOT_CODES[list(_SLOT_RECORDS)] = range(len(_SLOT_RECORDS))
 # The slots with a per-attempt detail: (slot, entity, kind, detail prefix,
-# decimal places of a float value, None for an int).
+# decimal places of its text).
 _DETAIL_SLOTS = (
     (MSG1_RX, "bs", _RX, "msg1_preamble residual_us=", 3),
-    (MSG2_RX, "device", _RX, "msg2_rar ta_steps=", None),
+    (MSG2_RX, "device", _RX, "msg2_rar ta_steps=", 0),
     (MSG3_TX, "device", _TX, "msg3 reported_delay_ms=", 1),
 )
-
-# From 2**52 on a float is an integer, which f"{v:.3f}" prints exactly.
-_EXACT_BITS = int(np.array(2.0**52).view(np.int64))
 # The decimal fraction of each text of _detail_texts, by its places and its
 # value in units of the last place.
 _FRACTIONS = {
-    places: [f".{f:0{places}d}" for f in range(10**places)] for *_, places in _DETAIL_SLOTS if places
+    places: [f".{f:0{places}d}" for f in range(10**places)] if places else [""]
+    for *_, places in _DETAIL_SLOTS
 }
 
 
-def _detail_keys(values: np.ndarray, places: int) -> np.ndarray:
-    """One int64 key per text ``f"{v:.{places}f}"`` (``places`` 1 or 3) of
-    each float of ``values``: equal keys for equal texts, and
-    ``_detail_texts`` gives the texts back.  Below 2**52 in magnitude the
-    key is ``2 * round_half_even(|v| * 10**places) + signbit(v)``, exact in
-    int64 from the float's significand and exponent.  From 2**52 on (and
-    inf, and nan, which prints "nan" whatever its sign) it is negative:
-    ``-1 - 2 * (the magnitude's bits - _EXACT_BITS) - signbit(v)``."""
-    values = np.where(np.isnan(values), np.nan, values)
-    sign = np.signbit(values).astype(np.int64)
-    magnitude = np.abs(values)
-    exact = magnitude < 2.0**52
-    mantissa, exponent = np.frexp(np.where(exact, magnitude, 0.0))
-    # |v| * 10**places = scaled / 2**shift, with scaled < 2**53 * 1000 < 2**63.
-    scaled = (mantissa * 2.0**53).astype(np.int64) * 10**places
-    shift = 53 - exponent.astype(np.int64)
-    scaled[shift > 63] = 0  # under half a unit: rounds to 0
-    shift = np.minimum(shift, 63)
-    units = scaled >> shift
-    rest, half = scaled - (units << shift), 1 << (shift - 1)
-    units += (rest > half) | ((rest == half) & (units % 2 == 1))
-    beyond = np.maximum(magnitude.view(np.int64), _EXACT_BITS) - _EXACT_BITS
-    return np.where(exact, 2 * units + sign, -1 - 2 * beyond - sign)
-
-
 def _detail_texts(keys: np.ndarray, places: int) -> list[str]:
-    """The text ``f"{v:.{places}f}"`` of the floats of each ``_detail_keys``
-    key of ``keys``."""
+    """The text of each detail key of ``keys``: ``2 * |units| + signbit(v)``
+    of a value ``v`` that is ``units`` in units of its last printed place."""
     units, sign = np.divmod(keys, 2)
     whole, fraction = np.divmod(units, 10**places)
     fractions = _FRACTIONS[places]
-    texts = [
+    return [
         "-" * s + str(w) + fractions[f]
         for s, w, f in zip(sign.tolist(), whole.tolist(), fraction.tolist())
     ]
-    beyond = np.flatnonzero(keys < 0)
-    bits, sign = np.divmod(-1 - keys[beyond], 2)
-    values = (bits + _EXACT_BITS).view(np.float64) * (1 - 2 * sign)
-    for i, value in zip(beyond.tolist(), values.tolist()):
-        texts[i] = f"{value:.{places}f}"
-    return texts
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,13 +479,18 @@ def access_attempts(
     for (slot, entity, kind, prefix, places), values in zip(
         _DETAIL_SLOTS, (residual_us, ta_steps, reported_delay_ms)
     ):
-        keys = values if places is None else _detail_keys(values, places)
+        # Each text comes from an integer: the value in units of its last
+        # place, half to even, and its sign bit, so that a negative value
+        # that rounds to 0 keeps its "-".
+        units = np.abs(np.rint(values * 10**places))
+        if not np.all(units < 2.0**62):
+            raise DomainError(f"detail {prefix.rstrip('=').split()[-1]} outside the int64 range")
+        keys = 2 * units.astype(np.int64) + np.signbit(values)
         distinct, inverse = np.unique(keys, return_inverse=True)
         rank = _RANK[stage, slot]
         logs = rank >= 0
         log_codes[(base + rank)[logs]] = len(table) + inverse.reshape(-1)[logs]
-        texts = map(str, distinct.tolist()) if places is None else _detail_texts(distinct, places)
-        table += [record(entity, kind, prefix + text) for text in texts]
+        table += [record(entity, kind, prefix + text) for text in _detail_texts(distinct, places)]
     sim.append(log_times, log_codes, table)
     return Attempts(path, ta_steps, stage >= 2, reported_delay_ms, msg4_arr, monitoring)
 

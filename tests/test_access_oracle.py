@@ -101,8 +101,13 @@ def run_random_access_reference(
         return finish(False, FailureCause.RAR_TIMEOUT, None, window_len)
 
     msg1_arr = t1 + one_way
+    # The residual in whole ns, half to even, with the float's sign, so one
+    # that rounds to 0 from below prints -0.000.
+    ns = abs(round(residual_us * 1000))
+    sign = "-" * (math.copysign(1.0, residual_us) < 0)
     sim.schedule(
-        msg1_arr, EventKind.RX_ARRIVAL, "bs", f"msg1_preamble residual_us={residual_us:.3f}"
+        msg1_arr, EventKind.RX_ARRIVAL, "bs",
+        f"msg1_preamble residual_us={sign}{ns // 1000}.{ns % 1000:03d}",
     )
     times["msg1_arrival"] = us_to_ms(msg1_arr)
     try:

@@ -675,6 +675,24 @@ def test_event_times_past_the_us_range_exit_3(config_dir, tmp_path, capsys, edit
     assert "unexpected" not in err
 
 
+@pytest.mark.parametrize("seed, message", [
+    # The message's GNSS error draw is positive: its delay estimate is below 0.
+    (1, "delay estimate must be non-negative"),
+    # It is negative: the estimate is 1e294 ms too long, and the residual
+    # printed at Msg1 has no int64 ns.
+    (5, "detail residual_us outside the int64 range"),
+])
+def test_a_gnss_error_of_1e300_m_exits_3(config_dir, tmp_path, capsys, seed, message):
+    def edit(data):
+        data["access"]["gnss_error_m"] = 1e300
+        data["traffic"]["n_messages"] = 1
+
+    path = _edited_leo_config(config_dir, tmp_path, edit)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", path, "--out", out, "--seed", str(seed)]) == 3
+    assert capsys.readouterr().err == f"runtime failure: {message}\n"
+
+
 def test_trace_writer_matches_generic_csv_writer(config_dir, tmp_path):
     header = ["time_ms", "seq", "entity", "kind", "detail"]
     sim = run_scenario(load_config(config_dir / "geo_sband.json"), seed=4).trace

@@ -3,7 +3,7 @@ import math
 
 import pytest
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ntnsim.config import load_config_dict
@@ -25,6 +25,7 @@ from ntnsim.protocol import (
     FailureCause,
     HarqConfig,
     MessageKind,
+    REPORTED_DELAY_QUANTUM_MS,
     RrcState,
     SystemInformation,
     TA_BIPOLAR_RANGE_US,
@@ -35,15 +36,16 @@ from ntnsim.protocol import (
     apply_timer_rules,
     autonomous_ta_update,
     build_ta_command,
+    delay_residual,
     doppler_precompensation,
     estimate_service_delay,
     harq_throughput,
     precompensate_preamble,
+    quantize_ta,
     rlc_arq_throughput,
     run_random_access,
     schedule_rar_window,
 )
-from ntnsim.protocol import _detail_keys, _detail_texts
 
 GEO = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS)
 OBS = GroundPosition(0.0, 0.0)
@@ -414,37 +416,66 @@ def test_the_access_timeline_is_a_pure_shift_of_the_start(link, starts, k):
         assert (shifted_records, shifted_outcome) == (records, outcome)
 
 
-def _check_detail_keys(values):
-    """The key -> text path prints each value as f"{v:.3f}" and f"{v:.1f}"
-    do, and the keys are as many as the texts: one record per text."""
-    values = np.array(values, dtype=float)
-    for places in (3, 1):
-        keys = _detail_keys(values, places)
-        texts = [f"{v:.{places}f}" for v in values.tolist()]
-        assert _detail_texts(keys, places) == texts
-        assert len(set(keys.tolist())) == len(set(texts))
+_SPACING_US = 10**8  # longer than any attempt's exchange below
 
 
-def test_detail_keys_on_ties_and_their_neighbours():
-    """Decimal ties k/2000 (at 3 places; k/20 among them at 1), exact binary
-    ties k/16, the floats either side of each, signed zeros, the least
-    subnormal, and floats at and past 2**52, where every float is an integer."""
-    ties = [k / 2000 for k in range(-4000, 4001)] + [k / 16 for k in range(-320, 321)]
-    ties += [k / 2000 for k in (2**31 + 1, 10**12 + 1, 2**40 + 3, 2**45 + 5)]
-    ties += [2.0**52 - 0.5, 2.0**52, 2.0**52 + 1, 2.0**53, 2.0**53 + 2, 1e300, 2.0**1023]
-    neighbours = [np.nextafter(v, side) for v in ties for side in (-math.inf, math.inf)]
-    _check_detail_keys(ties + neighbours + [0.0, -0.0, 5e-324, -5e-324])
+def _printed(sim, prefix):
+    """(attempt, integer, negative) of each printed ``prefix`` detail: the
+    attempt by its start time, the integer its text reads with the point
+    taken out, and whether the text has a "-"."""
+    times, records = _log(sim)
+    return [
+        (t // _SPACING_US, int(detail[len(prefix):].replace(".", "")), "-" in detail)
+        for t, (_, _, detail) in zip(times.tolist(), records)
+        if detail.startswith(prefix)
+    ]
 
 
-@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+@given(
+    _ms(150.0),
+    st.lists(st.floats(0.0, 300.0), max_size=10),
+    st.lists(st.floats(-1e-6, 1e-6), max_size=10),
+)
+@example(2.5e-7, [0.0], [])  # a decimal tie: the residual 0.0005 us prints 0.000
+@example(135.0, [], [1e-10])  # a residual of -2e-7 us prints -0.000
 @settings(max_examples=300, deadline=None)
-def test_detail_keys_on_any_floats(values):
-    _check_detail_keys(values + [-v for v in values])
+def test_each_printed_detail_reads_back_as_its_integer(service, estimates, near):
+    """Each printed residual is its value in whole ns, half to even, each TA
+    step count its steps and each reported delay its 0.1 ms quanta, and a
+    text has a "-" exactly where the value's sign bit is set, so that a
+    residual in (-0.0005, 0) us prints -0.000.  ``near`` holds estimates
+    just off the true delay, whose residuals are fractions of a ns."""
+    estimates = np.array(estimates + [max(service + e, 0.0) for e in near])
+    assume(len(estimates))
+    residual, reported = delay_residual(service, estimates)
+    in_range, steps = quantize_ta(residual)
+    sim = Simulator()
+    access_attempts(
+        sim, np.arange(len(estimates)) * _SPACING_US, _channel(service, service), 0.0,
+        estimates, 4 * service + 1.0, TimerConfig(), AccessTiming(),
+    )
+    for prefix, integers, values, attempts in (
+        ("msg1_preamble residual_us=", np.rint(residual * 1000), residual,
+         range(len(estimates))),
+        ("msg2_rar ta_steps=", steps, steps, np.flatnonzero(in_range)),
+        ("msg3 reported_delay_ms=", np.rint(estimates / REPORTED_DELAY_QUANTUM_MS), reported,
+         np.flatnonzero(in_range)),
+    ):
+        printed = _printed(sim, prefix)
+        assert [attempt for attempt, _, _ in printed] == list(attempts)
+        for attempt, integer, negative in printed:
+            assert integer == integers[attempt]
+            assert negative == np.signbit(values[attempt])
 
 
-def test_detail_keys_of_nan_and_inf():
-    nans = np.array([math.nan, -math.nan]).view(np.int64) | np.array([0, 1])  # two payloads
-    _check_detail_keys([*nans.view(float).tolist(), math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("estimate", [1e300, math.inf, math.nan])
+def test_a_detail_beyond_the_int64_range_raises(estimate):
+    """A residual past 2**62 ns, inf or nan has no integer to print."""
+    with pytest.raises(DomainError, match="residual_us outside the int64 range"):
+        access_attempts(
+            Simulator(), np.array([0]), _channel(), 0.0, np.array([estimate]), 545.0,
+            TimerConfig(), AccessTiming(),
+        )
 
 
 def test_a_long_scenario_builds_one_record_per_printed_detail(config_dir):
