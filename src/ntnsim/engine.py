@@ -20,7 +20,7 @@ from .events import _RX, _TX, Simulator, checked_us, ms_to_us, ms_to_us_array
 from .events import record, us_to_ms
 # geometry_sample, propagate and run_random_access stay importable from this
 # module (unused here): perfbench/tracing.py patches them to count calls.
-from .geometry import GroundPosition, OrbitKind, OrbitSpec, _sweep_times, highest_satellite
+from .geometry import GroundPosition, OrbitKind, OrbitSpec, _serving, _sweep_times
 from .geometry import geometry_sample, propagate, slant_range  # noqa: F401
 from .linkbudget import LinkBudgetParams, LinkDirection, fspl, snr
 from .protocol import PATH_CAUSES, PATH_SUCCESS, AccessOutcome, Attempts, BentPipeChannel
@@ -145,9 +145,10 @@ def earth_fixed_beam_schedule(
 ) -> list[ServiceInterval]:
     """Intervals during which each satellite serves an earth-fixed cell.
 
-    The serving satellite is ``highest_satellite`` of the cell center at
-    the threshold; a change of serving satellite starts a new interval (a
-    service-link switch).
+    The serving satellite is ``highest_satellite``'s of the cell center at
+    the threshold, ranked by elevation alone (``geometry._serving``: no
+    range or range rate); a change of serving satellite starts a new
+    interval (a service-link switch).
     """
     if not 0 < step_s < math.inf or not (horizon_s is None or 0 < horizon_s < math.inf):
         raise DomainError("horizon and step must be positive and finite")
@@ -158,13 +159,13 @@ def earth_fixed_beam_schedule(
     )
     epoch = max((o.epoch_s for o in orbits), default=0.0)  # with no orbits, none serves
     if static:
-        serving = int(highest_satellite(orbits, epoch, cell_center, min_elevation_deg)[0])
+        serving = int(_serving(orbits, epoch, cell_center, min_elevation_deg)[0])
         return [ServiceInterval(epoch, math.inf, serving)] if serving >= 0 else []
 
     if horizon_s is None:
         horizon_s = max(o.period_s() for o in orbits)
     t = _sweep_times(epoch, horizon_s, step_s)
-    serving = highest_satellite(orbits, t, cell_center, min_elevation_deg)[0]
+    serving = _serving(orbits, t, cell_center, min_elevation_deg)[0]
     # Runs of one serving index; each ends where the next starts, the last
     # at the final step.
     starts = np.concatenate(([0], np.flatnonzero(serving[1:] != serving[:-1]) + 1))

@@ -366,6 +366,102 @@ def doppler_hz(range_rate_km_s, fc_hz: float):
     return -range_rate_km_s / SPEED_OF_LIGHT_KM_S * fc_hz
 
 
+# The serving sweep's bound (``_candidates``) rules a pair (orbit, time)
+# out only when its central angle exceeds the reach by a slack (rad):
+# _SLACK_RAD, far above the rounding of the anchors' angles and of the
+# kernel, plus _PHASE_SLACK x rate x (max |t| + max |epoch|) for the
+# rounding of an orbit's phase and of the Earth's turn at large times.
+_SLACK_RAD = 1e-6
+_PHASE_SLACK = 1e-15
+
+
+def _serving(orbits, t_s, ground: GroundPosition, min_elevation_deg: float):
+    """``highest_satellite``'s ranking alone: at each time of ``t_s``, the
+    index of the highest orbit at or above ``min_elevation_deg`` (ties to
+    the later index, -1 where none is) and its elevation (the threshold
+    where none is), each orbit seen at ``max(t, orbit.epoch_s)``.
+
+    The orbits go in index order through the kernel's elevation
+    (``_positions`` + ``_sight``) and the running ``el >= elevation``
+    rule, so the result has a dense sweep's bits; but each orbit is
+    evaluated only at the times ``_candidates`` cannot rule out.  No
+    coincidence check is needed: an orbit is at least 500 km up and a
+    ground point at most 100 km, so no satellite meets the ground point.
+    """
+    t = np.asarray(t_s, dtype=float)
+    flat = t.ravel()
+    index = np.full(flat.shape, -1)
+    elevation = np.full(flat.shape, float(min_elevation_deg))
+    ground_vectors = _ground_vectors(ground)
+    candidates = _candidates(orbits, flat, ground, min_elevation_deg)
+    for i, (orbit, at) in enumerate(zip(orbits, candidates)):
+        if not at.size:
+            continue
+        dt = np.maximum(flat[at], orbit.epoch_s) - orbit.epoch_s
+        _, el = _sight(_positions(orbit, dt, _earth_turn(dt))[0], *ground_vectors)
+        take = el >= elevation[at]
+        index[at[take]] = i
+        elevation[at[take]] = el[take]
+    return index.reshape(t.shape), elevation.reshape(t.shape)
+
+
+def _candidates(orbits, t: np.ndarray, ground: GroundPosition, min_elevation_deg: float):
+    """For each orbit, the indices of the 1-D times ``t`` at which it may
+    be at or above ``min_elevation_deg`` seen from ``ground``.  Where the
+    bound cannot help, every time is a candidate: a threshold outside
+    (-90, 90), a non-finite time, or more anchors than half the times.
+
+    A satellite at radius r is at or above elevation e seen from a point
+    at radius rho exactly when its central angle from the point is at
+    most its reach arccos(rho / r * cos e) - e.  In the earth-fixed frame
+    its sub-satellite point turns at most at rate n + omega.  Anchors D =
+    min(reach / (2 rate)) apart span [t.min(), t.max()]; between anchors
+    k and k + 1 the central angle is at least (angle_k + angle_k+1 -
+    rate D) / 2, so an orbit is ruled out of a span where that exceeds
+    its reach.
+    """
+    every = [np.arange(t.size)] * len(orbits)
+    if not (every and t.size and -90.0 < min_elevation_deg < 90.0 and np.isfinite(t).all()):
+        return every
+    eps = math.radians(min_elevation_deg)
+    ratio = float(np.linalg.norm(ground.ecef_km())) / np.array([o.semi_major_axis_km for o in orbits])
+    reach = np.arccos(np.clip(ratio * math.cos(eps), -1.0, 1.0)) - eps
+    rate = np.array([o.mean_motion_rad_s() for o in orbits]) + OMEGA_EARTH_RAD_S
+    step = float((reach / (2.0 * rate)).min())
+    start, stop = float(t.min()), float(t.max())
+    spans = (stop - start) / step if step > 0.0 else math.inf
+    if not spans + 1.0 <= t.size / 2.0:
+        return every
+    spans = max(1, math.ceil(spans))
+    angle = _central_angles(orbits, start + np.arange(spans + 1) * step, ground.unit_vector())
+    farthest = max(abs(start), abs(stop)) + max(abs(o.epoch_s) for o in orbits)
+    slack = _SLACK_RAD + _PHASE_SLACK * rate * farthest
+    near = (angle[:, :-1] + angle[:, 1:] - (rate * step)[:, None]) / 2.0 <= (reach + slack)[:, None]
+    span = np.minimum(((t - start) / step).astype(np.intp), spans - 1)
+    return [np.flatnonzero(k[span]) if k.any() else span[:0] for k in near]
+
+
+def _central_angles(orbits, t: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Central angles (rad) between the unit vector ``up`` and each orbit's
+    sub-satellite point at ``max(t, orbit.epoch_s)``, shape (orbits,
+    times): the model of ``_positions`` and ``_earth_turn`` in one array
+    pass over all orbits, which costs less than calling those per orbit.
+    It feeds ``_candidates``' bound only, so its bits need not match the
+    kernel's; tests/test_geometry_kernel.py pins it to them."""
+    epoch = np.array([[o.epoch_s] for o in orbits])
+    dt = np.maximum(t, epoch) - epoch
+    n = np.array([[o.mean_motion_rad_s()] for o in orbits])
+    u = np.radians([[o.phase_deg] for o in orbits]) + n * dt
+    # The ground point turned with the Earth into the inertial frame, then
+    # back by the node: its components along the line of nodes and across.
+    w = OMEGA_EARTH_RAD_S * dt - np.radians([[o.raan_deg] for o in orbits])
+    c, s = np.cos(w), np.sin(w)
+    inc = np.radians([[o.inclination_deg] for o in orbits])
+    along = c * up[0] - s * up[1]
+    across = (s * up[0] + c * up[1]) * np.cos(inc) + up[2] * np.sin(inc)
+    return np.arccos(np.clip(along * np.cos(u) + across * np.sin(u), -1.0, 1.0))
+
+
 def highest_satellite(
     orbits: list[OrbitSpec] | tuple[OrbitSpec, ...],
     t_s,
@@ -378,25 +474,9 @@ def highest_satellite(
     elevation_deg, slant_range_km, range_rate_km_s)`` in the shape of
     ``t_s``, with index -1 and NaNs where no satellite is that high."""
     t = np.asarray(t_s, dtype=float)
-    index = np.full(t.shape, -1)
-    elevation = np.full(t.shape, float(min_elevation_deg))
-    ground_vectors = _ground_vectors(ground)
-    # Rank every orbit by elevation alone: positions, no velocity, range or
-    # range rate.  The Earth's turn depends only on the epoch, so it is
-    # computed once for each run of equal epochs.  No coincidence check is
-    # needed: an orbit is at least 500 km up and a ground point at most
-    # 100 km, so no satellite meets the ground point.
-    epoch = None
-    for i, orbit in enumerate(orbits):
-        if orbit.epoch_s != epoch:
-            epoch = orbit.epoch_s
-            dt = np.maximum(t, epoch) - epoch
-            turn = _earth_turn(dt)
-        _, el = _sight(_positions(orbit, dt, turn)[0], *ground_vectors)
-        take = el >= elevation
-        index[take] = i
-        elevation[take] = el[take]
-    # Then measure each serving orbit at the times it serves.
+    # Rank by elevation alone (``_serving``), then measure each serving
+    # orbit at the times it serves.
+    index, elevation = _serving(orbits, t, ground, min_elevation_deg)
     distance = np.full(t.shape, np.nan)
     range_rate = np.full(t.shape, np.nan)
     for i in set(index[index >= 0].tolist()):
@@ -423,9 +503,9 @@ def visibility_duration(
         raise DomainError("min_elevation must lie in [0, 90]")
     if not 0 < step_s < math.inf:
         raise DomainError("step must be positive and finite")
-    dt = _sweep_times(orbit.epoch_s, orbit.period_s(), step_s) - orbit.epoch_s
-    _, elevation = _sight(_positions(orbit, dt, _earth_turn(dt))[0], *_ground_vectors(ground))
-    above = np.concatenate(([0], (elevation >= min_elevation_deg).astype(np.int8), [0]))
+    t = _sweep_times(orbit.epoch_s, orbit.period_s(), step_s)
+    served = _serving([orbit], t, ground, min_elevation_deg)[0] >= 0
+    above = np.concatenate(([0], served.astype(np.int8), [0]))
     edges = np.flatnonzero(np.diff(above))  # alternating run starts and ends
     best = int((edges[1::2] - edges[::2]).max(initial=0))
     return best * step_s

@@ -387,8 +387,8 @@ def highest_satellite_loop(orbits, t_s, ground, min_elevation_deg=-math.inf):
     """The serving rule as one full kernel sample per orbit: every orbit's
     elevation, range and range rate at max(t, epoch), the running highest
     kept, ties to the later index.  ``highest_satellite`` ranks by
-    elevation first and measures only the winners; it must return these
-    bits."""
+    elevation first, only where a bound cannot rule an orbit out, and
+    measures only the winners; it must return these bits."""
     t = np.asarray(t_s, dtype=float)
     index = np.full(t.shape, -1)
     elevation = np.full(t.shape, float(min_elevation_deg))
@@ -472,23 +472,174 @@ def test_highest_satellite_on_walker_subsets(subset, pattern, times, ground, thr
     assert_same_bits(highest_satellite(orbits, times, ground, threshold), want)
 
 
+def longest_run(flags):
+    best = run = 0
+    for flag in flags:
+        run = run + 1 if flag else 0
+        best = max(best, run)
+    return best
+
+
 def test_visibility_ranks_the_kernel_elevations(monkeypatch):
-    """``visibility_duration`` takes positions and elevations alone; the
-    elevations it compares with the threshold are ``geometry_samples``'
-    bits."""
+    """``visibility_duration`` is the longest run of the full grid's
+    ``geometry_samples`` elevations at or above the threshold, though it
+    evaluates the kernel only where ``_candidates`` cannot rule the orbit
+    out: under a quarter of the grid for the LEO pass at 10 degrees.
+    "exact" is the elevation where the orbit first reaches 10 degrees, a
+    sample's own value, which counts: the threshold is inclusive."""
+    ground = GroundPosition(0.0, 33.5)
+    pass_orbit = overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 53.0, ground, overhead_at_s=3000.0)
+    cases = []
+    # Walker orbit 16 peaks at 11 degrees here: a pass that barely clears 10.
+    for orbit, step in ((pass_orbit, 1.0), (dataclasses.replace(walker()[16], epoch_s=123.25), 0.7)):
+        t = geometry._sweep_times(orbit.epoch_s, orbit.period_s(), step)
+        elevation, _, _ = geometry_samples(*propagate_many(orbit, t), ground)
+        exact = float(elevation[np.argmax(elevation >= 10.0)])
+        assert exact > 10.0 and np.count_nonzero(elevation == exact) == 1
+        cases.append((orbit, step, t.size, elevation, exact))
     seen = []
     sight = geometry._sight
     monkeypatch.setattr(geometry, "_sight", lambda *args: seen.append(sight(*args)) or seen[-1])
-    ground = GroundPosition(0.0, 33.5)
-    pass_orbit = overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 53.0, ground, overhead_at_s=3000.0)
-    for orbit, step in ((pass_orbit, 1.0), (dataclasses.replace(walker()[13], epoch_s=123.25), 0.7)):
-        seen.clear()
-        visibility_duration(orbit, ground, 10.0, step)
-        assert len(seen) == 1
-        _, got = seen.pop()
-        t = geometry._sweep_times(orbit.epoch_s, orbit.period_s(), step)
-        want, _, _ = geometry_samples(*propagate_many(orbit, t), ground)
-        assert_same_bits((got,), (want,))
+    for orbit, step, size, elevation, exact in cases:
+        for threshold in (0.0, 10.0, exact):
+            seen.clear()
+            got = visibility_duration(orbit, ground, threshold, step)
+            assert got == longest_run(elevation >= threshold) * step > 0.0
+            if orbit is pass_orbit and threshold == 10.0:
+                assert sum(el.size for _, el in seen) < 0.25 * size
+
+
+def mixed_constellation():
+    """The Walker LEOs, a GEO over the test's ground longitude and an
+    inclined GEO 15 degrees east of it."""
+    return walker() + [
+        OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS, raan_deg=-75.0),
+        OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS, inclination_deg=5.0, raan_deg=-60.0, phase_deg=90.0),
+    ]
+
+
+def grid():
+    return np.arange(0.0, walker()[0].period_s(), 1.0)
+
+
+def non_finite_grid():
+    t = grid()
+    t[[0, 17, 2500, 4000, -1]] = [np.nan, np.inf, -np.inf, np.nan, np.inf]
+    return t
+
+
+# (constellation, times, ground altitude in m) of each case, all seen from
+# 40N 75W.
+ORACLE_CASES = {
+    "2-d": (walker, lambda: grid()[:5700].reshape(57, 100), 0.0),
+    "shuffled": (walker, lambda: np.random.default_rng(5).permutation(grid()), 0.0),
+    "non-finite": (walker, non_finite_grid, 0.0),
+    "leo+geo": (mixed_constellation, grid, 0.0),
+    "ground -500 m": (walker, grid, -500.0),
+    "ground 100 km": (walker, grid, 100_000.0),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+@pytest.mark.parametrize("threshold", [0.0, 45.0, 90.0, 95.0, math.inf])
+def test_highest_satellite_is_the_loop_on_any_grid(case, threshold):
+    """The bound (``_candidates``) rules pairs out on finite times below
+    90 degrees, whatever their order or shape; at non-finite times and
+    thresholds it cannot help every pair is a candidate; both return the
+    loop's bits."""
+    make_orbits, make_times, altitude_m = ORACLE_CASES[case]
+    orbits, t = make_orbits(), make_times()
+    ground = GroundPosition(40.0, -75.0, altitude_m)
+    candidates = geometry._candidates(orbits, t.ravel(), ground, threshold)
+    bounded = any(at.size < t.size for at in candidates)
+    assert bounded == (threshold < 90.0 and case != "non-finite")
+    with np.errstate(invalid="ignore"):  # cos and sin of an infinite time
+        want = highest_satellite_loop(orbits, t, ground, threshold)
+        assert_same_bits(highest_satellite(orbits, t, ground, threshold), want)
+    served = set(want[0][want[0] >= 0].tolist())
+    assert bool(served) == (threshold < 90.0)
+    if case == "leo+geo":
+        assert (24 in served) == (threshold == 0.0)
+
+
+def test_the_bound_allows_for_rounding_at_large_times():
+    """18.5 million years past the epoch the phase n * dt rounds to about
+    1e-4 rad, so the anchors and the kernel see the orbit that far apart.
+    Here, with the slack fixed at 1e-6 rad, the bound ruled out a sample
+    exactly at the threshold (a near-retrograde equatorial orbit closes in
+    on the point at almost the full rate n + omega); the slack that grows
+    with |t| keeps it."""
+    orbit = OrbitSpec(
+        kind=OrbitKind.LEO_CIRCULAR,
+        altitude_km=600.0,
+        inclination_deg=179.9,
+        raan_deg=-24.25291531027662,
+        phase_deg=240.9470274868273,
+    )
+    ground = GroundPosition(0.0, -27.797517622753986)
+    t = 583940770472488.5 + np.arange(0.0, 6000.0, 0.125)
+    threshold = 9.665491618038951  # the elevation of t[11615]
+    assert geometry._candidates([orbit], t, ground, threshold)[0].size < t.size
+    want = highest_satellite_loop([orbit], t, ground, threshold)
+    assert want[1][11615] == threshold
+    assert_same_bits(highest_satellite([orbit], t, ground, threshold), want)
+
+
+@given(
+    st.lists(orbits, max_size=3),
+    st.floats(500.0, 2000.0),
+    st.floats(0.0, 179.9),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.2e5),
+    st.integers(8, 300),
+    st.floats(0.1, 4.0),
+    st.booleans(),
+    st.builds(
+        GroundPosition,
+        latitude_deg=st.one_of(st.floats(-20.0, 20.0), st.floats(-90.0, 90.0)),
+        longitude_deg=st.floats(-180.0, 180.0),
+        altitude_m=st.floats(-500.0, 100_000.0),
+    ),
+    st.floats(-80.0, 70.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_the_bound_rules_out_only_pairs_below_the_threshold(
+    constellation, altitude_km, inclination_deg, when, start, count, step, shuffle, ground, threshold
+):
+    """Every (orbit, time) pair ``_candidates`` leaves out has a dense
+    kernel elevation below the threshold.  Besides any orbits, one LEO
+    passes over the equator at the ground point's longitude at a drawn
+    time of the grid, so that near an equatorial point most examples hold
+    a rise or a set."""
+    t = start + np.arange(count) * step
+    overhead = GroundPosition(0.0, ground.longitude_deg)
+    at_s = start + when * (count - 1) * step
+    constellation = constellation + [
+        overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, altitude_km, inclination_deg, overhead, at_s)
+    ]
+    if shuffle:
+        t = np.random.default_rng(count).permutation(t)
+    candidates = geometry._candidates(constellation, t, ground, threshold)
+    for orbit, at in zip(constellation, candidates):
+        elevation, _, _ = geometry_samples(*propagate_many(orbit, np.maximum(t, orbit.epoch_s)), ground)
+        ruled_out = np.ones(t.size, bool)
+        ruled_out[at] = False
+        assert (elevation[ruled_out] < threshold).all()
+
+
+@given(st.lists(orbits, min_size=1, max_size=4), st.lists(st.floats(-1e5, 2e5), min_size=1, max_size=20), grounds)
+@settings(max_examples=100, deadline=None)
+def test_the_anchor_angles_follow_the_kernel(constellation, times, ground):
+    """The bound's batched central angles (``_central_angles``) are those
+    of the kernel's own positions (``_positions`` + ``_earth_turn``), so a
+    change to the orbit model made in one and not the other fails here."""
+    t = np.array(times)
+    up = ground.unit_vector()
+    got = np.cos(geometry._central_angles(constellation, t, up))
+    for orbit, cos_angle in zip(constellation, got):
+        dt = np.maximum(t, orbit.epoch_s) - orbit.epoch_s
+        pos = geometry._positions(orbit, dt, geometry._earth_turn(dt))[0]
+        np.testing.assert_allclose(cos_angle, pos @ up / orbit.semi_major_axis_km, rtol=0.0, atol=1e-12)
 
 
 def highest_reference(orbits, t_s, ground, fc_hz):
