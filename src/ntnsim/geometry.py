@@ -164,16 +164,6 @@ class BeamSpec:
             raise DomainError("beam diameter must be non-negative")
 
 
-def _rot_z(angle_rad: float) -> np.ndarray:
-    c, s = math.cos(angle_rad), math.sin(angle_rad)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_x(angle_rad: float) -> np.ndarray:
-    c, s = math.cos(angle_rad), math.sin(angle_rad)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def slant_range(elevation_deg: float, altitude_km: float) -> float:
     """Line-of-sight distance to a satellite seen at a given elevation."""
     if not 0.0 <= elevation_deg <= 90.0:
@@ -204,14 +194,27 @@ def propagate_many(orbit: OrbitSpec, t_s: np.ndarray) -> tuple[np.ndarray, np.nd
         raise DomainError("t must not precede the orbit epoch")
     dt = t - orbit.epoch_s
     turn = _earth_turn(dt)
-    pos, cos_u, sin_u = _positions(orbit, dt, turn)
-    a = orbit.semi_major_axis_km
-    n = orbit.mean_motion_rad_s()
+    e = _elements([orbit])[0]
+    pos, cos_u, sin_u = _positions(e, dt, turn)
     # v_ef = rot @ v_in - omega x r_ef with omega along +z.
-    vel = _earth_fixed(orbit, -a * n * sin_u, a * n * cos_u, turn)
+    vel = _earth_fixed(e, -e[_A] * e[_N] * sin_u, e[_A] * e[_N] * cos_u, turn)
     vel[..., 0] += OMEGA_EARTH_RAD_S * pos[..., 1]
     vel[..., 1] -= OMEGA_EARTH_RAD_S * pos[..., 0]
     return pos, vel
+
+
+_A, _N, _PHASE, _NODE, _INC, _EPOCH = range(6)
+
+
+def _elements(orbits) -> np.ndarray:
+    """One row per orbit of what the kernel reads of it, in the columns
+    ``_A`` .. ``_EPOCH``: semi-major axis (km), mean motion (rad/s), phase,
+    node and inclination (rad), epoch (s).  ``+ 0.0`` turns a node or
+    inclination of -0.0 into 0.0, as the frame's rotation matrices had it."""
+    rows = [(o.semi_major_axis_km, o.mean_motion_rad_s(), math.radians(o.phase_deg),
+             math.radians(o.raan_deg) + 0.0, math.radians(o.inclination_deg) + 0.0, o.epoch_s)
+            for o in orbits]
+    return np.array(rows, dtype=float).reshape(len(rows), 6)
 
 
 def _earth_turn(dt):
@@ -222,29 +225,30 @@ def _earth_turn(dt):
     return np.cos(theta), np.sin(theta)
 
 
-def _positions(orbit: OrbitSpec, dt, turn):
-    """Earth-fixed positions of ``orbit`` ``dt`` seconds past its epoch
-    (``turn`` is ``_earth_turn(dt)``), with the cos and sin of its
-    argument of latitude there."""
-    a = orbit.semi_major_axis_km
-    u = math.radians(orbit.phase_deg) + orbit.mean_motion_rad_s() * dt
+def _positions(e: np.ndarray, dt, turn):
+    """Earth-fixed positions ``dt`` seconds past the epoch of ``_elements``
+    rows ``e``, whose leading axes broadcast against ``dt`` (``turn`` is
+    ``_earth_turn(dt)``), with the cos and sin of the argument of latitude."""
+    a = e[..., _A]
+    u = e[..., _PHASE] + e[..., _N] * dt
     cos_u, sin_u = np.cos(u), np.sin(u)
-    return _earth_fixed(orbit, a * cos_u, a * sin_u, turn), cos_u, sin_u
+    return _earth_fixed(e, a * cos_u, a * sin_u, turn), cos_u, sin_u
 
 
-def _earth_fixed(orbit: OrbitSpec, p0, p1, turn) -> np.ndarray:
+def _earth_fixed(e: np.ndarray, p0, p1, turn) -> np.ndarray:
     """Earth-fixed vectors (trailing axis 3) of the in-plane components
-    ``(p0, p1)`` of ``orbit``: into the inertial frame, then through the
-    Earth's turn ``(cos, sin)``."""
-    # The in-plane z component is zero, so only two columns of m act.
-    m = _rot_z(math.radians(orbit.raan_deg)) @ _rot_x(math.radians(orbit.inclination_deg))
+    ``(p0, p1)`` of ``_elements`` rows ``e``: into the inertial frame, then
+    through the Earth's turn ``(cos, sin)``."""
+    cos_node, sin_node = np.cos(e[..., _NODE]), np.sin(e[..., _NODE])
+    cos_inc, sin_inc = np.cos(e[..., _INC]), np.sin(e[..., _INC])
     c, s = turn
-    x_in = m[0, 0] * p0 + m[0, 1] * p1
-    y_in = m[1, 0] * p0 + m[1, 1] * p1
-    out = np.empty(np.shape(p0) + (3,))
+    x_in = cos_node * p0 + (-sin_node * cos_inc) * p1
+    y_in = sin_node * p0 + (cos_node * cos_inc) * p1
+    out = np.empty(np.shape(x_in) + (3,))
     out[..., 0] = c * x_in - s * y_in
     out[..., 1] = s * x_in + c * y_in
-    out[..., 2] = m[2, 0] * p0 + m[2, 1] * p1
+    # 0.0 * p0 keeps the sign of a zero z as the frame's matrix product had it.
+    out[..., 2] = 0.0 * p0 + sin_inc * p1
     return out
 
 
@@ -368,9 +372,9 @@ def doppler_hz(range_rate_km_s, fc_hz: float):
 
 # The serving sweep's bound (``_candidates``) rules a pair (orbit, time)
 # out only when its central angle exceeds the reach by a slack (rad):
-# _SLACK_RAD, far above the rounding of the anchors' angles and of the
-# kernel, plus _PHASE_SLACK x rate x (max |t| + max |epoch|) for the
-# rounding of an orbit's phase and of the Earth's turn at large times.
+# _SLACK_RAD, far above the rounding of the anchors' angles (arccos of
+# the kernel's positions), plus _PHASE_SLACK x rate x (max |t| + max |epoch|)
+# for the rounding of an orbit's phase and of the Earth's turn at large times.
 _SLACK_RAD = 1e-6
 _PHASE_SLACK = 1e-15
 
@@ -381,10 +385,11 @@ def _serving(orbits, t_s, ground: GroundPosition, min_elevation_deg: float):
     the later index, -1 where none is) and its elevation (the threshold
     where none is), each orbit seen at ``max(t, orbit.epoch_s)``.
 
-    The orbits go in index order through the kernel's elevation
-    (``_positions`` + ``_sight``) and the running ``el >= elevation``
-    rule, so the result has a dense sweep's bits; but each orbit is
-    evaluated only at the times ``_candidates`` cannot rule out.  No
+    The orbits' element rows go in index order through the kernel's
+    elevation (``_positions`` + ``_sight``) and the running ``el >=
+    elevation`` rule, so the result has a dense sweep's bits; but each
+    orbit is evaluated only at the times ``_candidates`` cannot rule out,
+    one orbit at a time (all pairs at once would hold k times the memory).  No
     coincidence check is needed: an orbit is at least 500 km up and a
     ground point at most 100 km, so no satellite meets the ground point.
     """
@@ -393,23 +398,24 @@ def _serving(orbits, t_s, ground: GroundPosition, min_elevation_deg: float):
     index = np.full(flat.shape, -1)
     elevation = np.full(flat.shape, float(min_elevation_deg))
     ground_vectors = _ground_vectors(ground)
-    candidates = _candidates(orbits, flat, ground, min_elevation_deg)
-    for i, (orbit, at) in enumerate(zip(orbits, candidates)):
+    elements = _elements(orbits)
+    candidates = _candidates(elements, flat, ground, min_elevation_deg)
+    for i, (e, at) in enumerate(zip(elements, candidates)):
         if not at.size:
             continue
-        dt = np.maximum(flat[at], orbit.epoch_s) - orbit.epoch_s
-        _, el = _sight(_positions(orbit, dt, _earth_turn(dt))[0], *ground_vectors)
+        dt = np.maximum(flat[at], e[_EPOCH]) - e[_EPOCH]
+        _, el = _sight(_positions(e, dt, _earth_turn(dt))[0], *ground_vectors)
         take = el >= elevation[at]
         index[at[take]] = i
         elevation[at[take]] = el[take]
     return index.reshape(t.shape), elevation.reshape(t.shape)
 
 
-def _candidates(orbits, t: np.ndarray, ground: GroundPosition, min_elevation_deg: float):
-    """For each orbit, the indices of the 1-D times ``t`` at which it may
-    be at or above ``min_elevation_deg`` seen from ``ground``.  Where the
-    bound cannot help, every time is a candidate: a threshold outside
-    (-90, 90), a non-finite time, or more anchors than half the times.
+def _candidates(elements: np.ndarray, t: np.ndarray, ground: GroundPosition, min_elevation_deg: float):
+    """For each ``_elements`` row, the indices of the 1-D times ``t`` at
+    which its orbit may be at or above ``min_elevation_deg`` from ``ground``.
+    Where the bound cannot help, every time is a candidate: a threshold
+    outside (-90, 90), a non-finite time, or more anchors than half the times.
 
     A satellite at radius r is at or above elevation e seen from a point
     at radius rho exactly when its central angle from the point is at
@@ -418,48 +424,32 @@ def _candidates(orbits, t: np.ndarray, ground: GroundPosition, min_elevation_deg
     min(reach / (2 rate)) apart span [t.min(), t.max()]; between anchors
     k and k + 1 the central angle is at least (angle_k + angle_k+1 -
     rate D) / 2, so an orbit is ruled out of a span where that exceeds
-    its reach.
+    its reach.  The anchors' angles are the kernel's (``_positions``, all
+    orbits in one call).
     """
-    every = [np.arange(t.size)] * len(orbits)
+    every = [np.arange(t.size)] * len(elements)
     if not (every and t.size and -90.0 < min_elevation_deg < 90.0 and np.isfinite(t).all()):
         return every
     eps = math.radians(min_elevation_deg)
-    ratio = float(np.linalg.norm(ground.ecef_km())) / np.array([o.semi_major_axis_km for o in orbits])
-    reach = np.arccos(np.clip(ratio * math.cos(eps), -1.0, 1.0)) - eps
-    rate = np.array([o.mean_motion_rad_s() for o in orbits]) + OMEGA_EARTH_RAD_S
+    a = elements[:, _A]
+    rho = float(np.linalg.norm(ground.ecef_km()))
+    reach = np.arccos(np.clip(rho / a * math.cos(eps), -1.0, 1.0)) - eps
+    rate = elements[:, _N] + OMEGA_EARTH_RAD_S
     step = float((reach / (2.0 * rate)).min())
     start, stop = float(t.min()), float(t.max())
     spans = (stop - start) / step if step > 0.0 else math.inf
     if not spans + 1.0 <= t.size / 2.0:
         return every
     spans = max(1, math.ceil(spans))
-    angle = _central_angles(orbits, start + np.arange(spans + 1) * step, ground.unit_vector())
-    farthest = max(abs(start), abs(stop)) + max(abs(o.epoch_s) for o in orbits)
+    epoch = elements[:, _EPOCH, None]
+    dt = np.maximum(start + np.arange(spans + 1) * step, epoch) - epoch
+    pos = _positions(elements[:, None], dt, _earth_turn(dt))[0]
+    angle = np.arccos(np.clip(pos @ ground.unit_vector() / a[:, None], -1.0, 1.0))
+    farthest = max(abs(start), abs(stop)) + float(np.abs(epoch).max())
     slack = _SLACK_RAD + _PHASE_SLACK * rate * farthest
     near = (angle[:, :-1] + angle[:, 1:] - (rate * step)[:, None]) / 2.0 <= (reach + slack)[:, None]
     span = np.minimum(((t - start) / step).astype(np.intp), spans - 1)
     return [np.flatnonzero(k[span]) if k.any() else span[:0] for k in near]
-
-
-def _central_angles(orbits, t: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Central angles (rad) between the unit vector ``up`` and each orbit's
-    sub-satellite point at ``max(t, orbit.epoch_s)``, shape (orbits,
-    times): the model of ``_positions`` and ``_earth_turn`` in one array
-    pass over all orbits, which costs less than calling those per orbit.
-    It feeds ``_candidates``' bound only, so its bits need not match the
-    kernel's; tests/test_geometry_kernel.py pins it to them."""
-    epoch = np.array([[o.epoch_s] for o in orbits])
-    dt = np.maximum(t, epoch) - epoch
-    n = np.array([[o.mean_motion_rad_s()] for o in orbits])
-    u = np.radians([[o.phase_deg] for o in orbits]) + n * dt
-    # The ground point turned with the Earth into the inertial frame, then
-    # back by the node: its components along the line of nodes and across.
-    w = OMEGA_EARTH_RAD_S * dt - np.radians([[o.raan_deg] for o in orbits])
-    c, s = np.cos(w), np.sin(w)
-    inc = np.radians([[o.inclination_deg] for o in orbits])
-    along = c * up[0] - s * up[1]
-    across = (s * up[0] + c * up[1]) * np.cos(inc) + up[2] * np.sin(inc)
-    return np.arccos(np.clip(along * np.cos(u) + across * np.sin(u), -1.0, 1.0))
 
 
 def highest_satellite(

@@ -43,7 +43,7 @@ from ntnsim.geometry import (
     subsatellite_point,
     visibility_duration,
 )
-from ntnsim.geometry import _rot_x, _rot_z, _tangent_basis
+from ntnsim.geometry import _tangent_basis
 from ntnsim.protocol import DeviceContext, Ephemeris, doppler_precompensation
 from ntnsim.protocol import estimate_service_delay
 
@@ -57,6 +57,16 @@ def close(got, want, scale):
 
 
 # -- the scalar oracle --------------------------------------------------------
+
+
+def _rot_z(angle_rad: float) -> np.ndarray:
+    c, s = math.cos(angle_rad), math.sin(angle_rad)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _rot_x(angle_rad: float) -> np.ndarray:
+    c, s = math.cos(angle_rad), math.sin(angle_rad)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def propagate_reference(orbit: OrbitSpec, t_s: float) -> SatelliteState:
@@ -305,6 +315,47 @@ def test_propagate_many_keeps_epoch_check_and_scalar_times():
     np.testing.assert_allclose(pos, propagate_reference(orbit, 150.0).position_km, rtol=RTOL)
 
 
+def assert_frame_is_the_matrix_product(raan_deg, inclination_deg, u, dt):
+    """``geometry._earth_fixed`` of the in-plane positions and velocities
+    at arguments of latitude ``u``, through the Earth's turn over ``dt``,
+    has the bits of the same frame written as the product of the node's
+    and the inclination's rotation matrices."""
+    orbit = OrbitSpec(OrbitKind.LEO_CIRCULAR, 600.0, inclination_deg, raan_deg)
+    a, n = orbit.semi_major_axis_km, orbit.mean_motion_rad_s()
+    u, dt = np.asarray(u, dtype=float), np.asarray(dt, dtype=float)
+    turn = geometry._earth_turn(dt)
+    c, s = turn
+    m = _rot_z(math.radians(raan_deg)) @ _rot_x(math.radians(inclination_deg))
+    e = geometry._elements([orbit])[0]
+    for p0, p1 in ((a * np.cos(u), a * np.sin(u)), (-a * n * np.sin(u), a * n * np.cos(u))):
+        x_in = m[0, 0] * p0 + m[0, 1] * p1
+        y_in = m[1, 0] * p0 + m[1, 1] * p1
+        want = np.stack([c * x_in - s * y_in, s * x_in + c * y_in, m[2, 0] * p0 + m[2, 1] * p1], axis=-1)
+        assert_same_bits([geometry._earth_fixed(e, p0, p1, turn)], [want])
+
+
+@pytest.mark.parametrize("raan_deg", [-0.0, 0.0, 90.0, 180.0, 270.0])
+@pytest.mark.parametrize("inclination_deg", [-0.0, 0.0, 90.0, 179.9])
+def test_the_frame_is_the_rotation_matrices_on_the_axes(raan_deg, inclination_deg):
+    """Nodes and inclinations where the matrices hold exact zeros and
+    ones, at arguments of latitude where the in-plane components do, and
+    with the Earth's turn at 0 where its sine does: a zero's sign too."""
+    u = np.array([0.0, -0.0, math.pi / 2, math.pi, -math.pi / 2, 1.0, 2e4, 0.0])
+    dt = np.array([0.0, 0.0, 0.0, 0.0, 60.0, 1e3, 5e8, 86164.0905])
+    assert_frame_is_the_matrix_product(raan_deg, inclination_deg, u, dt)
+
+
+@given(
+    st.floats(-180.0, 360.0),
+    st.floats(0.0, 179.9),
+    st.lists(st.tuples(st.floats(-1e5, 1e5), st.floats(0.0, 1e9)), min_size=1, max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_frame_is_the_rotation_matrices(raan_deg, inclination_deg, samples):
+    u, dt = zip(*samples)
+    assert_frame_is_the_matrix_product(raan_deg, inclination_deg, u, dt)
+
+
 def test_geometry_samples_rejects_coincident_ground():
     ground = GroundPosition(0.0, 0.0)
     sat = satellite_state_over(ground, 600.0)
@@ -472,6 +523,18 @@ def test_highest_satellite_on_walker_subsets(subset, pattern, times, ground, thr
     assert_same_bits(highest_satellite(orbits, times, ground, threshold), want)
 
 
+@pytest.mark.parametrize("times", [123.0, np.arange(600.0), np.arange(600.0).reshape(20, 30)])
+@pytest.mark.parametrize("threshold", [-math.inf, 10.0])
+def test_no_orbit_serves_an_empty_constellation(times, threshold):
+    assert geometry._elements([]).shape == (0, 6)
+    ground = GroundPosition(40.0, -75.0)
+    index, elevation, distance, range_rate = highest_satellite([], times, ground, threshold)
+    for got in (index, elevation, distance, range_rate):
+        assert got.shape == np.shape(times)
+    assert (index == -1).all()
+    assert np.isnan(elevation).all() and np.isnan(distance).all() and np.isnan(range_rate).all()
+
+
 def longest_run(flags):
     best = run = 0
     for flag in flags:
@@ -550,7 +613,7 @@ def test_highest_satellite_is_the_loop_on_any_grid(case, threshold):
     make_orbits, make_times, altitude_m = ORACLE_CASES[case]
     orbits, t = make_orbits(), make_times()
     ground = GroundPosition(40.0, -75.0, altitude_m)
-    candidates = geometry._candidates(orbits, t.ravel(), ground, threshold)
+    candidates = geometry._candidates(geometry._elements(orbits), t.ravel(), ground, threshold)
     bounded = any(at.size < t.size for at in candidates)
     assert bounded == (threshold < 90.0 and case != "non-finite")
     with np.errstate(invalid="ignore"):  # cos and sin of an infinite time
@@ -579,7 +642,7 @@ def test_the_bound_allows_for_rounding_at_large_times():
     ground = GroundPosition(0.0, -27.797517622753986)
     t = 583940770472488.5 + np.arange(0.0, 6000.0, 0.125)
     threshold = 9.665491618038951  # the elevation of t[11615]
-    assert geometry._candidates([orbit], t, ground, threshold)[0].size < t.size
+    assert geometry._candidates(geometry._elements([orbit]), t, ground, threshold)[0].size < t.size
     want = highest_satellite_loop([orbit], t, ground, threshold)
     assert want[1][11615] == threshold
     assert_same_bits(highest_satellite([orbit], t, ground, threshold), want)
@@ -619,27 +682,12 @@ def test_the_bound_rules_out_only_pairs_below_the_threshold(
     ]
     if shuffle:
         t = np.random.default_rng(count).permutation(t)
-    candidates = geometry._candidates(constellation, t, ground, threshold)
+    candidates = geometry._candidates(geometry._elements(constellation), t, ground, threshold)
     for orbit, at in zip(constellation, candidates):
         elevation, _, _ = geometry_samples(*propagate_many(orbit, np.maximum(t, orbit.epoch_s)), ground)
         ruled_out = np.ones(t.size, bool)
         ruled_out[at] = False
         assert (elevation[ruled_out] < threshold).all()
-
-
-@given(st.lists(orbits, min_size=1, max_size=4), st.lists(st.floats(-1e5, 2e5), min_size=1, max_size=20), grounds)
-@settings(max_examples=100, deadline=None)
-def test_the_anchor_angles_follow_the_kernel(constellation, times, ground):
-    """The bound's batched central angles (``_central_angles``) are those
-    of the kernel's own positions (``_positions`` + ``_earth_turn``), so a
-    change to the orbit model made in one and not the other fails here."""
-    t = np.array(times)
-    up = ground.unit_vector()
-    got = np.cos(geometry._central_angles(constellation, t, up))
-    for orbit, cos_angle in zip(constellation, got):
-        dt = np.maximum(t, orbit.epoch_s) - orbit.epoch_s
-        pos = geometry._positions(orbit, dt, geometry._earth_turn(dt))[0]
-        np.testing.assert_allclose(cos_angle, pos @ up / orbit.semi_major_axis_km, rtol=0.0, atol=1e-12)
 
 
 def highest_reference(orbits, t_s, ground, fc_hz):
