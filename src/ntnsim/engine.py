@@ -18,10 +18,9 @@ from .constants import SPEED_OF_LIGHT_M_S
 from .errors import ConfigError, DomainError
 from .events import _RX, _TX, Simulator, checked_us, ms_to_us, ms_to_us_array
 from .events import record, us_to_ms
-# geometry_sample, propagate and run_random_access stay importable from this
-# module (unused here): perfbench/tracing.py patches them to count calls.
-from .geometry import GroundPosition, OrbitKind, OrbitSpec, _serving, _sweep_times
-from .geometry import geometry_sample, propagate, slant_range  # noqa: F401
+# earth_fixed_beam_schedule, geometry_sample, propagate and run_random_access
+# stay importable from here (unused): perfbench/tracing.py patches them.
+from .geometry import earth_fixed_beam_schedule, geometry_sample, propagate, slant_range  # noqa: F401
 from .linkbudget import LinkBudgetParams, LinkDirection, fspl, snr
 from .protocol import PATH_CAUSES, PATH_SUCCESS, AccessOutcome, Attempts, BentPipeChannel
 from .protocol import access_attempts, run_random_access  # noqa: F401
@@ -129,54 +128,6 @@ def _rlc_events(n_pdus: int, window_pdus: int, tti_ms: float, rtt_ms: float):
     return offsets[logged], tuple(records), end
 
 
-@dataclass(frozen=True)
-class ServiceInterval:
-    start_s: float
-    end_s: float
-    satellite_index: int
-
-
-def earth_fixed_beam_schedule(
-    orbits: list[OrbitSpec] | OrbitSpec,
-    cell_center: GroundPosition,
-    min_elevation_deg: float,
-    horizon_s: float | None = None,
-    step_s: float = 1.0,
-) -> list[ServiceInterval]:
-    """Intervals during which each satellite serves an earth-fixed cell.
-
-    The serving satellite is ``highest_satellite``'s of the cell center at
-    the threshold, ranked by elevation alone (``geometry._serving``: no
-    range or range rate); a change of serving satellite starts a new
-    interval (a service-link switch).
-    """
-    if not 0 < step_s < math.inf or not (horizon_s is None or 0 < horizon_s < math.inf):
-        raise DomainError("horizon and step must be positive and finite")
-    if isinstance(orbits, OrbitSpec):
-        orbits = [orbits]
-    static = all(
-        o.kind is OrbitKind.GEOSYNCHRONOUS and o.inclination_deg == 0.0 for o in orbits
-    )
-    epoch = max((o.epoch_s for o in orbits), default=0.0)  # with no orbits, none serves
-    if static:
-        serving = int(_serving(orbits, epoch, cell_center, min_elevation_deg)[0])
-        return [ServiceInterval(epoch, math.inf, serving)] if serving >= 0 else []
-
-    if horizon_s is None:
-        horizon_s = max(o.period_s() for o in orbits)
-    t = _sweep_times(epoch, horizon_s, step_s)
-    serving = _serving(orbits, t, cell_center, min_elevation_deg)[0]
-    # Runs of one serving index; each ends where the next starts, the last
-    # at the final step.
-    starts = np.concatenate(([0], np.flatnonzero(serving[1:] != serving[:-1]) + 1))
-    ends = np.append(starts[1:], len(t) - 1)
-    return [
-        ServiceInterval(float(t[start]), float(t[end]), int(serving[start]))
-        for start, end in zip(starts, ends)
-        if serving[start] >= 0
-    ]
-
-
 @dataclass
 class MetricsReport:
     scenario: str
@@ -202,7 +153,7 @@ class MetricsReport:
 @dataclass
 class ScenarioResult:
     report: MetricsReport
-    trace: Simulator  # sorted; write it with trace.write_csv
+    trace: Simulator  # read in (time, seq) order; write it with trace.write_csv
     attempts: Attempts  # per message
 
     @property

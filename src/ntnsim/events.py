@@ -12,8 +12,8 @@ and no column holds it.  ``run`` sorts the log once, stably by time, into
 (time, seq) order, so events at equal times keep the order they were
 logged in.  It keeps only the sort's permutation, which is the trace's
 seq column; the columns are gathered through it a block of rows at a
-time when the trace is read.  Entries logged after a sort follow the
-sorted ones until the next ``run``.
+time when the trace is read.  A read sorts first if anything was logged
+since the last sort, so every read is in (time, seq) order.
 
 A record (see ``record``) is built once per printed event and shared by
 every entry that logs it, and it carries its CSV line tail: the access
@@ -123,10 +123,9 @@ class Simulator:
         # entry's seq is its index; a code indexes self._records.
         self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
         self._records: list[tuple[str, str, str, str]] = []
-        self._size = 0
-        # The trace order of the entries ``run`` last sorted, the seq column
-        # of their rows; the entries logged since follow in log order.
-        self._seqs = np.zeros(0, np.int64)
+        # The log's trace order, the seq column of its rows; None until
+        # ``run`` sorts the log, and again after each append.
+        self._seqs: np.ndarray | None = None
 
     def append(self, times_us, codes, table) -> None:
         """Log ``table[codes[k]]`` (a record) at ``times_us[k]``, in order.
@@ -139,7 +138,7 @@ class Simulator:
         # holds the caller's arrays with no copy.
         self._chunks.append((times_us, codes + len(self._records) if self._records else codes))
         self._records += table
-        self._size += len(times_us)
+        self._seqs = None
 
     def schedule(self, time_us: int, kind: EventKind, entity: str, detail: str = "") -> None:
         self.append([int(time_us)], [0], [record(entity, kind._value_, detail)])
@@ -152,31 +151,17 @@ class Simulator:
             self._chunks = [tuple(np.concatenate(part) for part in zip(*self._chunks))]
         return self._chunks[0]
 
-    def _seq_column(self) -> np.ndarray:
-        """The seq of each row of the trace: the sorted entries', then the
-        log positions of those logged since."""
-        seqs = self._seqs
-        if len(seqs) < self._size:
-            seqs = np.concatenate((seqs, np.arange(len(seqs), self._size)))
-        return seqs
-
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(times_us, seqs, codes) of the rows of the trace."""
-        times, codes = self._merged()
-        seqs = self._seq_column()
-        return times[seqs], seqs, codes[seqs]
-
     def run(self) -> None:
         """Sort the log by (time, seq); (time, seq) pairs are unique.  The
         stable sort of the log-order times is that order, as each seq is a
         log position; the columns are gathered block by block when read."""
-        if len(self._seqs) < self._size:
+        if self._seqs is None:
             self._seqs = np.argsort(self._merged()[0], kind="stable")
 
     def _blocks(self):
         """(times_us, seqs, codes) of the trace's rows, ``_BLOCK_ROWS`` at a time."""
-        times, codes = self._merged()
-        seqs = self._seq_column()
+        self.run()
+        (times, codes), seqs = self._merged(), self._seqs
         for start in range(0, len(seqs), _BLOCK_ROWS):
             block = seqs[start:start + _BLOCK_ROWS]
             yield times.take(block), block, codes.take(block)

@@ -501,6 +501,52 @@ def visibility_duration(
     return best * step_s
 
 
+@dataclass(frozen=True)
+class ServiceInterval:
+    start_s: float
+    end_s: float
+    satellite_index: int
+
+
+def earth_fixed_beam_schedule(
+    orbits: list[OrbitSpec],
+    cell_center: GroundPosition,
+    min_elevation_deg: float,
+    horizon_s: float | None = None,
+    step_s: float = 1.0,
+) -> list[ServiceInterval]:
+    """Intervals during which each satellite serves an earth-fixed cell.
+
+    The serving satellite is ``highest_satellite``'s of the cell center at
+    the threshold, ranked by elevation alone (``_serving``: no range or
+    range rate); a change of serving satellite starts a new interval (a
+    service-link switch).
+    """
+    if not 0 < step_s < math.inf or not (horizon_s is None or 0 < horizon_s < math.inf):
+        raise DomainError("horizon and step must be positive and finite")
+    static = all(
+        o.kind is OrbitKind.GEOSYNCHRONOUS and o.inclination_deg == 0.0 for o in orbits
+    )
+    epoch = max((o.epoch_s for o in orbits), default=0.0)  # with no orbits, none serves
+    if static:
+        serving = int(_serving(orbits, epoch, cell_center, min_elevation_deg)[0])
+        return [ServiceInterval(epoch, math.inf, serving)] if serving >= 0 else []
+
+    if horizon_s is None:
+        horizon_s = max(o.period_s() for o in orbits)
+    t = _sweep_times(epoch, horizon_s, step_s)
+    serving = _serving(orbits, t, cell_center, min_elevation_deg)[0]
+    # Runs of one serving index; each ends where the next starts, the last
+    # at the final step.
+    starts = np.concatenate(([0], np.flatnonzero(serving[1:] != serving[:-1]) + 1))
+    ends = np.append(starts[1:], len(t) - 1)
+    return [
+        ServiceInterval(float(t[start]), float(t[end]), int(serving[start]))
+        for start, end in zip(starts, ends)
+        if serving[start] >= 0
+    ]
+
+
 def satellite_state_over(
     ground: GroundPosition, altitude_km: float, azimuth_deg: float = 0.0
 ) -> SatelliteState:

@@ -14,8 +14,6 @@ from ntnsim.config import MAX_TRANSFER_UNITS, ObserverCfg, load_config, load_con
 from ntnsim.constants import SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import (
     MetricsReport,
-    ServiceInterval,
-    earth_fixed_beam_schedule,
     harq_transfer,
     rlc_transfer,
     run_scenario,
@@ -27,6 +25,8 @@ from ntnsim.geometry import (
     GroundPosition,
     OrbitKind,
     OrbitSpec,
+    ServiceInterval,
+    earth_fixed_beam_schedule,
     ground_track,
     overhead_pass_orbit,
     slant_range,
@@ -382,10 +382,10 @@ def test_harq_with_a_zero_us_round_trip_matches_the_loop():
 
 def test_beam_schedule_static_geo():
     geo = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS)
-    intervals = earth_fixed_beam_schedule(geo, GroundPosition(30.0, 0.0), 10.0)
+    intervals = earth_fixed_beam_schedule([geo], GroundPosition(30.0, 0.0), 10.0)
     assert intervals == [ServiceInterval(0.0, math.inf, 0)]
     # A cell the satellite cannot see gets no service.
-    assert earth_fixed_beam_schedule(geo, GroundPosition(85.0, 0.0), 10.0) == []
+    assert earth_fixed_beam_schedule([geo], GroundPosition(85.0, 0.0), 10.0) == []
     # Nor does any cell of an empty constellation.
     assert earth_fixed_beam_schedule([], GroundPosition(30.0, 0.0), 10.0) == []
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from ntnsim import geometry
 from ntnsim.config import load_config
 from ntnsim.constants import EARTH_RADIUS_KM, OMEGA_EARTH_RAD_S, SPEED_OF_LIGHT_KM_S
-from ntnsim.engine import ServiceInterval, earth_fixed_beam_schedule
 from ntnsim.errors import DomainError, NotReachableError
 from ntnsim.geometry import (
     BeamSpec,
@@ -28,9 +27,11 @@ from ntnsim.geometry import (
     OrbitKind,
     OrbitSpec,
     SatelliteState,
+    ServiceInterval,
     beam_doppler_profile,
     differential_delay,
     doppler_hz,
+    earth_fixed_beam_schedule,
     geometry_sample,
     geometry_samples,
     ground_track,

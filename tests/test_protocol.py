@@ -366,7 +366,7 @@ def _links(draw):
 
 def _log(sim):
     """(times_us, (entity, kind, detail) of each entry), in log order."""
-    times, _, codes = sim._columns()
+    times, codes = sim._merged()
     return times, [sim._records[code][:3] for code in codes.tolist()]
 
 

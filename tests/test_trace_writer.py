@@ -74,13 +74,14 @@ append_ops = st.tuples(
 )
 
 
-# A sort in the middle of the log: the entries after it take their log
-# positions as seqs, and the final sort merges them into the sorted prefix.
+# A sort in the middle of the log, which a later append makes stale; and a
+# read with no ``run`` before it, which must sort whatever was logged first.
 run_ops = st.just(("run",))
+read_ops = st.just(("read",))
 
 
 @given(
-    ops=st.lists(st.one_of(schedule_ops, append_ops, run_ops), max_size=25),
+    ops=st.lists(st.one_of(schedule_ops, append_ops, run_ops, read_ops), max_size=25),
     overlap_starts=st.lists(st.integers(min_value=0, max_value=3_000), max_size=4),
 )
 @settings(max_examples=200, deadline=None)
@@ -102,17 +103,36 @@ run_ops = st.just(("run",))
     ],
     overlap_starts=[4],
 )
+@example(
+    ops=[
+        ("schedule", 7, EventKind.TX_START, "device", ""),
+        ("run",),
+        ("append", 3, [(0, "bs", EventKind.RX_ARRIVAL, "msg2_rar")]),
+        ("read",),
+    ],
+    overlap_starts=[],
+)
 def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
     def append(start, template):
         """Log ``(offset_us, record)`` entries at ``start + offset_us``."""
         offsets = np.array([offset for offset, _ in template], dtype=np.int64)
         sim.append(start + offsets, range(len(template)), [rec for _, rec in template])
 
+    def check():
+        """The rows and the written trace are the oracle's."""
+        rows = oracle.trace_rows()
+        assert sim.trace_rows() == rows
+        out = io.StringIO()
+        sim.write_csv(out)
+        assert out.getvalue() == oracle_csv(rows)
+
     sim, oracle = Simulator(), OracleLog()
     for op in ops:
         if op[0] == "run":
             sim.run()
             assert sim.trace_rows() == oracle.trace_rows()
+        elif op[0] == "read":
+            check()
         elif op[0] == "schedule":
             _, t, kind, entity, detail = op
             sim.schedule(t, kind, entity, detail)
@@ -130,11 +150,7 @@ def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
         append(start, shared)
         oracle.append(start, template)
     sim.run()
-    rows = oracle.trace_rows()
-    assert sim.trace_rows() == rows
-    out = io.StringIO()
-    sim.write_csv(out)
-    assert out.getvalue() == oracle_csv(rows)
+    check()
 
 
 def test_run_twice_is_run_once():
@@ -142,12 +158,11 @@ def test_run_twice_is_run_once():
     sim.append(np.random.default_rng(3).integers(0, 5_000, 300), np.arange(300) % 3, RECS)
     sim.schedule(0, EventKind.TIMER_FIRE, "bs")
     sim.run()
-    once = sim.trace_rows(), [column.copy() for column in sim._columns()]
+    once, seqs = sim.trace_rows(), sim._seqs.copy()
     sim.run()
-    assert sim.trace_rows() == once[0]
-    for column, before in zip(sim._columns(), once[1]):
-        np.testing.assert_array_equal(column, before)
-    assert sorted(seq for _, seq, *_ in once[0]) == list(range(301))
+    assert sim.trace_rows() == once
+    np.testing.assert_array_equal(sim._seqs, seqs)
+    assert sorted(seq for _, seq, *_ in once) == list(range(301))
 
 
 REC = record("device", "timer_fire")
@@ -293,7 +308,7 @@ def test_a_scenario_holds_at_most_five_entry_length_arrays(leo_harq_config):
     access kernel frees its entry index early."""
     run_scenario(leo_harq_config)  # first-call set-up is not the log's memory
     result, peak = _traced_peak(lambda: run_scenario(leo_harq_config))
-    entries = len(result.trace._columns()[0])
+    entries = len(result.trace._seqs)
     assert entries == 120_000
     assert peak <= 5 * 8 * entries
 
