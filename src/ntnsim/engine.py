@@ -16,13 +16,13 @@ import numpy as np
 from .config import LinkCfg, ScenarioConfig
 from .constants import SPEED_OF_LIGHT_M_S
 from .errors import ConfigError, DomainError
-from .events import _RX, _TX, Simulator, checked_us, ms_to_us, ms_to_us_array
+from .events import RX_ARRIVAL, TX_START, Simulator, checked_us, ms_to_us, ms_to_us_array
 from .events import record, us_to_ms
 # earth_fixed_beam_schedule, geometry_sample, propagate and run_random_access
 # stay importable from here (unused): perfbench/tracing.py patches them.
 from .geometry import earth_fixed_beam_schedule, geometry_sample, propagate, slant_range  # noqa: F401
 from .linkbudget import LinkBudgetParams, LinkDirection, fspl, snr
-from .protocol import PATH_CAUSES, PATH_SUCCESS, AccessOutcome, Attempts, BentPipeChannel
+from .protocol import PATH_CAUSES, PATH_SUCCESS, Attempts, BentPipeChannel
 from .protocol import access_attempts, run_random_access  # noqa: F401
 
 
@@ -98,7 +98,8 @@ def _harq_events(n_blocks: int, n_processes: int, tti_ms: float, rtt_ms: float, 
         record(entity, kind, f"harq_{what} block={b} proc={b % n_processes}")
         for b in range(n_blocks)
         for entity, kind, what in (
-            ("device", _TX, "data"), ("bs", _RX, "data"), ("bs", _TX, "ack"), ("device", _RX, "ack")
+            ("device", TX_START, "data"), ("bs", RX_ARRIVAL, "data"),
+            ("bs", TX_START, "ack"), ("device", RX_ARRIVAL, "ack"),
         )
     )
     return offsets.ravel(), records, end
@@ -121,10 +122,10 @@ def _rlc_events(n_pdus: int, window_pdus: int, tti_ms: float, rtt_ms: float):
     records = []
     for sn, last in enumerate(closes.tolist()):
         pdu = f"rlc_pdu sn={sn}"
-        records += [record("device", _TX, pdu), record("bs", _RX, pdu)]
+        records += [record("device", TX_START, pdu), record("bs", RX_ARRIVAL, pdu)]
         if last:
             status = f"rlc_status upto={sn + 1}"
-            records += [record("bs", _TX, status), record("device", _RX, status)]
+            records += [record("bs", TX_START, status), record("device", RX_ARRIVAL, status)]
     return offsets[logged], tuple(records), end
 
 
@@ -159,10 +160,6 @@ class ScenarioResult:
     @property
     def trace_rows(self) -> list[tuple[float, int, str, str, str]]:
         return self.trace.trace_rows()
-
-    @property
-    def outcomes(self) -> list[AccessOutcome]:
-        return self.attempts.outcomes()
 
 
 def link_snr(link: LinkCfg, distance_km: float, carrier_hz: float, atmospheric_db: float) -> float:

@@ -33,8 +33,6 @@ from the float).
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .errors import DomainError
@@ -64,21 +62,15 @@ def ms_to_us_array(t_ms: np.ndarray) -> np.ndarray:
     return checked_us(np.rint(t_ms * US_PER_MS)).astype(np.int64)
 
 
-class EventKind(Enum):
-    TX_START = "tx_start"
-    RX_ARRIVAL = "rx_arrival"
-    TIMER_FIRE = "timer_fire"
-    MEASUREMENT = "measurement"
-
-
-# The kind strings that records carry.
-_TX, _RX, _TIMER, _MEASUREMENT = (kind.value for kind in EventKind)
+# The four event kinds, the strings that records carry.
+TX_START, RX_ARRIVAL, TIMER_FIRE, MEASUREMENT = "tx_start", "rx_arrival", "timer_fire", "measurement"
 
 
 def record(entity: str, kind: str, detail: str = "") -> tuple[str, str, str, str]:
-    """``(entity, kind, detail, csv_tail)`` of one event; ``kind`` is an
-    ``EventKind`` value and ``csv_tail`` the event's trace line after its
-    time and seq.  No field may hold a NUL, which ``write_csv`` pads with."""
+    """``(entity, kind, detail, csv_tail)`` of one event; ``kind`` is one
+    of the four kind strings (``TX_START`` ...) and ``csv_tail`` the
+    event's trace line after its time and seq.  No field may hold a NUL,
+    which ``write_csv`` pads with."""
     if "\0" in entity + kind + detail:
         raise DomainError("trace fields must not contain NUL")
     return entity, kind, detail, f",{entity},{kind},{detail}\n"
@@ -140,8 +132,8 @@ class Simulator:
         self._records += table
         self._seqs = None
 
-    def schedule(self, time_us: int, kind: EventKind, entity: str, detail: str = "") -> None:
-        self.append([int(time_us)], [0], [record(entity, kind._value_, detail)])
+    def schedule(self, time_us: int, kind: str, entity: str, detail: str = "") -> None:
+        self.append([int(time_us)], [0], [record(entity, kind, detail)])
 
     def _merged(self) -> tuple[np.ndarray, np.ndarray]:
         """(times_us, codes) of the whole log in log order, merged into one chunk."""

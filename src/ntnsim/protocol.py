@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NotReachableError
-from .events import _MEASUREMENT, _RX, _TIMER, _TX, Simulator
+from .events import MEASUREMENT, RX_ARRIVAL, TIMER_FIRE, TX_START, Simulator
 from .events import checked_us, ms_to_us, record, us_to_ms
 from .geometry import GroundPosition, OrbitSpec, doppler_hz, highest_satellite
 from .geometry import one_way_delay_ms, slant_range
@@ -296,41 +296,37 @@ _STAGES = (
     (PATH_SUCCESS, 7, MSG4_RX),
 )
 _STAGE_PATHS = np.array([path for path, _, _ in _STAGES])
-# Each stage's log template is its logged slots in slot order; the
-# templates lie end to end in _TEMPLATE_SLOTS, the success stage's last, so
-# that a transfer template can follow it.  _RANK[stage, slot] is the
-# slot's position in the stage's template, -1 where the stage skips it.
-_STAGE_SLOTS = [[*range(n), end] for _, n, end in _STAGES]
-_TEMPLATE_SLOTS = np.concatenate(_STAGE_SLOTS)
-_TEMPLATE_SIZES = np.array([len(slots) for slots in _STAGE_SLOTS])
+_STAGE_MESSAGES = np.array([n for _, n, _ in _STAGES])
+# Each stage's log template is range(n), then its end slot, which lies above
+# every message slot, so message slot k is entry k of each stage's template
+# with n > k.  The templates lie end to end in _TEMPLATE_SLOTS, the success
+# stage's last, so that a transfer template can follow it.
+_TEMPLATE_SLOTS = np.concatenate([[*range(n), end] for _, n, end in _STAGES])
+_TEMPLATE_SIZES = _STAGE_MESSAGES + 1
 _TEMPLATE_STARTS = np.cumsum(_TEMPLATE_SIZES) - _TEMPLATE_SIZES
-_RANK = np.array([
-    [slots.index(slot) if slot in slots else -1 for slot in range(MSG4_RX + 1)]
-    for slots in _STAGE_SLOTS
-])
 
 # The record of each slot with a fixed detail, and its code: its index in
 # the table.  The other three slots carry a per-attempt detail (residual,
 # TA steps, reported delay), which gets one record per printed detail in a
 # call, so a long scenario's log holds no per-attempt copies.
 _SLOT_RECORDS = {
-    MSG1_TX: record("device", _TX, "msg1_preamble"),
-    TA_OUT: record("bs", _MEASUREMENT, "ta_out_of_range"),
-    MSG2_TX: record("bs", _TX, "msg2_rar"),
-    RAR_EXPIRY: record("device", _TIMER, "rar_window_expiry"),
-    MSG3_RX: record("bs", _RX, "msg3_rrc_connection_request"),
-    MSG4_TX: record("bs", _TX, "msg4_contention_resolution"),
-    CR_EXPIRY: record("device", _TIMER, "contention_resolution_expiry"),
-    MSG4_RX: record("device", _RX, "msg4_contention_resolution"),
+    MSG1_TX: record("device", TX_START, "msg1_preamble"),
+    TA_OUT: record("bs", MEASUREMENT, "ta_out_of_range"),
+    MSG2_TX: record("bs", TX_START, "msg2_rar"),
+    RAR_EXPIRY: record("device", TIMER_FIRE, "rar_window_expiry"),
+    MSG3_RX: record("bs", RX_ARRIVAL, "msg3_rrc_connection_request"),
+    MSG4_TX: record("bs", TX_START, "msg4_contention_resolution"),
+    CR_EXPIRY: record("device", TIMER_FIRE, "contention_resolution_expiry"),
+    MSG4_RX: record("device", RX_ARRIVAL, "msg4_contention_resolution"),
 }
 _SLOT_CODES = np.zeros(MSG4_RX + 1, np.int64)
 _SLOT_CODES[list(_SLOT_RECORDS)] = range(len(_SLOT_RECORDS))
 # The slots with a per-attempt detail: (slot, entity, kind, detail prefix,
 # decimal places of its text).
 _DETAIL_SLOTS = (
-    (MSG1_RX, "bs", _RX, "msg1_preamble residual_us=", 3),
-    (MSG2_RX, "device", _RX, "msg2_rar ta_steps=", 0),
-    (MSG3_TX, "device", _TX, "msg3 reported_delay_ms=", 1),
+    (MSG1_RX, "bs", RX_ARRIVAL, "msg1_preamble residual_us=", 3),
+    (MSG2_RX, "device", RX_ARRIVAL, "msg2_rar ta_steps=", 0),
+    (MSG3_TX, "device", TX_START, "msg3 reported_delay_ms=", 1),
 )
 # The decimal fraction of each text of _detail_texts, by its places and its
 # value in units of the last place.
@@ -487,9 +483,8 @@ def access_attempts(
             raise DomainError(f"detail {prefix.rstrip('=').split()[-1]} outside the int64 range")
         keys = 2 * units.astype(np.int64) + np.signbit(values)
         distinct, inverse = np.unique(keys, return_inverse=True)
-        rank = _RANK[stage, slot]
-        logs = rank >= 0
-        log_codes[(base + rank)[logs]] = len(table) + inverse.reshape(-1)[logs]
+        logs = _STAGE_MESSAGES[stage] > slot
+        log_codes[base[logs] + slot] = len(table) + inverse.reshape(-1)[logs]
         table += [record(entity, kind, prefix + text) for text in _detail_texts(distinct, places)]
     sim.append(log_times, log_codes, table)
     return Attempts(path, ta_steps, stage >= 2, reported_delay_ms, msg4_arr, monitoring)

@@ -18,7 +18,7 @@ from ntnsim.claims import CLAIMS
 from ntnsim.config import load_config
 from ntnsim.constants import SIDEREAL_DAY_S, SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import run_scenario
-from ntnsim.events import EventKind
+from ntnsim.events import RX_ARRIVAL, TX_START
 from ntnsim.geometry import GEO_ALTITUDE_KM, BeamSpec, GroundPosition, OrbitKind, OrbitSpec
 from ntnsim.geometry import beam_doppler_profile, geometry_sample, ground_track
 from ntnsim.geometry import overhead_pass_orbit, propagate, satellite_state_over
@@ -158,7 +158,7 @@ def test_c09_protocol_invariants(config_dir):
 
     cfg0 = load_config_dict(clean)
     res0 = run_scenario(cfg0, seed=1)
-    assert all(o.success and o.ta_command.steps == 0 for o in res0.outcomes)
+    assert all(o.success and o.ta_command.steps == 0 for o in res0.attempts.outcomes())
 
     # TA quantizer error bound.
     for residual in np.linspace(-32.0, 32.0, 401):
@@ -169,10 +169,10 @@ def test_c09_protocol_invariants(config_dir):
     outstanding, peak = 0, 0
     for row in res0.trace_rows:
         _, _, _, kind, detail = row
-        if kind == EventKind.TX_START.value and detail.startswith("harq_data"):
+        if kind == TX_START and detail.startswith("harq_data"):
             outstanding += 1
             peak = max(peak, outstanding)
-        elif kind == EventKind.RX_ARRIVAL.value and detail.startswith("harq_ack"):
+        elif kind == RX_ARRIVAL and detail.startswith("harq_ack"):
             outstanding -= 1
     assert 1 <= peak <= cfg0.harq.n_processes
 

@@ -28,7 +28,8 @@ from ntnsim.engine import (
     run_scenario,
 )
 from ntnsim.errors import DomainError
-from ntnsim.events import EventKind, Simulator, ms_to_us, us_to_ms
+from ntnsim.events import MEASUREMENT, RX_ARRIVAL, TIMER_FIRE, TX_START, Simulator, ms_to_us
+from ntnsim.events import us_to_ms
 from ntnsim.geometry import GroundPosition, OrbitKind, OrbitSpec, slant_range
 from ntnsim.protocol import (
     REPORTED_DELAY_QUANTUM_MS,
@@ -94,10 +95,10 @@ def run_random_access_reference(
         )
         return outcome, times
 
-    sim.schedule(t1, EventKind.TX_START, "device", "msg1_preamble")
+    sim.schedule(t1, TX_START, "device", "msg1_preamble")
     window_len = window_end - window_start
     if not channel.delivers(MessageKind.MSG1_PREAMBLE):
-        sim.schedule(window_end, EventKind.TIMER_FIRE, "device", "rar_window_expiry")
+        sim.schedule(window_end, TIMER_FIRE, "device", "rar_window_expiry")
         return finish(False, FailureCause.RAR_TIMEOUT, None, window_len)
 
     msg1_arr = t1 + one_way
@@ -106,7 +107,7 @@ def run_random_access_reference(
     ns = abs(round(residual_us * 1000))
     sign = "-" * (math.copysign(1.0, residual_us) < 0)
     sim.schedule(
-        msg1_arr, EventKind.RX_ARRIVAL, "bs",
+        msg1_arr, RX_ARRIVAL, "bs",
         f"msg1_preamble residual_us={sign}{ns // 1000}.{ns % 1000:03d}",
     )
     times["msg1_arrival"] = us_to_ms(msg1_arr)
@@ -114,19 +115,19 @@ def run_random_access_reference(
         ta = build_ta_command(residual_us)
     except DomainError:
         sim.schedule(
-            msg1_arr + ms_to_us(timing.bs_processing_ms), EventKind.MEASUREMENT, "bs",
+            msg1_arr + ms_to_us(timing.bs_processing_ms), MEASUREMENT, "bs",
             "ta_out_of_range",
         )
         return finish(False, FailureCause.TA_RANGE, None, window_len)
 
     msg2_tx = max(msg1_arr + ms_to_us(timing.bs_processing_ms), window_start - one_way)
     msg2_arr = msg2_tx + one_way
-    sim.schedule(msg2_tx, EventKind.TX_START, "bs", "msg2_rar")
+    sim.schedule(msg2_tx, TX_START, "bs", "msg2_rar")
     if not channel.delivers(MessageKind.MSG2_RAR) or msg2_arr > window_end:
-        sim.schedule(window_end, EventKind.TIMER_FIRE, "device", "rar_window_expiry")
+        sim.schedule(window_end, TIMER_FIRE, "device", "rar_window_expiry")
         return finish(False, FailureCause.RAR_TIMEOUT, None, window_len, ta)
 
-    sim.schedule(msg2_arr, EventKind.RX_ARRIVAL, "device", f"msg2_rar ta_steps={ta.steps}")
+    sim.schedule(msg2_arr, RX_ARRIVAL, "device", f"msg2_rar ta_steps={ta.steps}")
     times["msg2_arrival"] = us_to_ms(msg2_arr)
     rar_monitoring = msg2_arr - window_start
 
@@ -138,7 +139,7 @@ def run_random_access_reference(
     msg3_tx = msg2_tx + ms_to_us(si.max_rtt_ms) + ms_to_us(timing.device_processing_ms) - one_way
     msg3_arr = msg3_tx + one_way
     sim.schedule(
-        msg3_tx, EventKind.TX_START, "device", f"msg3 reported_delay_ms={reported_delay_ms:.1f}"
+        msg3_tx, TX_START, "device", f"msg3 reported_delay_ms={reported_delay_ms:.1f}"
     )
     times["msg3_tx"] = us_to_ms(msg3_tx)
 
@@ -148,23 +149,23 @@ def run_random_access_reference(
     cr_end = cr_start + ms_to_us(timers.contention_resolution_ms)
     times["cr_timer_start"] = us_to_ms(cr_start)
     if not channel.delivers(MessageKind.MSG3_RRC_CONNECTION_REQUEST):
-        sim.schedule(cr_end, EventKind.TIMER_FIRE, "device", "contention_resolution_expiry")
+        sim.schedule(cr_end, TIMER_FIRE, "device", "contention_resolution_expiry")
         return finish(
             False, FailureCause.CR_TIMEOUT, None, rar_monitoring + (cr_end - cr_start), ta
         )
 
-    sim.schedule(msg3_arr, EventKind.RX_ARRIVAL, "bs", "msg3_rrc_connection_request")
+    sim.schedule(msg3_arr, RX_ARRIVAL, "bs", "msg3_rrc_connection_request")
     # Held, as Msg2 is, so that Msg4 arrives no earlier than the CR start.
     msg4_tx = max(msg3_arr + ms_to_us(timing.bs_processing_ms), cr_start - one_way)
     msg4_arr = msg4_tx + one_way
-    sim.schedule(msg4_tx, EventKind.TX_START, "bs", "msg4_contention_resolution")
+    sim.schedule(msg4_tx, TX_START, "bs", "msg4_contention_resolution")
     if not channel.delivers(MessageKind.MSG4_CONTENTION_RESOLUTION) or msg4_arr > cr_end:
-        sim.schedule(cr_end, EventKind.TIMER_FIRE, "device", "contention_resolution_expiry")
+        sim.schedule(cr_end, TIMER_FIRE, "device", "contention_resolution_expiry")
         return finish(
             False, FailureCause.CR_TIMEOUT, None, rar_monitoring + (cr_end - cr_start), ta
         )
 
-    sim.schedule(msg4_arr, EventKind.RX_ARRIVAL, "device", "msg4_contention_resolution")
+    sim.schedule(msg4_arr, RX_ARRIVAL, "device", "msg4_contention_resolution")
     times["msg4_arrival"] = us_to_ms(msg4_arr)
     device.rrc_state = RrcState.CONNECTED
     monitoring = rar_monitoring + (msg4_arr - cr_start)
@@ -379,7 +380,7 @@ def test_run_scenario_matches_per_message_reference(case):
     assert got.report == report
     assert got.report.to_dict() == report.to_dict()
     assert got.trace_rows == rows
-    assert [_summary(o) for o in got.outcomes] == [_summary(o) for o in outcomes]
+    assert [_summary(o) for o in got.attempts.outcomes()] == [_summary(o) for o in outcomes]
 
 
 def _fades(seed, n_messages, gnss_error_m, fading_sigma_db):
@@ -414,7 +415,7 @@ def test_faded_snr_at_the_threshold_matches_reference(seed, reps, link, data):
     report, rows, outcomes = run_scenario_reference(config, seed)
     got = run_scenario(config, seed)
     assert (got.report, got.trace_rows) == (report, rows)
-    assert [_summary(o) for o in got.outcomes] == [_summary(o) for o in outcomes]
+    assert [_summary(o) for o in got.attempts.outcomes()] == [_summary(o) for o in outcomes]
 
 
 # Edits of the bundled LEO and GEO configs, and the attempt paths each
@@ -469,7 +470,7 @@ def test_failure_paths_match_the_reference(config_name, case):
     out = io.StringIO()
     got.trace.write_csv(out)
     assert out.getvalue() == _oracle_csv(rows)
-    assert [_summary(o) for o in got.outcomes] == [_summary(o) for o in outcomes]
+    assert [_summary(o) for o in got.attempts.outcomes()] == [_summary(o) for o in outcomes]
 
 
 GEO = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS)
@@ -509,7 +510,7 @@ def test_run_random_access_matches_reference(attempt, before):
     for fn in (run_random_access_reference, run_random_access):
         sim, device = Simulator(), DeviceContext(gnss_position=OBS)
         for t in before:
-            sim.schedule(t, EventKind.TIMER_FIRE, "device", "unrelated")
+            sim.schedule(t, TIMER_FIRE, "device", "unrelated")
         outcome = _attempt(
             fn, device, si, channel, timers=timers, timing=timing, sim=sim,
             start_ms=start_ms, delay_est_ms=delay_est,
@@ -600,5 +601,5 @@ def test_monitoring_is_never_negative_at_zenith(config_name, offset_ms):
         config_name, offset_ms, access={"service_elevation_deg": 90.0, "feeder_elevation_deg": 90.0}
     )
     result = run_scenario(config, 1)
-    assert [(o.success, o.monitoring_ms) for o in result.outcomes] == [(True, 0.0)] * 3
+    assert [(o.success, o.monitoring_ms) for o in result.attempts.outcomes()] == [(True, 0.0)] * 3
     assert result.report.monitoring_time_ms == 0.0

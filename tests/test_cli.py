@@ -17,7 +17,7 @@ from ntnsim.cli import _cell, _write_csv, main
 from ntnsim.config import load_config
 from ntnsim.constants import SIDEREAL_DAY_S, SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import run_scenario
-from ntnsim.events import EventKind, Simulator
+from ntnsim.events import MEASUREMENT, TIMER_FIRE, Simulator
 
 
 @pytest.mark.parametrize("value", [-0.0, -4e-7, -5e-7, 0.0, 4e-7])
@@ -697,8 +697,8 @@ def test_trace_writer_matches_generic_csv_writer(config_dir, tmp_path):
     header = ["time_ms", "seq", "entity", "kind", "detail"]
     sim = run_scenario(load_config(config_dir / "geo_sband.json"), seed=4).trace
     # Later than every scenario event, so the log stays sorted.
-    sim.schedule(10**12, EventKind.TIMER_FIRE, "bs")
-    sim.schedule(10**12 + 1, EventKind.MEASUREMENT, "device", "x=1,y")
+    sim.schedule(10**12, TIMER_FIRE, "bs")
+    sim.schedule(10**12 + 1, MEASUREMENT, "device", "x=1,y")
     with (tmp_path / "trace.csv").open("w") as fh:
         sim.write_csv(fh)
     _write_csv(tmp_path / "generic.csv", header, [list(map(_cell, row)) for row in sim.trace_rows()])

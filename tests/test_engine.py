@@ -19,7 +19,8 @@ from ntnsim.engine import (
     run_scenario,
 )
 from ntnsim.errors import ConfigError, DomainError
-from ntnsim.events import EventKind, Simulator, ms_to_us, ms_to_us_array, us_to_ms
+from ntnsim.events import RX_ARRIVAL, TIMER_FIRE, TX_START, Simulator, ms_to_us, ms_to_us_array
+from ntnsim.events import us_to_ms
 from ntnsim.geometry import (
     MAX_SWEEP_STEPS,
     GroundPosition,
@@ -44,9 +45,9 @@ from ntnsim.protocol import (
 
 def test_event_queue_fifo_at_equal_times():
     sim = Simulator()
-    sim.schedule(100, EventKind.TIMER_FIRE, "a")
-    sim.schedule(100, EventKind.TIMER_FIRE, "b")
-    sim.schedule(50, EventKind.TIMER_FIRE, "c")
+    sim.schedule(100, TIMER_FIRE, "a")
+    sim.schedule(100, TIMER_FIRE, "b")
+    sim.schedule(50, TIMER_FIRE, "c")
     sim.run()
     assert sim.trace_rows() == [
         (0.05, 2, "c", "timer_fire", ""),
@@ -57,9 +58,9 @@ def test_event_queue_fifo_at_equal_times():
 
 def test_event_logged_before_a_later_timed_one_sorts_into_place():
     sim = Simulator()
-    sim.schedule(10_000, EventKind.RX_ARRIVAL, "bs", "late")
-    sim.schedule(5_000, EventKind.TX_START, "device", "early")
-    sim.schedule(10_000, EventKind.TIMER_FIRE, "device", "late_too")
+    sim.schedule(10_000, RX_ARRIVAL, "bs", "late")
+    sim.schedule(5_000, TX_START, "device", "early")
+    sim.schedule(10_000, TIMER_FIRE, "device", "late_too")
     sim.run()
     assert [(row[0], row[1], row[4]) for row in sim.trace_rows()] == [
         (5.0, 1, "early"),
@@ -102,10 +103,10 @@ def test_harq_outstanding_bound_never_exceeded():
         outstanding = 0
         peak = 0
         for _, _, _, kind, detail in sim.trace_rows():
-            if kind == EventKind.TX_START.value and detail.startswith("harq_data"):
+            if kind == TX_START and detail.startswith("harq_data"):
                 outstanding += 1
                 peak = max(peak, outstanding)
-            elif kind == EventKind.RX_ARRIVAL.value and detail.startswith("harq_ack"):
+            elif kind == RX_ARRIVAL and detail.startswith("harq_ack"):
                 outstanding -= 1
         assert peak == n_proc
 
@@ -240,15 +241,15 @@ def harq_transfer_reference(
     for block in range(n_blocks):
         p = min(range(n_processes), key=lambda i: proc_free[i])
         t_tx = max(tx_free, proc_free[p])
-        sim.schedule(t_tx, EventKind.TX_START, "device", f"harq_data block={block} proc={p}")
+        sim.schedule(t_tx, TX_START, "device", f"harq_data block={block} proc={p}")
         tx_end = t_tx + tti
         tx_free = tx_end
         data_arr = tx_end + one_way
-        sim.schedule(data_arr, EventKind.RX_ARRIVAL, "bs", f"harq_data block={block} proc={p}")
+        sim.schedule(data_arr, RX_ARRIVAL, "bs", f"harq_data block={block} proc={p}")
         ack_tx = data_arr + ack_proc
-        sim.schedule(ack_tx, EventKind.TX_START, "bs", f"harq_ack block={block} proc={p}")
+        sim.schedule(ack_tx, TX_START, "bs", f"harq_ack block={block} proc={p}")
         ack_arr = ack_tx + one_way
-        sim.schedule(ack_arr, EventKind.RX_ARRIVAL, "device", f"harq_ack block={block} proc={p}")
+        sim.schedule(ack_arr, RX_ARRIVAL, "device", f"harq_ack block={block} proc={p}")
         proc_free[p] = ack_arr
         last_ack = max(last_ack, ack_arr)
     return last_ack
@@ -265,12 +266,12 @@ def rlc_transfer_reference(sim, start_us, n_pdus, window_pdus, tti_ms, rtt_ms):
         batch = min(window_pdus, n_pdus - sent)
         for j in range(batch):
             tx = t + j * tti
-            sim.schedule(tx, EventKind.TX_START, "device", f"rlc_pdu sn={sent + j}")
-            sim.schedule(tx + tti + one_way, EventKind.RX_ARRIVAL, "bs", f"rlc_pdu sn={sent + j}")
+            sim.schedule(tx, TX_START, "device", f"rlc_pdu sn={sent + j}")
+            sim.schedule(tx + tti + one_way, RX_ARRIVAL, "bs", f"rlc_pdu sn={sent + j}")
         last_arr = t + batch * tti + one_way
-        sim.schedule(last_arr, EventKind.TX_START, "bs", f"rlc_status upto={sent + batch}")
+        sim.schedule(last_arr, TX_START, "bs", f"rlc_status upto={sent + batch}")
         status_arr = last_arr + one_way
-        sim.schedule(status_arr, EventKind.RX_ARRIVAL, "device", f"rlc_status upto={sent + batch}")
+        sim.schedule(status_arr, RX_ARRIVAL, "device", f"rlc_status upto={sent + batch}")
         sent += batch
         t = status_arr
     return t
@@ -314,7 +315,7 @@ def test_transfer_replay_matches_per_event_loop(prefix, first, second, start_us,
     for reference in (True, False):
         sim = Simulator()
         for k, t in enumerate(prefix):
-            sim.schedule(t, EventKind.TIMER_FIRE, "device", f"before {k}")
+            sim.schedule(t, TIMER_FIRE, "device", f"before {k}")
         end1 = _transfer(sim, start_us, first, reference)
         start2 = start_us + int(overlap * (end1 - start_us))
         end2 = _transfer(sim, start2, second, reference)

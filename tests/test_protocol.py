@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ntnsim.config import load_config_dict
 from ntnsim.engine import run_scenario
 from ntnsim.errors import DomainError, NotReachableError
-from ntnsim.events import Simulator, ms_to_us
+from ntnsim.events import MEASUREMENT, RX_ARRIVAL, TIMER_FIRE, TX_START, Simulator, ms_to_us
 from ntnsim.geometry import (
     GroundPosition,
     OrbitKind,
@@ -46,6 +46,8 @@ from ntnsim.protocol import (
     run_random_access,
     schedule_rar_window,
 )
+from ntnsim.protocol import _DETAIL_SLOTS, _STAGES, _TEMPLATE_SIZES, _TEMPLATE_SLOTS
+from ntnsim.protocol import _TEMPLATE_STARTS
 
 GEO = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS)
 OBS = GroundPosition(0.0, 0.0)
@@ -483,3 +485,33 @@ def test_a_long_scenario_builds_one_record_per_printed_detail(config_dir):
     data["traffic"]["n_messages"] = 5000
     sim = run_scenario(load_config_dict(data)).trace
     assert len(sim._records) == len(set(sim._records))
+
+
+def test_every_trace_kind_is_one_of_the_four(config_dir):
+    """Kinds are a closed set: every event that a HARQ scenario, an RLC
+    scenario or one access exchange logs has one of the four kinds, and
+    together they log all four."""
+    traces = []
+    for name, harq in (("leo600_sband", True), ("geo_sband", False)):
+        data = json.loads((config_dir / f"{name}.json").read_text())
+        data["harq"]["enabled"] = harq
+        traces.append(run_scenario(load_config_dict(data), seed=1).trace)
+    # A success, a contention-resolution timeout and a TA out of range.
+    cr = frozenset({MessageKind.MSG4_CONTENTION_RESOLUTION})
+    for drop_kinds, err_ms in ((frozenset(), 0.0), (cr, 0.0), (frozenset(), 0.02)):
+        sim, ch = Simulator(), _channel(drop_kinds=drop_kinds)
+        _run(ch, delay_est_ms=ch.service_delay_ms - err_ms, sim=sim)
+        traces.append(sim)
+    kinds = {kind for sim in traces for _, _, _, kind, _ in sim.trace_rows()}
+    assert kinds == {TX_START, RX_ARRIVAL, TIMER_FIRE, MEASUREMENT}
+
+
+def test_each_stage_logs_its_messages_then_an_end_slot_above_every_detail_slot():
+    """The access kernel writes message slot k's detail at entry k of the
+    templates of the stages that log more than k messages.  That holds as
+    each stage's template is range(n) then its end slot, and no end slot
+    lies at or below a detail slot."""
+    for stage, (_, n, end) in enumerate(_STAGES):
+        start = _TEMPLATE_STARTS[stage]
+        assert _TEMPLATE_SLOTS[start:start + _TEMPLATE_SIZES[stage]].tolist() == [*range(n), end]
+        assert all(end > slot for slot, *_ in _DETAIL_SLOTS)

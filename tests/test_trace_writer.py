@@ -20,7 +20,8 @@ from conftest import CONFIG_DIR
 from ntnsim.config import load_config_dict
 from ntnsim.engine import run_scenario
 from ntnsim.errors import DomainError
-from ntnsim.events import _BLOCK_ROWS, EventKind, Simulator, record
+from ntnsim.events import _BLOCK_ROWS, MEASUREMENT, RX_ARRIVAL, TIMER_FIRE, TX_START, Simulator
+from ntnsim.events import record
 
 HEADER = "time_ms,seq,entity,kind,detail\n"
 MAX_TIME_US = 10**12
@@ -40,7 +41,7 @@ class OracleLog:
         self.log = []
 
     def schedule(self, time_us, kind, entity, detail=""):
-        self.log.append((time_us, len(self.log), entity, kind.value, detail))
+        self.log.append((time_us, len(self.log), entity, kind, detail))
 
     def append(self, start_us, events):
         for offset, entity, kind, detail in events:
@@ -54,7 +55,7 @@ class OracleLog:
 
 
 entities = st.sampled_from(["device", "bs"])
-kinds = st.sampled_from(list(EventKind))
+kinds = st.sampled_from([TX_START, RX_ARRIVAL, TIMER_FIRE, MEASUREMENT])
 details = st.sampled_from(["", "msg2_rar", "harq_ack block=3 proc=1", "x=1,y", "rlc_pdu sn=0"])
 # A few fixed times make equal-time entries common; the rest span 0..1e12 us.
 times = st.one_of(
@@ -87,27 +88,27 @@ read_ops = st.just(("read",))
 @settings(max_examples=200, deadline=None)
 @example(
     ops=[
-        ("schedule", MAX_TIME_US, EventKind.TIMER_FIRE, "bs", ""),
-        ("append", 0, [(0, "device", EventKind.TX_START, "x=1,y")]),
-        ("schedule", 0, EventKind.RX_ARRIVAL, "device", "msg2_rar"),
+        ("schedule", MAX_TIME_US, TIMER_FIRE, "bs", ""),
+        ("append", 0, [(0, "device", TX_START, "x=1,y")]),
+        ("schedule", 0, RX_ARRIVAL, "device", "msg2_rar"),
     ],
     overlap_starts=[0, 0, 1],
 )
 @example(
     ops=[
-        ("append", 5, [(0, "bs", EventKind.TX_START, ""), (0, "device", EventKind.RX_ARRIVAL, "")]),
-        ("schedule", 1, EventKind.TIMER_FIRE, "bs", ""),
+        ("append", 5, [(0, "bs", TX_START, ""), (0, "device", RX_ARRIVAL, "")]),
+        ("schedule", 1, TIMER_FIRE, "bs", ""),
         ("run",),
-        ("schedule", 5, EventKind.MEASUREMENT, "device", "x=1,y"),
-        ("append", 0, [(1, "device", EventKind.TX_START, "rlc_pdu sn=0")]),
+        ("schedule", 5, MEASUREMENT, "device", "x=1,y"),
+        ("append", 0, [(1, "device", TX_START, "rlc_pdu sn=0")]),
     ],
     overlap_starts=[4],
 )
 @example(
     ops=[
-        ("schedule", 7, EventKind.TX_START, "device", ""),
+        ("schedule", 7, TX_START, "device", ""),
         ("run",),
-        ("append", 3, [(0, "bs", EventKind.RX_ARRIVAL, "msg2_rar")]),
+        ("append", 3, [(0, "bs", RX_ARRIVAL, "msg2_rar")]),
         ("read",),
     ],
     overlap_starts=[],
@@ -138,9 +139,7 @@ def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
             sim.schedule(t, kind, entity, detail)
             oracle.schedule(t, kind, entity, detail)
         else:
-            _, start, entries = op
-            events = [(offset, entity, kind.value, detail)
-                      for offset, entity, kind, detail in entries]
+            _, start, events = op
             append(start, [(offset, record(*rest)) for offset, *rest in events])
             oracle.append(start, events)
     # One template appended at close starts: its entries share records.
@@ -156,7 +155,7 @@ def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
 def test_run_twice_is_run_once():
     sim = Simulator()
     sim.append(np.random.default_rng(3).integers(0, 5_000, 300), np.arange(300) % 3, RECS)
-    sim.schedule(0, EventKind.TIMER_FIRE, "bs")
+    sim.schedule(0, TIMER_FIRE, "bs")
     sim.run()
     once, seqs = sim.trace_rows(), sim._seqs.copy()
     sim.run()
@@ -171,7 +170,7 @@ REC = record("device", "timer_fire")
 @pytest.mark.parametrize(
     "log",
     [
-        lambda sim: sim.schedule(-1, EventKind.TIMER_FIRE, "device"),
+        lambda sim: sim.schedule(-1, TIMER_FIRE, "device"),
         lambda sim: sim.append(np.array([0, -1]), [0, 0], [REC]),
     ],
     ids=["schedule", "append"],
@@ -259,7 +258,7 @@ def test_a_nul_in_a_record_is_rejected(fields):
 def test_schedule_rejects_a_nul_detail():
     sim = Simulator()
     with pytest.raises(DomainError, match="NUL"):
-        sim.schedule(0, EventKind.TX_START, "device", "sn=1\0")
+        sim.schedule(0, TX_START, "device", "sn=1\0")
     sim.run()
     assert sim.trace_rows() == []
 
@@ -270,8 +269,8 @@ def test_a_non_ascii_detail_is_written_byte_for_byte(tmp_path):
     detail = "rlc_pdu sn=1 \u00e9\u00e8 \u6771\u4eac \U0001f6f0"
     rows = _check_logged([1_500, 0], [record("device", "tx_start", detail), RECS[0]])
     sim = Simulator()
-    sim.schedule(1_500, EventKind.TX_START, "device", detail)
-    sim.schedule(0, EventKind.TX_START, "device", "msg1_preamble")
+    sim.schedule(1_500, TX_START, "device", detail)
+    sim.schedule(0, TX_START, "device", "msg1_preamble")
     sim.run()
     path = tmp_path / "trace.csv"
     with path.open("w", encoding="utf-8") as fh:
