@@ -160,7 +160,7 @@ class BeamSpec:
     diameter_km: float
 
     def __post_init__(self):
-        if self.diameter_km < 0:
+        if not self.diameter_km >= 0:
             raise DomainError("beam diameter must be non-negative")
 
 
@@ -636,22 +636,42 @@ def differential_delay(
     The footprint is a geodesic disc sampled on a grid_n x grid_n grid of
     tangent-plane offsets (a zero-diameter beam is its centre); raises if
     any point of it is below the horizon as seen from the satellite.
+
+    Only the points nearest and farthest from the satellite reach the
+    kernel: on the sphere, range^2 = |p|^2 + R^2 - 2R pu with pu = p.u, and
+    elevation < 0 exactly when pu < R, so the range falls as pu grows and
+    a point below the horizon has the least pu.  The points within a slack
+    of 256 eps (|p|^2 + R^2) / R (eps: machine epsilon) of the least or
+    the greatest pu are sent: several times the sum of pu's and the
+    kernel's rounding, each below 30 eps (|p|^2 + R^2) / R.  Every point is
+    sent when pu or the slack is not finite.  The dense oracle it matches
+    bit for bit is tests/test_geometry_kernel.py's differential_delay_dense.
     """
-    if grid_n < 2:
-        raise DomainError("grid must be at least 2x2")
+    if not isinstance(grid_n, (int, np.integer)) or grid_n < 2:
+        raise DomainError(f"grid_n must be an integer of at least 2, not {grid_n!r}")
     radius = beam.diameter_km / 2.0
     u0 = beam.center.unit_vector()
     e1, e2 = _tangent_basis(beam.center, sat.velocity_km_s)
     xs = np.linspace(-radius, radius, grid_n)
-    x, y = (g.ravel() for g in np.meshgrid(xs, xs))
-    inside = x * x + y * y <= radius * radius
-    x, y = x[inside, None], y[inside, None]
+    sq = xs * xs
+    iy, ix = np.nonzero(sq[:, None] + sq <= radius * radius)
+    if ix.size == 0:
+        raise DomainError(f"grid_n={grid_n} puts no grid point inside the beam")
+    x, y = xs[ix], xs[iy]
     s = np.hypot(x, y)
     # Geodesic offset s along (e1 x + e2 y) / s; sin(0) / 1 = 0 at the centre.
-    points = u0 * np.cos(s / EARTH_RADIUS_KM) + (e1 * x + e2 * y) * (
-        np.sin(s / EARTH_RADIUS_KM) / np.where(s > 0, s, 1.0)
-    )
-    elevation, distance, _ = geometry_samples(sat.position_km, sat.velocity_km_s, points)
+    c = np.cos(s / EARTH_RADIUS_KM)
+    f = np.sin(s / EARTH_RADIUS_KM) / np.where(s > 0, s, 1.0)
+    p = sat.position_km
+    with np.errstate(all="ignore"):  # a NaN or inf state warns in the kernel only
+        pu = (u0 @ p) * c + ((e1 @ p) * x + (e2 @ p) * y) * f
+        lo, hi = pu.min(), pu.max()
+        slack = 256 * np.finfo(float).eps / EARTH_RADIUS_KM * (p @ p + EARTH_RADIUS_KM**2)
+    if np.isfinite(hi - lo + slack):
+        keep = (pu <= lo + slack) | (pu >= hi - slack)
+        x, y, c, f = x[keep], y[keep], c[keep], f[keep]
+    points = u0 * c[:, None] + (e1 * x[:, None] + e2 * y[:, None]) * f[:, None]
+    elevation, distance, _ = geometry_samples(p, sat.velocity_km_s, points)
     if np.any(elevation < 0):
         raise DomainError("beam footprint extends below the horizon")
     delays = one_way_delay_ms(distance)

@@ -252,6 +252,14 @@ def _beam(center, diameter_km):
     return BeamSpec(center=center, diameter_km=diameter_km)
 
 
+@pytest.mark.parametrize("diameter_km", [-1.0, math.nan])
+def test_beam_diameter_must_be_non_negative(diameter_km):
+    # A NaN diameter used to reach differential_delay, whose grid held no
+    # point inside it.
+    with pytest.raises(DomainError, match="non-negative"):
+        _beam(GroundPosition(0.0, 0.0), diameter_km)
+
+
 def test_differential_delay_small_beam_oracle():
     # For a small beam under a zenith satellite the delay spread is
     # approximately (sqrt(h^2 + r^2) - h) / c.

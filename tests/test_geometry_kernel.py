@@ -768,6 +768,182 @@ def test_differential_delay_zero_radius_beam():
         differential_delay(geo_sat, BeamSpec(GroundPosition(85.0, 0.0), 0.0))
 
 
+def footprint_grid(sat, beam, grid_n):
+    """Every grid point of the footprint, as unit vectors in one (N, 3)
+    array, built as the dense evaluation built it (``np.meshgrid``)."""
+    radius = beam.diameter_km / 2.0
+    u0 = beam.center.unit_vector()
+    e1, e2 = _tangent_basis(beam.center, sat.velocity_km_s)
+    xs = np.linspace(-radius, radius, grid_n)
+    x, y = (g.ravel() for g in np.meshgrid(xs, xs))
+    inside = x * x + y * y <= radius * radius
+    x, y = x[inside, None], y[inside, None]
+    s = np.hypot(x, y)
+    return u0 * np.cos(s / EARTH_RADIUS_KM) + (e1 * x + e2 * y) * (
+        np.sin(s / EARTH_RADIUS_KM) / np.where(s > 0, s, 1.0)
+    )
+
+
+def differential_delay_dense(sat, beam, grid_n=64):
+    """``differential_delay`` with every grid point sent to the kernel: the
+    oracle its p.u bound must match bit for bit."""
+    if not isinstance(grid_n, (int, np.integer)) or grid_n < 2:
+        raise DomainError(f"grid_n must be an integer of at least 2, not {grid_n!r}")
+    points = footprint_grid(sat, beam, grid_n)
+    if len(points) == 0:
+        raise DomainError(f"grid_n={grid_n} puts no grid point inside the beam")
+    elevation, distance, _ = geometry_samples(sat.position_km, sat.velocity_km_s, points)
+    if np.any(elevation < 0):
+        raise DomainError("beam footprint extends below the horizon")
+    delays = one_way_delay_ms(distance)
+    return float(delays.max() - delays.min())
+
+
+def outcome(fn, *args):
+    """The bits of a float result, or the type and message of what it raised."""
+    try:
+        return "value", np.float64(fn(*args)).tobytes()
+    except Exception as exc:  # what it raised is the outcome, warnings included
+        return type(exc).__name__, str(exc)
+
+
+def sent_points(sat, beam, grid_n):
+    """The points ``differential_delay`` sends to the kernel (it may raise
+    after sending them)."""
+    sent = []
+
+    def record(pos, vel, ground):
+        sent.append(ground)
+        return geometry_samples(pos, vel, ground)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "geometry_samples", record)
+        try:
+            differential_delay(sat, beam, grid_n)
+        except DomainError:
+            pass
+    return sent[0]
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def footprints(draw, finite=False):
+    """(satellite, beam, grid_n): a satellite at the beam centre's zenith
+    (rings of tied ranges), one over a nearby point (up to beams that
+    cross the horizon), a GEO satellite, or, unless ``finite``, one of
+    those with a NaN or infinite position or velocity component."""
+    center = GroundPosition(draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)))
+    kind = draw(st.sampled_from(["zenith", "offset", "geo"]))
+    if kind == "zenith":
+        sat = satellite_state_over(center, draw(st.floats(300.0, 40000.0)))
+    elif kind == "offset":
+        lat = min(90.0, max(-90.0, center.latitude_deg + draw(st.floats(-40.0, 40.0))))
+        over = GroundPosition(lat, center.longitude_deg + draw(st.floats(-40.0, 40.0)))
+        sat = satellite_state_over(over, draw(st.floats(300.0, 40000.0)), draw(st.floats(0.0, 360.0)))
+    else:
+        orbit = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS, raan_deg=draw(st.floats(0.0, 360.0)))
+        sat = propagate(orbit, draw(st.floats(0.0, 1e5)))
+    if not finite and draw(st.booleans()):
+        state = [sat.position_km.copy(), sat.velocity_km_s.copy()]
+        state[draw(st.integers(0, 1))][draw(st.integers(0, 2))] = draw(st.sampled_from(NON_FINITE))
+        sat = SatelliteState(*state)
+    # Beams of a few metres hold ranges that differ only in their last bits.
+    diameter = draw(
+        st.one_of(st.just(0.0), st.just(1e308), st.floats(0.0, 12000.0), st.floats(0.0, 0.01))
+    )
+    return sat, BeamSpec(center, diameter), draw(st.integers(2, 64))
+
+
+LEO_ZENITH = satellite_state_over(GroundPosition(0.0, 0.0), 600.0)
+GEO_STATE = propagate(OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS), 0.0)
+# Over this 1 m beam the ranges differ in their last bits only, and the point
+# of greatest computed p.u is not the kernel's nearest: with no slack the
+# bound returns other bits.
+TINY_BEAM_SAT = satellite_state_over(GroundPosition(-28.2, 119.8), 35786.0)
+
+
+@given(footprints())
+@example((LEO_ZENITH, BeamSpec(GroundPosition(0.0, 0.0), 1000.0), 64))
+@example((GEO_STATE, BeamSpec(GroundPosition(57.0, 5.0), 3500.0), 64))
+@example((GEO_STATE, BeamSpec(GroundPosition(71.0, 0.0), 3500.0), 64))
+@example((LEO_ZENITH, BeamSpec(GroundPosition(0.0, 0.0), 1e308), 17))
+@example((TINY_BEAM_SAT, BeamSpec(GroundPosition(-28.2, 119.8), 1e-3), 64))
+@example((LEO_ZENITH, BeamSpec(GroundPosition(0.0, 0.0), 100.0), 2))
+@example((SatelliteState(np.array([math.nan, 0.0, 0.0]), GEO_STATE.velocity_km_s),
+          BeamSpec(GroundPosition(0.0, 0.0), 1000.0), 64))
+@example((SatelliteState(np.array([math.inf, 0.0, 0.0]), GEO_STATE.velocity_km_s),
+          BeamSpec(GroundPosition(0.0, 0.0), 1000.0), 64))
+@settings(max_examples=150, deadline=None)
+def test_differential_delay_is_the_dense_evaluation_bit_for_bit(case):
+    """The value, or the exception's type and message, of the dense oracle:
+    with numpy's warnings raised as errors (as this suite runs), and with
+    them silenced, when NaN and inf states read nan."""
+    assert outcome(differential_delay, *case) == outcome(differential_delay_dense, *case)
+    with np.errstate(all="ignore"):
+        assert outcome(differential_delay, *case) == outcome(differential_delay_dense, *case)
+
+
+@given(footprints(finite=True))
+@example((LEO_ZENITH, BeamSpec(GroundPosition(0.0, 0.0), 1000.0), 64))
+@example((GEO_STATE, BeamSpec(GroundPosition(71.0, 0.0), 3500.0), 64))
+@settings(max_examples=60, deadline=None)
+def test_the_pu_bound_rules_out_only_points_between_the_kept_extremes(case):
+    """Every grid point the bound withholds from the kernel has a dense range
+    strictly between the least and the greatest kept range, and a dense
+    elevation no lower than the lowest kept one, so at or above the
+    horizon whenever the kept points are."""
+    sat, beam, grid_n = case
+    with np.errstate(over="ignore"):  # x * x on a 1e308 km beam's grid
+        dense = footprint_grid(sat, beam, grid_n)
+        if len(dense) == 0:
+            return
+        sent = {row.tobytes() for row in sent_points(sat, beam, grid_n)}
+    dense_rows = [row.tobytes() for row in dense]
+    assert sent <= set(dense_rows)
+    kept = np.array([row in sent for row in dense_rows])
+    elevation, distance, _ = geometry_samples(sat.position_km, sat.velocity_km_s, dense)
+    out = ~kept
+    assert (distance[out] > distance[kept].min()).all()
+    assert (distance[out] < distance[kept].max()).all()
+    assert (elevation[out] >= elevation[kept].min()).all()
+    if (elevation[kept] >= 0).all():
+        assert (elevation[out] >= 0).all()
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (57.0, 0.0), (40.0, -15.0), (48.5, 15.0)])
+def test_benchmark_beams_send_at_most_16_points(leo_config, center):
+    """The benchmark's beams (a 1000 km LEO beam under a 600 km zenith
+    satellite, a 3500 km GEO beam at 40-57 N) send at most 16 of their
+    3096 grid points to the kernel."""
+    leo_beam = BeamSpec(GroundPosition(*center), leo_config.beams[0].diameter_km)
+    cases = [
+        (satellite_state_over(leo_beam.center, 600.0), leo_beam),
+        (GEO_STATE, BeamSpec(GroundPosition(*center), 3500.0)),
+    ]
+    for sat, beam in cases:
+        assert len(footprint_grid(sat, beam, 64)) == 3096
+        assert len(sent_points(sat, beam, 64)) <= 16
+        assert outcome(differential_delay, sat, beam) == outcome(differential_delay_dense, sat, beam)
+
+
+def test_differential_delay_rejects_a_grid_with_no_point_in_the_beam():
+    """A 2x2 grid has its four points at the corners of the beam's square,
+    outside a beam of positive diameter; a zero-diameter beam holds them."""
+    with pytest.raises(DomainError, match="grid_n=2"):
+        differential_delay(LEO_ZENITH, BeamSpec(GroundPosition(0.0, 0.0), 100.0), 2)
+    assert differential_delay(LEO_ZENITH, BeamSpec(GroundPosition(0.0, 0.0), 0.0), 2) == 0.0
+
+
+@pytest.mark.parametrize("grid_n", [4.5, 4.0, "64", None, 1, True, -3])
+def test_differential_delay_rejects_a_grid_size_that_is_not_an_integer_of_two_or_more(grid_n):
+    beam = BeamSpec(GroundPosition(0.0, 0.0), 100.0)
+    with pytest.raises(DomainError, match="grid_n"):
+        differential_delay(LEO_ZENITH, beam, grid_n)
+    assert differential_delay(LEO_ZENITH, beam, np.int64(17)) == differential_delay(LEO_ZENITH, beam, 17)
+
+
 def test_beam_doppler_profile_matches_scalar_loop():
     center = GroundPosition(10.0, 20.0)
     sat = satellite_state_over(GroundPosition(12.0, 21.0), 600.0, azimuth_deg=30.0)
