@@ -126,20 +126,19 @@ def geometry_rows(config: ScenarioConfig) -> tuple[list[str], list[list]]:
     max_el = config.max_elevation_deg
     beam = max(config.beams, key=lambda b: b.diameter_km).to_beam() if config.beams else None
     samples, visibility = 0, []
-    for idx, orbit_cfg in enumerate(config.constellation):
-        orbit = orbit_cfg.to_orbit_spec()
-        alt = orbit_cfg.altitude_km
+    for idx, orbit in enumerate(config.constellation):
+        alt = orbit.altitude_km
         metrics = {
             "rtt_min_ms": BentPipeChannel.at(alt, max_el, max_el).rtt_ms,
             "rtt_max_ms": BentPipeChannel.at(alt, min_el, min_el).rtt_ms,
         }
         if orbit.kind is OrbitKind.GEOSYNCHRONOUS:
-            seen, ground = orbit, config.observer.to_ground()
+            seen, ground = orbit, config.observer
             _, (elevation, _, rr) = _over_sidereal_day(orbit, ground)
         else:
             ground = GroundPosition(0.0, 0.0)
             seen = overhead_pass_orbit(
-                orbit.kind, alt, orbit_cfg.inclination_deg, ground, overhead_at_s=3000.0
+                orbit.kind, alt, orbit.inclination_deg, ground, overhead_at_s=3000.0
             )
             t = np.arange(2000.0, 4000.0, 1.0)
             elevation, _, rr = geometry_samples(*propagate_many(seen, t), ground)
@@ -169,11 +168,11 @@ def doppler_trace_rows(config: ScenarioConfig, mode: str) -> tuple[list[str], li
     over a sidereal day (``inclined_geo``), or across beam 0 from the
     satellite that serves it (``beam_profile``)."""
     fc = config.carrier_frequency_hz
-    orbit = config.constellation[0].to_orbit_spec()
+    orbit = config.constellation[0]
     if mode == "inclined_geo":
         if orbit.kind is not OrbitKind.GEOSYNCHRONOUS:
             raise ConfigError(["config.constellation[0]: inclined_geo mode needs a geosynchronous orbit"])
-        t, (_, _, rr) = _over_sidereal_day(orbit, config.observer.to_ground())
+        t, (_, _, rr) = _over_sidereal_day(orbit, config.observer)
         return ["time_of_day_s", "doppler_hz"], list(zip(t.tolist(), doppler_hz(rr, fc).tolist()))
     if not config.beams:
         raise ConfigError(["config.beams: required for beam_profile mode"])
@@ -264,8 +263,8 @@ def _log_outcomes(seed: int, result) -> None:
 def cmd_rank_cells(config: ScenarioConfig, args) -> int:
     if not config.cells:
         raise ConfigError(["config.cells: required for the rank-cells command"])
-    device = config.observer.to_ground()
-    orbits = tuple(orbit.to_orbit_spec() for orbit in config.constellation)
+    device = config.observer
+    orbits = tuple(config.constellation)
     # The device's own round trip over the highest satellite of any orbit,
     # the feeder link as long as the service link: the same for every cell.
     epoch = max(orbit.epoch_s for orbit in orbits)

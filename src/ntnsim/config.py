@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import ConfigError, DomainError
 from .events import US_PER_MS
-from .geometry import BeamSpec, GroundPosition, OrbitKind, OrbitSpec
+from .geometry import BeamSpec, GroundPosition, OrbitSpec
 from .linkbudget import (
     ATMOSPHERIC_DB,
     ATMOSPHERIC_DB_MAX,
@@ -38,6 +38,10 @@ _MISSING = dataclasses.MISSING
 # Most HARQ blocks or RLC PDUs one message may need; a transfer logs four
 # (HARQ) or two (RLC) events per unit from a template built per scenario.
 MAX_TRANSFER_UNITS = 1_000_000
+# Most messages a scenario may send: the engine reads all of a seed's draws
+# (two per message) in one getrandbits call, whose bit count is a C int, and
+# 2*10**7 draws fit one read.
+MAX_MESSAGES = 10**7
 
 
 def _check_elevation(name: str, value: float) -> None:
@@ -137,34 +141,19 @@ def _build(cls, data, path, errors):
 
 
 @dataclass(frozen=True)
-class OrbitCfg:
-    """``OrbitSpec``'s fields, with ``altitude_km`` required."""
+class OrbitCfg(OrbitSpec):
+    """An ``OrbitSpec`` whose ``altitude_km`` a config must give."""
 
-    kind: OrbitKind
-    altitude_km: float
-    inclination_deg: float = 0.0
-    raan_deg: float = 0.0
-    phase_deg: float = 0.0
-    epoch_s: float = 0.0
-
-    def __post_init__(self):
-        self.to_orbit_spec()  # surface altitude/inclination errors at load time
+    altitude_km: float = field()  # a bare annotation would inherit the default
 
     def to_orbit_spec(self) -> OrbitSpec:
-        return OrbitSpec(**vars(self))
+        return self  # only perfbench/workloads.py calls this
 
 
 @dataclass(frozen=True)
-class ObserverCfg:
-    latitude_deg: float
-    longitude_deg: float
-    altitude_m: float = 0.0
-
-    def __post_init__(self):
-        self.to_ground()  # surface latitude errors at load time
-
+class ObserverCfg(GroundPosition):
     def to_ground(self) -> GroundPosition:
-        return GroundPosition(self.latitude_deg, self.longitude_deg, self.altitude_m)
+        return self  # only perfbench/workloads.py calls this
 
 
 @dataclass(frozen=True)
@@ -257,6 +246,8 @@ class TrafficCfg:
             raise DomainError("traffic sizes and spacing must be positive")
         if self.n_messages < 1:
             raise DomainError("need at least one message")
+        if self.n_messages > MAX_MESSAGES:
+            raise DomainError(f"n_messages {self.n_messages} exceeds {MAX_MESSAGES}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -569,6 +569,9 @@ OUT_OF_RANGE = [
         {"traffic.message_size_bits": 1e300, "transfer.tbs_bits": 1e-10},
         "more than 1000000 transfer units",
     ),
+    # The engine reads a seed's draws in one getrandbits call, whose bit count is a C int.
+    ({"traffic.n_messages": 10**7 + 1}, "config.traffic: n_messages 10000001 exceeds 10000000"),
+    ({"traffic.n_messages": 2**63}, f"config.traffic: n_messages {2**63} exceeds 10000000"),
     ({"harq.n_processes": 0}, "HARQ needs one or two processes"),
     ({"harq.n_processes": 5}, "HARQ needs one or two processes"),
     ({"harq.enabled": False, "harq.n_processes": 0}, "HARQ needs one or two processes"),

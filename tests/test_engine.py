@@ -580,6 +580,24 @@ def test_absent_or_null_observer_loads_as_the_origin():
     assert load_config_dict(data).observer == ObserverCfg(0.0, 0.0)
 
 
+def test_orbits_and_observer_load_as_the_domain_types():
+    data = json.loads(json.dumps(MINIMAL))
+    data["observer"] = {"latitude_deg": 10.0, "longitude_deg": 540.0}
+    cfg = load_config_dict(data)
+    assert isinstance(cfg.constellation[0], OrbitSpec)
+    assert isinstance(cfg.observer, GroundPosition)
+    # GroundPosition's own check ran at load and normalised the longitude.
+    assert cfg.observer.longitude_deg == 180.0
+
+
+def test_orbit_altitude_stays_required_though_orbit_spec_has_a_default():
+    data = json.loads(json.dumps(MINIMAL))
+    del data["constellation"][0]["altitude_km"]
+    with pytest.raises(ConfigError) as exc:
+        load_config_dict(data)
+    assert exc.value.fields == ["config.constellation[0].altitude_km: missing required field"]
+
+
 def test_run_scenario_requires_access_and_traffic():
     bare = {k: v for k, v in MINIMAL.items() if k not in ("access", "traffic")}
     cfg = load_config_dict(bare)

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ntnsim.config import load_config_dict
+from ntnsim.constants import SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import run_scenario
 from ntnsim.errors import DomainError, NotReachableError
 from ntnsim.events import MEASUREMENT, RX_ARRIVAL, TIMER_FIRE, TX_START, Simulator, ms_to_us
@@ -15,6 +16,9 @@ from ntnsim.geometry import (
     OrbitKind,
     OrbitSpec,
     geometry_sample,
+    geometry_samples,
+    overhead_pass_orbit,
+    propagate_many,
     satellite_state_over,
 )
 from ntnsim.protocol import (
@@ -134,6 +138,41 @@ def test_estimate_service_delay_matches_geometry():
     device = DeviceContext(gnss_position=OBS)
     delay = estimate_service_delay(device, Ephemeris(orbits=(GEO,)), 0.0)
     assert delay == pytest.approx(35786.0 / 299792.458 * 1000.0, rel=1e-9)
+
+
+# A LEO pass overhead OBS at t = 3000 s, and an inclined GEO beside it.
+LEO_PASS = overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 53.0, OBS, overhead_at_s=3000.0)
+INCLINED_GEO = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS, inclination_deg=5.0)
+
+
+@pytest.mark.parametrize("staleness", [0.5, 7.25, 60.0, 2000.0])
+def test_stale_ephemeris_is_the_fresh_one_at_the_earlier_time(staleness):
+    device = DeviceContext(gnss_position=GroundPosition(1.0, -2.0))
+    stale = Ephemeris((LEO_PASS, INCLINED_GEO), staleness)
+    fresh = Ephemeris((LEO_PASS, INCLINED_GEO))
+    for t in (2000.0, 2900.0, 3000.0, 3100.5, 5000.0):
+        want = estimate_service_delay(device, fresh, t - staleness)
+        assert estimate_service_delay(device, stale, t) == want
+        want = doppler_precompensation(device, fresh, 2e9, t - staleness)
+        assert doppler_precompensation(device, stale, 2e9, t) == want
+
+
+@pytest.mark.parametrize("staleness", [1.0, 5.0, 20.0])
+def test_stale_delay_estimate_error_is_within_the_range_rate_bound(staleness):
+    """The docstring's bound, staleness * |range rate| / c, with |range rate|
+    at its largest over [t - staleness, t] (on a fine grid, ends included)."""
+    device, eph = DeviceContext(gnss_position=OBS), Ephemeris((LEO_PASS,), staleness)
+    for t in np.arange(2850.0, 3150.0, 12.5):
+        stale = estimate_service_delay(device, eph, t)
+        fresh = estimate_service_delay(device, Ephemeris((LEO_PASS,)), t)
+        _, _, rr = geometry_samples(*propagate_many(LEO_PASS, np.linspace(t - staleness, t, 101)), OBS)
+        bound = staleness * np.abs(rr).max() / SPEED_OF_LIGHT_KM_S * 1000.0
+        assert 0.0 < abs(stale - fresh) <= bound * (1.0 + 1e-9)
+
+
+def test_negative_staleness_raises():
+    with pytest.raises(DomainError, match="staleness must be non-negative"):
+        Ephemeris((GEO,), -1.0)
 
 
 def test_no_satellite_above_the_horizon_is_not_reachable():
