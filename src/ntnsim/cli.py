@@ -253,10 +253,9 @@ def _log_outcomes(seed: int, result) -> None:
     )
     if not log.isEnabledFor(logging.DEBUG):
         return
-    for path, cause in enumerate(PATH_CAUSES):
+    for path, name in enumerate(cause or "success" for cause in PATH_CAUSES):
         hits = np.flatnonzero(result.attempts.path == path)
         if len(hits):
-            name = cause.value if cause else "success"
             log.debug("seed %d: %s: %d messages, the first is message %d", seed, name, len(hits), hits[0])
 
 

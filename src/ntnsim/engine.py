@@ -289,7 +289,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     paths = np.bincount(attempts.path, minlength=len(PATH_CAUSES)).tolist()
     successes = report.access_successes = paths[PATH_SUCCESS]
     report.failure_causes = {
-        cause.value: count for cause, count in zip(PATH_CAUSES, paths) if cause and count
+        cause: count for cause, count in zip(PATH_CAUSES, paths) if cause and count
     }
     # Exact sums in integer us: every attempt on one path takes the same time.
     monitoring_us = sum(count * us for count, us in zip(paths, attempts.monitoring_us))

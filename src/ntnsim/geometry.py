@@ -414,8 +414,9 @@ def _serving(orbits, t_s, ground: GroundPosition, min_elevation_deg: float):
 def _candidates(elements: np.ndarray, t: np.ndarray, ground: GroundPosition, min_elevation_deg: float):
     """For each ``_elements`` row, the indices of the 1-D times ``t`` at
     which its orbit may be at or above ``min_elevation_deg`` from ``ground``.
-    Where the bound cannot help, every time is a candidate: a threshold
-    outside (-90, 90), a non-finite time, or more anchors than half the times.
+    Where the bound cannot help, every time is a candidate: fewer than two
+    times, a threshold outside (-90, 90), a non-finite time, or more anchors
+    than half the times.
 
     A satellite at radius r is at or above elevation e seen from a point
     at radius rho exactly when its central angle from the point is at
@@ -428,7 +429,7 @@ def _candidates(elements: np.ndarray, t: np.ndarray, ground: GroundPosition, min
     orbits in one call).
     """
     every = [np.arange(t.size)] * len(elements)
-    if not (every and t.size and -90.0 < min_elevation_deg < 90.0 and np.isfinite(t).all()):
+    if not (every and t.size >= 2 and -90.0 < min_elevation_deg < 90.0 and np.isfinite(t).all()):
         return every
     eps = math.radians(min_elevation_deg)
     a = elements[:, _A]

@@ -175,10 +175,8 @@ class BentPipeChannel:
         return reception_ok(self.snr_ul_db, self.repetitions, self.snr_threshold_ul_db, fade_db)
 
 
-class FailureCause(Enum):
-    RAR_TIMEOUT = "rar_timeout"
-    CR_TIMEOUT = "cr_timeout"
-    TA_RANGE = "ta_range"
+# The three failure causes, the strings that outcomes and reports carry.
+RAR_TIMEOUT, CR_TIMEOUT, TA_RANGE = "rar_timeout", "cr_timeout", "ta_range"
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,7 @@ class AccessTiming:
 @dataclass
 class AccessOutcome:
     success: bool
-    cause: Optional[FailureCause]
+    cause: Optional[str]
     latency_ms: Optional[float]
     monitoring_ms: float
     ta_command: Optional[TimingAdvanceCommand]
@@ -281,7 +279,7 @@ def schedule_rar_window(
 
 # An attempt's path indexes PATH_CAUSES: success, then the three failures.
 PATH_SUCCESS, PATH_RAR_TIMEOUT, PATH_TA_RANGE, PATH_CR_TIMEOUT = range(4)
-PATH_CAUSES = (None, FailureCause.RAR_TIMEOUT, FailureCause.TA_RANGE, FailureCause.CR_TIMEOUT)
+PATH_CAUSES = (None, RAR_TIMEOUT, TA_RANGE, CR_TIMEOUT)
 
 # An attempt's stage is how many of these checks it passes in turn: Msg1
 # received, TA in range, Msg2 inside the RAR window, Msg3 received, Msg4
@@ -305,34 +303,32 @@ _TEMPLATE_SLOTS = np.concatenate([[*range(n), end] for _, n, end in _STAGES])
 _TEMPLATE_SIZES = _STAGE_MESSAGES + 1
 _TEMPLATE_STARTS = np.cumsum(_TEMPLATE_SIZES) - _TEMPLATE_SIZES
 
-# The record of each slot with a fixed detail, and its code: its index in
-# the table.  The other three slots carry a per-attempt detail (residual,
-# TA steps, reported delay), which gets one record per printed detail in a
-# call, so a long scenario's log holds no per-attempt copies.
-_SLOT_RECORDS = {
-    MSG1_TX: record("device", TX_START, "msg1_preamble"),
-    TA_OUT: record("bs", MEASUREMENT, "ta_out_of_range"),
-    MSG2_TX: record("bs", TX_START, "msg2_rar"),
-    RAR_EXPIRY: record("device", TIMER_FIRE, "rar_window_expiry"),
-    MSG3_RX: record("bs", RX_ARRIVAL, "msg3_rrc_connection_request"),
-    MSG4_TX: record("bs", TX_START, "msg4_contention_resolution"),
-    CR_EXPIRY: record("device", TIMER_FIRE, "contention_resolution_expiry"),
-    MSG4_RX: record("device", RX_ARRIVAL, "msg4_contention_resolution"),
+# What each slot logs: (entity, kind, detail, places).  MSG1_RX, MSG2_RX
+# and MSG3_TX carry a per-attempt detail (residual, TA steps, reported
+# delay): `detail` is its prefix and `places` the decimal places of its
+# text, and a call builds one record per printed detail, so a long
+# scenario's log holds no per-attempt copies.  The keys are the slots in
+# order, so a slot's code is the slot itself: its index in _SLOT_RECORDS,
+# where a detail slot's record (the bare prefix) is never logged.
+_SLOTS = {
+    MSG1_TX: ("device", TX_START, "msg1_preamble", None),
+    MSG1_RX: ("bs", RX_ARRIVAL, "msg1_preamble residual_us=", 3),
+    MSG2_TX: ("bs", TX_START, "msg2_rar", None),
+    MSG2_RX: ("device", RX_ARRIVAL, "msg2_rar ta_steps=", 0),
+    MSG3_TX: ("device", TX_START, "msg3 reported_delay_ms=", 1),
+    MSG3_RX: ("bs", RX_ARRIVAL, "msg3_rrc_connection_request", None),
+    MSG4_TX: ("bs", TX_START, "msg4_contention_resolution", None),
+    TA_OUT: ("bs", MEASUREMENT, "ta_out_of_range", None),
+    RAR_EXPIRY: ("device", TIMER_FIRE, "rar_window_expiry", None),
+    CR_EXPIRY: ("device", TIMER_FIRE, "contention_resolution_expiry", None),
+    MSG4_RX: ("device", RX_ARRIVAL, "msg4_contention_resolution", None),
 }
-_SLOT_CODES = np.zeros(MSG4_RX + 1, np.int64)
-_SLOT_CODES[list(_SLOT_RECORDS)] = range(len(_SLOT_RECORDS))
-# The slots with a per-attempt detail: (slot, entity, kind, detail prefix,
-# decimal places of its text).
-_DETAIL_SLOTS = (
-    (MSG1_RX, "bs", RX_ARRIVAL, "msg1_preamble residual_us=", 3),
-    (MSG2_RX, "device", RX_ARRIVAL, "msg2_rar ta_steps=", 0),
-    (MSG3_TX, "device", TX_START, "msg3 reported_delay_ms=", 1),
-)
+_SLOT_RECORDS = [record(e, k, d) for e, k, d, _ in _SLOTS.values()]
 # The decimal fraction of each text of _detail_texts, by its places and its
 # value in units of the last place.
 _FRACTIONS = {
     places: [f".{f:0{places}d}" for f in range(10**places)] if places else [""]
-    for *_, places in _DETAIL_SLOTS
+    for *_, places in _SLOTS.values() if places is not None
 }
 
 
@@ -453,16 +449,14 @@ def access_attempts(
     )
 
     # The stage templates as (offset, code) pairs, the transfer's after the
-    # success stage's; a code indexes `table`: the fixed-detail slots' records,
-    # the transfer's, then one per printed per-attempt detail.
+    # success stage's; a code indexes `table`: the slots' records, the
+    # transfer's, then one per printed per-attempt detail.
     n_transfer = len(transfer_offsets)
     template_times = np.concatenate(
         (np.array(offsets, np.int64)[_TEMPLATE_SLOTS], transfer_start + transfer_offsets)
     )
-    template_codes = np.concatenate(
-        (_SLOT_CODES[_TEMPLATE_SLOTS], len(_SLOT_RECORDS) + np.arange(n_transfer))
-    )
-    table = [*_SLOT_RECORDS.values(), *transfer_records]
+    template_codes = np.concatenate((_TEMPLATE_SLOTS, len(_SLOT_RECORDS) + np.arange(n_transfer)))
+    table = [*_SLOT_RECORDS, *transfer_records]
     # Each attempt logs its stage's template at consecutive log positions
     # from `base`: entry k of the log is entry `entry[k]` of the templates.
     sizes = (_TEMPLATE_SIZES + n_transfer * (_STAGE_PATHS == PATH_SUCCESS))[stage]
@@ -472,9 +466,8 @@ def access_attempts(
     log_times, log_codes = template_times.take(entry), template_codes.take(entry)
     del entry  # freed before the repeat, which needs as much memory
     log_times += np.repeat(t1, sizes)
-    for (slot, entity, kind, prefix, places), values in zip(
-        _DETAIL_SLOTS, (residual_us, ta_steps, reported_delay_ms)
-    ):
+    for slot, values in zip((MSG1_RX, MSG2_RX, MSG3_TX), (residual_us, ta_steps, reported_delay_ms)):
+        entity, kind, prefix, places = _SLOTS[slot]
         # Each text comes from an integer: the value in units of its last
         # place, half to even, and its sign bit, so that a negative value
         # that rounds to 0 keeps its "-".
@@ -522,7 +515,7 @@ def run_random_access(
         timers,
         timing,
     ).outcomes()
-    if outcome.cause in (None, FailureCause.CR_TIMEOUT):  # the RAR arrived
+    if outcome.cause in (None, CR_TIMEOUT):  # the RAR arrived
         advance_us = precompensate_preamble(delay_est_ms) * 1000.0 + outcome.ta_command.advance_us
         if advance_us < 0:
             raise DomainError("aggregate timing advance became negative")

@@ -32,13 +32,15 @@ from ntnsim.events import MEASUREMENT, RX_ARRIVAL, TIMER_FIRE, TX_START, Simulat
 from ntnsim.events import us_to_ms
 from ntnsim.geometry import GroundPosition, OrbitKind, OrbitSpec, slant_range
 from ntnsim.protocol import (
+    CR_TIMEOUT,
+    RAR_TIMEOUT,
     REPORTED_DELAY_QUANTUM_MS,
+    TA_RANGE,
     AccessOutcome,
     AccessTiming,
     BentPipeChannel,
     DeviceContext,
     Ephemeris,
-    FailureCause,
     MessageKind,
     RrcState,
     SystemInformation,
@@ -99,7 +101,7 @@ def run_random_access_reference(
     window_len = window_end - window_start
     if not channel.delivers(MessageKind.MSG1_PREAMBLE):
         sim.schedule(window_end, TIMER_FIRE, "device", "rar_window_expiry")
-        return finish(False, FailureCause.RAR_TIMEOUT, None, window_len)
+        return finish(False, RAR_TIMEOUT, None, window_len)
 
     msg1_arr = t1 + one_way
     # The residual in whole ns, half to even, with the float's sign, so one
@@ -118,14 +120,14 @@ def run_random_access_reference(
             msg1_arr + ms_to_us(timing.bs_processing_ms), MEASUREMENT, "bs",
             "ta_out_of_range",
         )
-        return finish(False, FailureCause.TA_RANGE, None, window_len)
+        return finish(False, TA_RANGE, None, window_len)
 
     msg2_tx = max(msg1_arr + ms_to_us(timing.bs_processing_ms), window_start - one_way)
     msg2_arr = msg2_tx + one_way
     sim.schedule(msg2_tx, TX_START, "bs", "msg2_rar")
     if not channel.delivers(MessageKind.MSG2_RAR) or msg2_arr > window_end:
         sim.schedule(window_end, TIMER_FIRE, "device", "rar_window_expiry")
-        return finish(False, FailureCause.RAR_TIMEOUT, None, window_len, ta)
+        return finish(False, RAR_TIMEOUT, None, window_len, ta)
 
     sim.schedule(msg2_arr, RX_ARRIVAL, "device", f"msg2_rar ta_steps={ta.steps}")
     times["msg2_arrival"] = us_to_ms(msg2_arr)
@@ -151,7 +153,7 @@ def run_random_access_reference(
     if not channel.delivers(MessageKind.MSG3_RRC_CONNECTION_REQUEST):
         sim.schedule(cr_end, TIMER_FIRE, "device", "contention_resolution_expiry")
         return finish(
-            False, FailureCause.CR_TIMEOUT, None, rar_monitoring + (cr_end - cr_start), ta
+            False, CR_TIMEOUT, None, rar_monitoring + (cr_end - cr_start), ta
         )
 
     sim.schedule(msg3_arr, RX_ARRIVAL, "bs", "msg3_rrc_connection_request")
@@ -162,7 +164,7 @@ def run_random_access_reference(
     if not channel.delivers(MessageKind.MSG4_CONTENTION_RESOLUTION) or msg4_arr > cr_end:
         sim.schedule(cr_end, TIMER_FIRE, "device", "contention_resolution_expiry")
         return finish(
-            False, FailureCause.CR_TIMEOUT, None, rar_monitoring + (cr_end - cr_start), ta
+            False, CR_TIMEOUT, None, rar_monitoring + (cr_end - cr_start), ta
         )
 
     sim.schedule(msg4_arr, RX_ARRIVAL, "device", "msg4_contention_resolution")
@@ -219,7 +221,7 @@ def run_scenario_reference(config, seed):
         report.access_attempts += 1
         monitoring_us += ms_to_us(outcome.monitoring_ms)
         if not outcome.success:
-            cause = outcome.cause.value
+            cause = outcome.cause
             report.failure_causes[cause] = report.failure_causes.get(cause, 0) + 1
             continue
         report.access_successes += 1
@@ -585,7 +587,7 @@ def test_the_cr_timer_starts_where_apply_timer_rules_says(config_name, offset_ms
         sim=sim,
         delay_est_ms=10.0,
     )
-    assert outcome.cause is FailureCause.CR_TIMEOUT
+    assert outcome.cause == CR_TIMEOUT
     assert _cr_spans_us(sim.trace_rows()) == [want]
 
 

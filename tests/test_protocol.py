@@ -1,16 +1,19 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ntnsim.config import load_config_dict
+from conftest import CONFIG_DIR
+from ntnsim.config import load_config, load_config_dict
 from ntnsim.constants import SPEED_OF_LIGHT_KM_S
 from ntnsim.engine import run_scenario
 from ntnsim.errors import DomainError, NotReachableError
 from ntnsim.events import MEASUREMENT, RX_ARRIVAL, TIMER_FIRE, TX_START, Simulator, ms_to_us
+from ntnsim.events import record
 from ntnsim.geometry import (
     GroundPosition,
     OrbitKind,
@@ -24,15 +27,17 @@ from ntnsim.geometry import (
 from ntnsim.protocol import (
     AccessTiming,
     BentPipeChannel,
+    CR_TIMEOUT,
     DeviceContext,
     Ephemeris,
-    FailureCause,
     HarqConfig,
     MessageKind,
+    RAR_TIMEOUT,
     REPORTED_DELAY_QUANTUM_MS,
     RrcState,
     SystemInformation,
     TA_BIPOLAR_RANGE_US,
+    TA_RANGE,
     TA_STEP_US,
     TimerConfig,
     TimerEvent,
@@ -50,8 +55,12 @@ from ntnsim.protocol import (
     run_random_access,
     schedule_rar_window,
 )
-from ntnsim.protocol import _DETAIL_SLOTS, _STAGES, _TEMPLATE_SIZES, _TEMPLATE_SLOTS
+from ntnsim.protocol import _SLOT_RECORDS, _SLOTS, _STAGES, _TEMPLATE_SIZES, _TEMPLATE_SLOTS
 from ntnsim.protocol import _TEMPLATE_STARTS
+from ntnsim.protocol import (
+    CR_EXPIRY, MSG1_RX, MSG1_TX, MSG2_RX, MSG2_TX, MSG3_RX, MSG3_TX, MSG4_RX, MSG4_TX,
+    RAR_EXPIRY, TA_OUT,
+)
 
 GEO = OrbitSpec(kind=OrbitKind.GEOSYNCHRONOUS)
 OBS = GroundPosition(0.0, 0.0)
@@ -255,14 +264,14 @@ def test_access_ta_out_of_range_fails():
     err_ms = 0.02  # 40 us round-trip residual, beyond +/-32 us.
     out = _run(ch, delay_est_ms=ch.service_delay_ms - err_ms)
     assert not out.success
-    assert out.cause is FailureCause.TA_RANGE
+    assert out.cause == TA_RANGE
 
 
 def test_access_rar_timeout_on_dropped_preamble():
     ch = _channel(drop_kinds=frozenset({MessageKind.MSG1_PREAMBLE}))
     out = _run(ch, delay_est_ms=ch.service_delay_ms)
     assert not out.success
-    assert out.cause is FailureCause.RAR_TIMEOUT
+    assert out.cause == RAR_TIMEOUT
     assert out.monitoring_ms == pytest.approx(10240.0)
 
 
@@ -270,7 +279,22 @@ def test_access_cr_timeout_on_dropped_msg4():
     ch = _channel(drop_kinds=frozenset({MessageKind.MSG4_CONTENTION_RESOLUTION}))
     out = _run(ch, delay_est_ms=ch.service_delay_ms)
     assert not out.success
-    assert out.cause is FailureCause.CR_TIMEOUT
+    assert out.cause == CR_TIMEOUT
+
+
+@pytest.mark.parametrize("err_ms", [0.0, 0.01, -0.01])
+def test_a_cr_timeout_keeps_the_timing_advance_that_the_rar_gave(err_ms):
+    """Msg2 arrived before Msg4 was lost, so the device applies its TA
+    command on top of the preamble advance, and stays idle."""
+    ch = _channel(drop_kinds=frozenset({MessageKind.MSG4_CONTENTION_RESOLUTION}))
+    device = DeviceContext(gnss_position=OBS, timing_advance_us=-1.0)
+    delay_est_ms = ch.service_delay_ms - err_ms
+    out = run_random_access(device, _si(), ch, delay_est_ms=delay_est_ms)
+    assert out.cause == CR_TIMEOUT
+    assert out.ta_command.steps == round(2000.0 * err_ms / TA_STEP_US)
+    advance_us = precompensate_preamble(delay_est_ms) * 1000.0 + out.ta_command.advance_us
+    assert device.timing_advance_us == advance_us
+    assert device.rrc_state is RrcState.IDLE
 
 
 def test_access_requires_idle_device():
@@ -553,4 +577,36 @@ def test_each_stage_logs_its_messages_then_an_end_slot_above_every_detail_slot()
     for stage, (_, n, end) in enumerate(_STAGES):
         start = _TEMPLATE_STARTS[stage]
         assert _TEMPLATE_SLOTS[start:start + _TEMPLATE_SIZES[stage]].tolist() == [*range(n), end]
-        assert all(end > slot for slot, *_ in _DETAIL_SLOTS)
+        assert all(end > slot for slot, (*_, places) in _SLOTS.items() if places is not None)
+
+
+def test_the_slot_table_lists_the_slots_in_order_so_a_slot_is_its_own_code():
+    """The kernel's templates hold slots and its table starts with one
+    record per slot, so each slot must be its own index in ``_SLOTS``."""
+    slots = (MSG1_TX, MSG1_RX, MSG2_TX, MSG2_RX, MSG3_TX, MSG3_RX, MSG4_TX,
+             TA_OUT, RAR_EXPIRY, CR_EXPIRY, MSG4_RX)
+    assert list(_SLOTS) == list(slots) == list(range(11))
+    assert _SLOT_RECORDS == [record(entity, kind, detail) for entity, kind, detail, _ in _SLOTS.values()]
+
+
+def test_exactly_the_three_detail_slots_carry_places():
+    places = {slot: row[3] for slot, row in _SLOTS.items() if row[3] is not None}
+    assert places == {MSG1_RX: 3, MSG2_RX: 0, MSG3_TX: 1}
+    assert all(_SLOTS[slot][2].endswith("=") for slot in places)
+
+
+# The configs that run a scenario: the bundled ones with an access section,
+# and the failure-path goldens' configs, which log every failure stage.
+SCENARIO_CONFIGS = [
+    *(p for p in sorted(CONFIG_DIR.glob("*.json")) if "access" in json.loads(p.read_text())),
+    *sorted((Path(__file__).resolve().parent / "golden" / "configs").glob("*.json")),
+]
+
+
+@pytest.mark.parametrize("path", SCENARIO_CONFIGS, ids=lambda p: p.stem)
+def test_no_trace_row_logs_a_bare_detail_prefix(path):
+    """A detail slot's own record (its prefix alone) is in the kernel's
+    table but never logged: every entry of a detail slot is patched."""
+    details = [detail for *_, detail in run_scenario(load_config(path), seed=1).trace_rows]
+    assert any(d.startswith(_SLOTS[MSG1_RX][2]) for d in details)
+    assert [d for d in details if d.endswith("=")] == []
