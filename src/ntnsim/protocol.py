@@ -439,8 +439,10 @@ def access_attempts(
     checked_us(max(offsets + [transfer_start + int(transfer_offsets.max(initial=0))]))
 
     msg2_in_time, msg4_in_time = msg2_arr <= window_end, msg4_arr <= cr_end
-    passed = np.stack([d1, in_range, d2 & msg2_in_time, d3, d4 & msg4_in_time], axis=1)
-    stage = np.logical_and.accumulate(passed, axis=1).sum(axis=1)
+    ok, stage = np.ones(t1.shape, bool), np.zeros(t1.shape, np.intp)
+    for check in (d1, in_range, d2 & msg2_in_time, d3, d4 & msg4_in_time):
+        ok &= check
+        stage += ok
     path = _STAGE_PATHS[stage]
     # Each path's monitoring time, in PATH_CAUSES order.
     rar_monitoring = msg2_arr - window_start

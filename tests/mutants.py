@@ -121,6 +121,44 @@ MUTANTS = (
             "tests/test_golden.py::test_cli_outputs_match_golden[leo600_sband/simulate/seed1]",
         ),
     ),
+    # The float cross product flips the sign of its first component's
+    # second product: a beam's second tangent axis leaves the tangent plane
+    # (and a zenith satellite's Earth-rotation velocity turns) away from
+    # longitude 0.
+    Mutant(
+        "ntnsim/geometry.py",
+        "return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0",
+        "return a1 * b2 + a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0",
+        (
+            "tests/test_geometry_kernel.py::test_float_vector_helpers_are_the_numpy_formulation_bit_for_bit",
+            "tests/test_geometry_kernel.py::test_differential_delay_matches_scalar_loop",
+            "tests/test_golden.py::test_cli_outputs_match_golden[geo_sband/geometry/seed1]",
+        ),
+    ),
+    # The serving sweep's block ranking gives a tie to the earlier orbit,
+    # and an elevation exactly at the threshold does not serve.
+    Mutant(
+        "ntnsim/geometry.py",
+        "take = ranked >= elevation[part]",
+        "take = ranked > elevation[part]",
+        (
+            "tests/test_geometry_kernel.py::test_highest_satellite_is_the_full_sample_loop_bit_for_bit[exact-equal]",
+            "tests/test_geometry_kernel.py::test_highest_satellite_is_the_loop_when_blocks_split_the_times[10.0]",
+            "tests/test_geometry_kernel.py::test_beam_schedule_ties_go_to_the_later_satellite",
+        ),
+    ),
+    # An attempt's stage counts the checks it passes anywhere, not the run
+    # of checks it passes in turn: a lost Msg1 no longer ends the exchange.
+    Mutant(
+        "ntnsim/protocol.py",
+        "ok &= check",
+        "ok |= check",
+        (
+            "tests/test_access_oracle.py::test_run_random_access_matches_reference",
+            "tests/test_golden.py::test_every_access_stage_occurs_under_a_golden",
+            "tests/test_golden.py::test_cli_outputs_match_golden[leo600_faded_drop_msg2/simulate/seed1]",
+        ),
+    ),
     # A device whose Msg4 is lost forgets the TA command its RAR carried.
     Mutant(
         "ntnsim/protocol.py",

@@ -9,7 +9,10 @@ over them returns.
 """
 
 import dataclasses
+import gc
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from ntnsim import geometry
 from ntnsim.config import load_config
-from ntnsim.constants import EARTH_RADIUS_KM, OMEGA_EARTH_RAD_S, SPEED_OF_LIGHT_KM_S
+from ntnsim.constants import EARTH_RADIUS_KM, MU_EARTH_KM3_S2, OMEGA_EARTH_RAD_S, SPEED_OF_LIGHT_KM_S
 from ntnsim.errors import DomainError, NotReachableError
 from ntnsim.geometry import (
     BeamSpec,
@@ -527,7 +530,7 @@ def test_highest_satellite_on_walker_subsets(subset, pattern, times, ground, thr
 @pytest.mark.parametrize("times", [123.0, np.arange(600.0), np.arange(600.0).reshape(20, 30)])
 @pytest.mark.parametrize("threshold", [-math.inf, 10.0])
 def test_no_orbit_serves_an_empty_constellation(times, threshold):
-    assert geometry._elements([]).shape == (0, 6)
+    assert geometry._elements([]).shape == (0, 11)
     ground = GroundPosition(40.0, -75.0)
     index, elevation, distance, range_rate = highest_satellite([], times, ground, threshold)
     for got in (index, elevation, distance, range_rate):
@@ -649,6 +652,61 @@ def test_the_bound_allows_for_rounding_at_large_times():
     assert_same_bits(highest_satellite([orbit], t, ground, threshold), want)
 
 
+@pytest.mark.parametrize("threshold", [-math.inf, -45.0, 0.0, 10.0, 45.0, 89.9, 90.0])
+def test_highest_satellite_is_the_loop_when_blocks_split_the_times(monkeypatch, threshold):
+    """With blocks of 97 (orbit, time) pairs, each orbit's times span
+    several blocks and a block holds several orbits; the result keeps the
+    loop's bits.  The most serving orbit repeats at the end, so that it
+    and its copy tie in elevation wherever either serves."""
+    constellation = walker()
+    ground = GroundPosition(40.0, -75.0)
+    t = np.arange(0.0, constellation[0].period_s(), 1.0)
+    index = highest_satellite_loop(constellation, t, ground, 10.0)[0]
+    constellation.append(constellation[np.bincount(index[index >= 0]).argmax()])
+    want = highest_satellite_loop(constellation, t, ground, threshold)
+    blocks = []
+    positions = geometry._positions
+
+    def record(e, dt, turn):
+        if e.ndim == 2:  # a block of the sweep; the bound's anchors pass 3-d rows
+            blocks.append(e)
+        return positions(e, dt, turn)
+
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 97)
+    monkeypatch.setattr(geometry, "_positions", record)
+    assert_same_bits(highest_satellite(constellation, t, ground, threshold), want)
+    assert all(len(e) <= 97 for e in blocks)
+    orbits_in = [{row.tobytes() for row in e} for e in blocks]
+    assert any(len(rows) > 1 for rows in orbits_in)
+    assert any(a & b for a, b in zip(orbits_in, orbits_in[1:]))
+    if threshold <= 10.0:
+        assert 24 in want[0]
+
+
+def test_a_sweep_the_bound_cannot_prune_holds_one_block_at_a_time(record_property):
+    """10**5 times over the Walker constellation at a threshold of -inf,
+    where the bound rules nothing out: 2.4 million pairs reach the kernel.
+    The traced peak stays within a block (``_BLOCK_PAIRS`` pairs at 256
+    bytes, above the 230 a pair measured) plus 64 bytes a time for the
+    outputs, the times' index and the serving orbits' samples; one orbit
+    at a time would hold 17 MB, all pairs at once 550 MB.  The time, about
+    0.3 s on a 2-core Xeon, goes to the report as a property."""
+    constellation = walker()
+    t = np.arange(1e5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        start = time.perf_counter()
+        index = highest_satellite(constellation, t, GroundPosition(40.0, -75.0))[0]
+        record_property("seconds", time.perf_counter() - start)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (index >= 0).all()
+    assert peak <= 256 * geometry._BLOCK_PAIRS + 64 * t.size
+
+
 @given(
     st.lists(orbits, max_size=3),
     st.floats(500.0, 2000.0),
@@ -766,6 +824,90 @@ def test_differential_delay_zero_radius_beam():
     assert differential_delay(geo_sat, BeamSpec(GroundPosition(30.0, 0.0), 0.0)) == 0.0
     with pytest.raises(DomainError):
         differential_delay(geo_sat, BeamSpec(GroundPosition(85.0, 0.0), 0.0))
+
+
+def tangent_basis_reference(center, along):
+    """``_tangent_basis`` in numpy's 3-vector functions, ``np.cross`` and
+    ``np.linalg.norm``, as it was written before its cross products were
+    taken in floats."""
+    u0 = center.unit_vector()
+    e1 = along - u0 * float(np.dot(along, u0))
+    norm = float(np.linalg.norm(e1))
+    if not norm > 1e-9:
+        e1 = np.cross(np.array([0.0, 0.0, 1.0]), u0)
+        norm = float(np.linalg.norm(e1))
+        if norm < 1e-12:
+            e1, norm = np.array([1.0, 0.0, 0.0]), 1.0
+    e1 = e1 / norm
+    return e1, np.cross(u0, e1)
+
+
+def satellite_state_over_reference(ground, altitude_km, azimuth_deg):
+    """``satellite_state_over`` in numpy's 3-vector functions."""
+    r = EARTH_RADIUS_KM + altitude_km
+    pos = r * ground.unit_vector()
+    north, west = tangent_basis_reference(ground, np.array([0.0, 0.0, 1.0]))
+    az = math.radians(azimuth_deg)
+    v_in = math.sqrt(MU_EARTH_KM3_S2 / r) * (math.cos(az) * north - math.sin(az) * west)
+    return pos, v_in - np.cross(np.array([0.0, 0.0, OMEGA_EARTH_RAD_S]), pos)
+
+
+def vectors_outcome(fn, *args):
+    """The bits of the 3-vectors a call returns, or the type and message
+    of what it raised."""
+    try:
+        return "value", [np.asarray(v).tobytes() for v in fn(*args)]
+    except Exception as exc:  # what it raised is the outcome, warnings included
+        return type(exc).__name__, str(exc)
+
+
+# How `along` is drawn: a multiple of the up vector, zero, the up vector
+# plus a part of at most 1e-9 km around the cut-off of 1e-9, along the z
+# axis, any vector, or one with an infinite or a NaN component.
+ALONG = {
+    "radial": lambda up, scale, v: up * scale,
+    "zero": lambda up, scale, v: np.zeros(3),
+    "tiny": lambda up, scale, v: up * scale + np.array(v) * 1e-13,
+    "z": lambda up, scale, v: np.array([0.0, 0.0, scale]),
+    "any": lambda up, scale, v: np.array(v),
+    "inf": lambda up, scale, v: np.array([v[0], v[1], math.inf]),
+    "nan": lambda up, scale, v: np.array([math.nan, v[1], v[2]]),
+}
+poles_equator_anywhere = st.builds(
+    GroundPosition,
+    latitude_deg=st.one_of(st.sampled_from([-90.0, 0.0, 90.0]), st.floats(-90.0, 90.0)),
+    longitude_deg=st.floats(-180.0, 180.0),
+    altitude_m=st.floats(-500.0, 100_000.0),
+)
+
+
+@given(
+    poles_equator_anywhere,
+    st.sampled_from(sorted(ALONG)),
+    st.floats(-1e5, 1e5),
+    st.tuples(*[st.floats(-1e4, 1e4)] * 3),
+    st.floats(300.0, 40000.0),
+    st.floats(-360.0, 360.0),
+)
+@example(GroundPosition(90.0, 0.0), "z", 1.0, (0.0, 0.0, 0.0), 600.0, 0.0)
+@example(GroundPosition(-90.0, 45.0), "radial", -7000.0, (0.0, 0.0, 0.0), 600.0, 90.0)
+@example(GroundPosition(0.0, 0.0), "radial", 6978.0, (0.0, 0.0, 0.0), 600.0, 0.0)
+@example(GroundPosition(0.0, 30.0), "tiny", 6978.0, (1e4, -1e4, 5e3), 35786.0, 180.0)
+@example(GroundPosition(0.0, 30.0), "zero", 0.0, (0.0, 0.0, 0.0), 600.0, -90.0)
+@settings(max_examples=300, deadline=None)
+def test_float_vector_helpers_are_the_numpy_formulation_bit_for_bit(
+    ground, kind, scale, v, altitude_km, azimuth_deg
+):
+    """``_tangent_basis`` and ``satellite_state_over`` take their cross
+    products in floats; they return the bits, or raise what, the
+    ``np.cross``/``np.linalg.norm`` formulation does."""
+    along = ALONG[kind](ground.unit_vector(), scale, v)
+    assert vectors_outcome(_tangent_basis, ground, along) == vectors_outcome(
+        tangent_basis_reference, ground, along
+    )
+    state = satellite_state_over(ground, altitude_km, azimuth_deg)
+    got = [state.position_km.tobytes(), state.velocity_km_s.tobytes()]
+    assert got == vectors_outcome(satellite_state_over_reference, ground, altitude_km, azimuth_deg)[1]
 
 
 def footprint_grid(sat, beam, grid_n):
