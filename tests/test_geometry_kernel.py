@@ -530,7 +530,7 @@ def test_highest_satellite_on_walker_subsets(subset, pattern, times, ground, thr
 @pytest.mark.parametrize("times", [123.0, np.arange(600.0), np.arange(600.0).reshape(20, 30)])
 @pytest.mark.parametrize("threshold", [-math.inf, 10.0])
 def test_no_orbit_serves_an_empty_constellation(times, threshold):
-    assert geometry._elements([]).shape == (0, 11)
+    assert geometry._elements([]).shape == (0, 9)
     ground = GroundPosition(40.0, -75.0)
     index, elevation, distance, range_rate = highest_satellite([], times, ground, threshold)
     for got in (index, elevation, distance, range_rate):
@@ -681,6 +681,31 @@ def test_highest_satellite_is_the_loop_when_blocks_split_the_times(monkeypatch, 
     assert any(a & b for a, b in zip(orbits_in, orbits_in[1:]))
     if threshold <= 10.0:
         assert 24 in want[0]
+
+
+def test_a_block_of_one_orbit_broadcasts_its_row_when_orbits_without_candidates_follow(monkeypatch):
+    """A LEO pass over the ground point, then a GEO satellite on the far
+    side of the Earth, which the bound rules out at every time: the one
+    block holds the LEO's pairs alone and hands the kernel its row, not a
+    row per pair."""
+    ground = GroundPosition(0.0, 0.0)
+    constellation = [
+        overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 53.0, ground, overhead_at_s=3000.0),
+        OrbitSpec(OrbitKind.GEOSYNCHRONOUS, raan_deg=180.0),
+    ]
+    t = np.arange(0.0, constellation[0].period_s(), 1.0)
+    want = highest_satellite_loop(constellation, t, ground, 10.0)
+    rows = []
+    positions = geometry._positions
+
+    def record(e, dt, turn):
+        if e.ndim < 3:  # a block of the sweep; the bound's anchors pass 3-d rows
+            rows.append(e.ndim)
+        return positions(e, dt, turn)
+
+    monkeypatch.setattr(geometry, "_positions", record)
+    assert_same_bits(highest_satellite(constellation, t, ground, 10.0), want)
+    assert rows[0] == 1 and (want[0] == 0).any()
 
 
 def test_a_sweep_the_bound_cannot_prune_holds_one_block_at_a_time(record_property):
