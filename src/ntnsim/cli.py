@@ -172,7 +172,10 @@ def doppler_trace_rows(config: ScenarioConfig, mode: str) -> tuple[list[str], li
     if mode == "inclined_geo":
         if orbit.kind is not OrbitKind.GEOSYNCHRONOUS:
             raise ConfigError(["config.constellation[0]: inclined_geo mode needs a geosynchronous orbit"])
-        t, (_, _, rr) = _over_sidereal_day(orbit, config.observer)
+        t, (elevation, _, rr) = _over_sidereal_day(orbit, config.observer)
+        below = t[elevation < 0]
+        if below.size:
+            raise DomainError(f"orbit 0 is below the observer's horizon at time_of_day_s {below[0]:g}")
         return ["time_of_day_s", "doppler_hz"], list(zip(t.tolist(), doppler_hz(rr, fc).tolist()))
     if not config.beams:
         raise ConfigError(["config.beams: required for beam_profile mode"])

@@ -8,7 +8,6 @@ delays ms, Doppler Hz, delay drift microseconds per second.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -385,11 +384,10 @@ def doppler_hz(range_rate_km_s, fc_hz: float):
 # for the rounding of an orbit's phase and of the Earth's turn at large times.
 _SLACK_RAD = 1e-6
 _PHASE_SLACK = 1e-15
-# The most (orbit, time) pairs that one kernel call of the serving sweep
-# (``_serving``) evaluates, which bounds its memory: a block's temporaries
-# take about 230 B a pair, under 1 MB at 2**12 pairs.  24 orbits over a day
-# at a 1 s step, or over 10**5 times, sweep 5-20% faster in blocks this size
-# than in blocks 4x smaller or larger (2-core Xeon, numpy 2.4).
+# The serving sweep (``_serving``) takes about this many pairs a kernel call,
+# which bounds its memory: a call's temporaries take about 230 B a pair, under
+# 1 MB at 2**12.  24 orbits over 10**5 times, or over a day at a 1 s step,
+# sweep 2-56% slower in chunks of 4x fewer or more pairs (2-core Xeon, numpy 2.4).
 _BLOCK_PAIRS = 2**12
 
 
@@ -400,60 +398,56 @@ def _serving(orbits, t_s, ground: GroundPosition, min_elevation_deg: float):
     where none is), each orbit seen at ``max(t, orbit.epoch_s)``.
 
     Only the (orbit, time) pairs that ``_candidates`` cannot rule out are
-    evaluated.  They are taken orbit by orbit in index order, each orbit's
-    in time order, and cut into blocks of at most ``_BLOCK_PAIRS`` pairs,
-    so a block may hold the end of one orbit's times and the start of the
-    next's.  A block's pairs go through the kernel's elevation
-    (``_positions`` + ``_sight``) in one call, each with its own orbit's
-    ``_elements`` row, and then through the running ``el >= elevation``
-    rule orbit by orbit in index order, so the result has a dense sweep's
-    bits.  No coincidence check is needed: an orbit is at least 500 km up
-    and a ground point at most 100 km, so no satellite meets the ground
-    point.
+    evaluated, in chunks of consecutive times.  Each time weighs its pairs
+    plus 1/64 of its mask cells (one per orbit), and a chunk ends where the
+    running weight passes a multiple of ``_BLOCK_PAIRS``, so it holds fewer
+    than ``_BLOCK_PAIRS`` + 2 x orbits pairs and 64 times that many cells.
+    A chunk's pairs, time by time and each time's orbits in index order, go
+    through the kernel's elevation (``_positions`` + ``_sight``) in one
+    call, each with its own orbit's ``_elements`` row.  A time's pairs all
+    lie in its chunk, which ranks them at once: the highest elevation at or
+    above the threshold serves, and on a tie the later orbit, as in a dense
+    sweep with a running ``>=``, whose bits the result has.  No
+    coincidence check is needed: an orbit is at least 500 km up and a
+    ground point at most 100 km, so no satellite meets the ground point.
     """
     t = np.asarray(t_s, dtype=float)
     flat = t.ravel()
+    elements = _elements(orbits)
+    near, span = _candidates(elements, flat, ground, min_elevation_deg)
+    ground_vectors = _ground_vectors(ground)
     index = np.full(flat.shape, -1)
     elevation = np.full(flat.shape, float(min_elevation_deg))
-    ground_vectors = _ground_vectors(ground)
-    elements = _elements(orbits)
-    candidates = _candidates(elements, flat, ground, min_elevation_deg)
-    # Pair p of the sequence is time candidates[i][p - starts[i]] of orbit i.
-    starts = list(itertools.accumulate((at.size for at in candidates), initial=0))
-    for lo in range(0, starts[-1], _BLOCK_PAIRS):
-        hi = lo + _BLOCK_PAIRS
-        parts = {
-            i: at[max(lo - start, 0):hi - start]
-            for i, (at, start) in enumerate(zip(candidates, starts))
-            if max(start, lo) < min(start + at.size, hi)
-        }
-        # A block of one orbit broadcasts its row: the benchmark's one-orbit
-        # visibility sweep (716 pairs) takes 197 us this way and 210 us with a
-        # row per pair (medians of 12 alternated runs; 2-core Xeon, numpy 2.4).
-        if len(parts) == 1:
-            [(i, at)] = parts.items()
-            e = elements[i]
-        else:  # each pair's row, repeated along the last axis so that each column is contiguous
-            at = np.concatenate(list(parts.values()))
-            e = elements[list(parts)].T.repeat([part.size for part in parts.values()], axis=1).T
-        dt = np.maximum(flat[at], e[..., _EPOCH]) - e[..., _EPOCH]
+    across = np.ascontiguousarray(near.T)  # spans x orbits: a time's row of the mask is contiguous
+    weight = np.take(64 * near.sum(axis=0) + len(orbits), span)
+    total, size = int(weight.sum()), 64 * _BLOCK_PAIRS
+    # The running weight is summed only where there is more than one chunk: on
+    # the benchmark's one-orbit visibility sweep (5794 times) the sum is 16 us.
+    cuts = np.searchsorted(np.cumsum(weight), range(size, total, size), "right").tolist() if total > size else []
+    for lo, hi in zip([0, *cuts], [*cuts, flat.size]):
+        at, which = np.divmod(np.flatnonzero(np.take(across, span[lo:hi], axis=0)), len(orbits))
+        at += lo
+        e = np.take(elements, which, axis=0)
+        dt = np.maximum(flat[at], e[:, _EPOCH]) - e[:, _EPOCH]
         el = _sight(_positions(e, dt, _earth_turn(dt))[0], *ground_vectors)[1]
-        begin = 0
-        for i, part in parts.items():
-            ranked, begin = el[begin:begin + part.size], begin + part.size
-            take = ranked >= elevation[part]
-            served = part[take]
-            index[served] = i
-            elevation[served] = ranked[take]
+        up = el >= min_elevation_deg  # NaN never is
+        at, which, el = at[up], which[up], el[up]
+        np.maximum.at(elevation, at, el)
+        top = el == elevation[at]
+        np.maximum.at(index, at[top], which[top])  # a tie goes to the later orbit
+        served = which == index[at]
+        elevation[at[served]] = el[served]
     return index.reshape(t.shape), elevation.reshape(t.shape)
 
 
 def _candidates(elements: np.ndarray, t: np.ndarray, ground: GroundPosition, min_elevation_deg: float):
-    """For each ``_elements`` row, the indices of the 1-D times ``t`` at
-    which its orbit may be at or above ``min_elevation_deg`` from ``ground``.
-    Where the bound cannot help, every time is a candidate: fewer than two
-    times, a threshold outside (-90, 90), a non-finite time, or more anchors
-    than half the times.
+    """``(near, span)`` for the 1-D times ``t``: the orbit of ``_elements``
+    row i may be at or above ``min_elevation_deg`` from ``ground`` at time k
+    only if ``near[i, span[k]]``; ``near`` is an (orbits x spans) bool and
+    ``span`` the span of anchors that holds each time.  Where the bound
+    cannot help, every time lies in one span that every orbit is near:
+    fewer than two times, a threshold outside (-90, 90), a non-finite time,
+    or more anchors than half the times.
 
     A satellite at radius r is at or above elevation e seen from a point
     at radius rho exactly when its central angle from the point is at
@@ -465,20 +459,19 @@ def _candidates(elements: np.ndarray, t: np.ndarray, ground: GroundPosition, min
     its reach.  The anchors' angles are the kernel's (``_positions``, all
     orbits in one call).
     """
-    every = [np.arange(t.size)] * len(elements)
-    if not (every and t.size >= 2 and -90.0 < min_elevation_deg < 90.0):
-        return every
-    eps = math.radians(min_elevation_deg)
-    a = elements[:, _A]
-    rho = _norm(ground.ecef_km())
-    reach = np.arccos(np.minimum(np.maximum(rho / a * math.cos(eps), -1.0), 1.0)) - eps
-    rate = elements[:, _N] + OMEGA_EARTH_RAD_S
-    step = float((reach / (2.0 * rate)).min())
-    start, stop = float(t.min()), float(t.max())
-    # A non-finite time makes t.min() or t.max(), and so spans, not finite.
-    spans = (stop - start) / step if step > 0.0 else math.inf
+    spans = math.inf
+    if len(elements) and t.size >= 2 and -90.0 < min_elevation_deg < 90.0:
+        eps = math.radians(min_elevation_deg)
+        a = elements[:, _A]
+        rho = _norm(ground.ecef_km())
+        reach = np.arccos(np.minimum(np.maximum(rho / a * math.cos(eps), -1.0), 1.0)) - eps
+        rate = elements[:, _N] + OMEGA_EARTH_RAD_S
+        step = float((reach / (2.0 * rate)).min())
+        start, stop = float(t.min()), float(t.max())
+        # A non-finite time makes t.min() or t.max(), and so spans, not finite.
+        spans = (stop - start) / step if step > 0.0 else math.inf
     if not spans + 1.0 <= t.size / 2.0:
-        return every
+        return np.ones((len(elements), 1), bool), np.zeros(t.size, np.intp)
     spans = max(1, math.ceil(spans))
     epoch = elements[:, _EPOCH, None]
     dt = np.maximum(start + np.arange(spans + 1) * step, epoch) - epoch
@@ -487,11 +480,7 @@ def _candidates(elements: np.ndarray, t: np.ndarray, ground: GroundPosition, min
     farthest = max(abs(start), abs(stop)) + float(np.abs(epoch).max())
     slack = _SLACK_RAD + _PHASE_SLACK * rate * farthest
     near = (angle[:, :-1] + angle[:, 1:] - (rate * step)[:, None]) / 2.0 <= (reach + slack)[:, None]
-    span = np.minimum(((t - start) / step).astype(np.intp), spans - 1)
-    # An orbit near no anchor skips the gather over every time: the
-    # benchmark's beam schedule takes 290 us this way and 313 us without
-    # (seed 1; 360 and 393 us at seed 7; medians of 12 alternated runs).
-    return [k[span].nonzero()[0] if some else span[:0] for k, some in zip(near, near.any(axis=1).tolist())]
+    return near, np.minimum(((t - start) / step).astype(np.intp), spans - 1)
 
 
 def highest_satellite(
@@ -674,7 +663,8 @@ def _norm(v: np.ndarray) -> float:
 def beam_doppler_profile(
     sat: SatelliteState, beam: BeamSpec, fc_hz: float, n: int
 ) -> list[tuple[float, float]]:
-    """Doppler sampled along the ground-track direction across the beam."""
+    """Doppler sampled along the ground-track direction across the beam;
+    raises if a sampled point sees the satellite below its horizon."""
     if n < 3:
         raise DomainError("need at least three samples")
     u0 = beam.center.unit_vector()
@@ -682,7 +672,9 @@ def beam_doppler_profile(
     offsets = np.linspace(-beam.diameter_km / 2.0, beam.diameter_km / 2.0, n)
     angle = (offsets / EARTH_RADIUS_KM)[:, None]
     points = u0 * np.cos(angle) + e1 * np.sin(angle)
-    _, _, range_rate = geometry_samples(sat.position_km, sat.velocity_km_s, points)
+    elevation, _, range_rate = geometry_samples(sat.position_km, sat.velocity_km_s, points)
+    if np.any(elevation < 0):
+        raise DomainError("beam profile extends below the horizon")
     return list(zip(offsets.tolist(), doppler_hz(range_rate, fc_hz).tolist()))
 
 

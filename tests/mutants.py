@@ -135,16 +135,27 @@ MUTANTS = (
             "tests/test_golden.py::test_cli_outputs_match_golden[geo_sband/geometry/seed1]",
         ),
     ),
-    # The serving sweep's block ranking gives a tie to the earlier orbit,
-    # and an elevation exactly at the threshold does not serve.
+    # The serving sweep's ranking: an elevation exactly at the threshold
+    # does not serve.
     Mutant(
         "ntnsim/geometry.py",
-        "take = ranked >= elevation[part]",
-        "take = ranked > elevation[part]",
+        "up = el >= min_elevation_deg",
+        "up = el > min_elevation_deg",
         (
             "tests/test_geometry_kernel.py::test_highest_satellite_is_the_full_sample_loop_bit_for_bit[exact-equal]",
-            "tests/test_geometry_kernel.py::test_highest_satellite_is_the_loop_when_blocks_split_the_times[10.0]",
+            "tests/test_geometry_kernel.py::test_visibility_ranks_the_kernel_elevations",
+        ),
+    ),
+    # The serving sweep's ranking gives a tie to the earlier orbit: its
+    # pairs come in time then orbit order, so a reversed last-wins
+    # assignment keeps each time's first orbit at the top elevation.
+    Mutant(
+        "ntnsim/geometry.py",
+        "np.maximum.at(index, at[top], which[top])",
+        "index[at[top][::-1]] = which[top][::-1]",
+        (
             "tests/test_geometry_kernel.py::test_beam_schedule_ties_go_to_the_later_satellite",
+            "tests/test_geometry_kernel.py::test_highest_satellite_is_the_loop_when_blocks_split_the_times[10.0]",
         ),
     ),
     # An attempt's stage counts the checks it passes anywhere, not the run

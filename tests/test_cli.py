@@ -121,6 +121,34 @@ def test_geo_beam_profile_is_seen_from_the_geo_satellite(config_dir, tmp_path):
     assert max(abs(float(row.split(",")[1])) for row in rows) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "config, edit, mode, message",
+    [
+        # The geostationary satellite over longitude 0 sets about 81.3
+        # degrees from the point under it, so the beam's far edge at
+        # latitude 89 + 15.7 (over the pole) cannot see it.
+        ("geo_sband.json", lambda d: d["beams"][0].update(center_latitude_deg=89.0),
+         "beam_profile", "beam profile extends below the horizon"),
+        # The inclined GEO satellite is never more than 10 degrees of
+        # latitude from the equator, below the horizon all day from -89.
+        ("inclined_geo.json", lambda d: d.update(observer={"latitude_deg": -89.0, "longitude_deg": 180.0}),
+         "inclined_geo", "orbit 0 is below the observer's horizon at time_of_day_s 0"),
+    ],
+    ids=["beam_profile", "inclined_geo"],
+)
+def test_doppler_trace_of_a_satellite_below_the_horizon_exits_3(
+    config_dir, tmp_path, capsys, config, edit, mode, message
+):
+    data = json.loads((config_dir / config).read_text())
+    edit(data)
+    path = tmp_path / "below.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["doppler-trace", "--config", str(path), "--mode", mode, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"runtime failure: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_simulate_writes_report_and_trace(config_dir, tmp_path):
     assert main([
         "simulate", "--config", str(config_dir / "leo600_sband.json"),

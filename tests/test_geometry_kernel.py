@@ -617,8 +617,8 @@ def test_highest_satellite_is_the_loop_on_any_grid(case, threshold):
     make_orbits, make_times, altitude_m = ORACLE_CASES[case]
     orbits, t = make_orbits(), make_times()
     ground = GroundPosition(40.0, -75.0, altitude_m)
-    candidates = geometry._candidates(geometry._elements(orbits), t.ravel(), ground, threshold)
-    bounded = any(at.size < t.size for at in candidates)
+    near, span = geometry._candidates(geometry._elements(orbits), t.ravel(), ground, threshold)
+    bounded = not near[:, span].all()
     assert bounded == (threshold < 90.0 and case != "non-finite")
     with np.errstate(invalid="ignore"):  # cos and sin of an infinite time
         want = highest_satellite_loop(orbits, t, ground, threshold)
@@ -646,7 +646,8 @@ def test_the_bound_allows_for_rounding_at_large_times():
     ground = GroundPosition(0.0, -27.797517622753986)
     t = 583940770472488.5 + np.arange(0.0, 6000.0, 0.125)
     threshold = 9.665491618038951  # the elevation of t[11615]
-    assert geometry._candidates(geometry._elements([orbit]), t, ground, threshold)[0].size < t.size
+    near, span = geometry._candidates(geometry._elements([orbit]), t, ground, threshold)
+    assert np.count_nonzero(near[0, span]) < t.size
     want = highest_satellite_loop([orbit], t, ground, threshold)
     assert want[1][11615] == threshold
     assert_same_bits(highest_satellite([orbit], t, ground, threshold), want)
@@ -654,8 +655,11 @@ def test_the_bound_allows_for_rounding_at_large_times():
 
 @pytest.mark.parametrize("threshold", [-math.inf, -45.0, 0.0, 10.0, 45.0, 89.9, 90.0])
 def test_highest_satellite_is_the_loop_when_blocks_split_the_times(monkeypatch, threshold):
-    """With blocks of 97 (orbit, time) pairs, each orbit's times span
-    several blocks and a block holds several orbits; the result keeps the
+    """With ``_BLOCK_PAIRS`` at 97, the sweep takes its pairs in many chunks
+    of consecutive times, each under the bound its docstring states (97 +
+    2 x orbits pairs); no time's pairs are split between two chunks, an
+    orbit's pairs run on from one chunk into the next, and where orbits
+    are in view together a chunk holds several; the result keeps the
     loop's bits.  The most serving orbit repeats at the end, so that it
     and its copy tie in elevation wherever either serves."""
     constellation = walker()
@@ -664,71 +668,82 @@ def test_highest_satellite_is_the_loop_when_blocks_split_the_times(monkeypatch, 
     index = highest_satellite_loop(constellation, t, ground, 10.0)[0]
     constellation.append(constellation[np.bincount(index[index >= 0]).argmax()])
     want = highest_satellite_loop(constellation, t, ground, threshold)
-    blocks = []
+    chunks = []
     positions = geometry._positions
 
     def record(e, dt, turn):
-        if e.ndim == 2:  # a block of the sweep; the bound's anchors pass 3-d rows
-            blocks.append(e)
+        if e.ndim == 2:  # a chunk of the sweep; the bound's anchors pass 3-d rows
+            chunks.append((e, dt))
         return positions(e, dt, turn)
 
     monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 97)
     monkeypatch.setattr(geometry, "_positions", record)
     assert_same_bits(highest_satellite(constellation, t, ground, threshold), want)
-    assert all(len(e) <= 97 for e in blocks)
-    orbits_in = [{row.tobytes() for row in e} for e in blocks]
-    assert any(len(rows) > 1 for rows in orbits_in)
+    assert len(chunks) > 1 and all(len(e) < 97 + 2 * len(constellation) for e, _ in chunks)
+    # Every epoch is 0, so a pair's dt is its time.
+    times = [dt for _, dt in chunks if dt.size]
+    assert all(a.max() < b.min() for a, b in zip(times, times[1:]))
+    orbits_in = [{row.tobytes() for row in e} for e, _ in chunks]
     assert any(a & b for a, b in zip(orbits_in, orbits_in[1:]))
     if threshold <= 10.0:
         assert 24 in want[0]
+        assert any(len(rows) > 1 for rows in orbits_in)
 
 
-def test_a_block_of_one_orbit_broadcasts_its_row_when_orbits_without_candidates_follow(monkeypatch):
-    """A LEO pass over the ground point, then a GEO satellite on the far
-    side of the Earth, which the bound rules out at every time: the one
-    block holds the LEO's pairs alone and hands the kernel its row, not a
-    row per pair."""
-    ground = GroundPosition(0.0, 0.0)
-    constellation = [
-        overhead_pass_orbit(OrbitKind.LEO_CIRCULAR, 600.0, 53.0, ground, overhead_at_s=3000.0),
-        OrbitSpec(OrbitKind.GEOSYNCHRONOUS, raan_deg=180.0),
-    ]
-    t = np.arange(0.0, constellation[0].period_s(), 1.0)
-    want = highest_satellite_loop(constellation, t, ground, 10.0)
-    rows = []
-    positions = geometry._positions
-
-    def record(e, dt, turn):
-        if e.ndim < 3:  # a block of the sweep; the bound's anchors pass 3-d rows
-            rows.append(e.ndim)
-        return positions(e, dt, turn)
-
-    monkeypatch.setattr(geometry, "_positions", record)
-    assert_same_bits(highest_satellite(constellation, t, ground, 10.0), want)
-    assert rows[0] == 1 and (want[0] == 0).any()
-
-
-def test_a_sweep_the_bound_cannot_prune_holds_one_block_at_a_time(record_property):
-    """10**5 times over the Walker constellation at a threshold of -inf,
-    where the bound rules nothing out: 2.4 million pairs reach the kernel.
-    The traced peak stays within a block (``_BLOCK_PAIRS`` pairs at 256
-    bytes, above the 230 a pair measured) plus 64 bytes a time for the
-    outputs, the times' index and the serving orbits' samples; one orbit
-    at a time would hold 17 MB, all pairs at once 550 MB.  The time, about
-    0.3 s on a 2-core Xeon, goes to the report as a property."""
+def traced_sweep(t, ground, threshold, record_property):
+    """``highest_satellite``'s index over the Walker constellation, and the
+    tracemalloc peak of the call above the memory traced before it; the
+    call's time goes to the report as a property."""
     constellation = walker()
-    t = np.arange(1e5)
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         start = time.perf_counter()
-        index = highest_satellite(constellation, t, GroundPosition(40.0, -75.0))[0]
+        index = highest_satellite(constellation, t, ground, threshold)[0]
         record_property("seconds", time.perf_counter() - start)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return index, peak
+
+
+def test_a_sweep_the_bound_cannot_prune_holds_one_block_at_a_time(record_property):
+    """10**5 times over the Walker constellation at a threshold of -inf,
+    where the bound rules nothing out: 2.4 million pairs reach the kernel.
+    The traced peak stays within a chunk (``_BLOCK_PAIRS`` pairs at 256
+    bytes, above the 230 a pair measured) plus 64 bytes a time for the
+    outputs, the times' spans and running pair count and the serving
+    orbits' samples; one orbit at a time would hold 17 MB, all pairs at
+    once 550 MB.  The time, about 0.3 s on a 2-core Xeon, goes to the
+    report as a property."""
+    t = np.arange(1e5)
+    index, peak = traced_sweep(t, GroundPosition(40.0, -75.0), -math.inf, record_property)
     assert (index >= 0).all()
+    assert peak <= 256 * geometry._BLOCK_PAIRS + 64 * t.size
+
+
+@pytest.mark.parametrize(
+    "count, ground, threshold, served",
+    [
+        # The bound runs but keeps nearly every pair: 2 million of them.
+        (86_401, GroundPosition(40.0, -75.0), -89.99, True),
+        # The bound rules out every pair: no satellite at 53 degrees of
+        # inclination rises 10 degrees above the pole.
+        (10**6, GroundPosition(90.0, 0.0), 10.0, False),
+    ],
+    ids=["a day at 1 s just above -90 degrees", "10**6 times with every pair ruled out"],
+)
+def test_a_sweep_holds_one_chunk_at_a_time_however_many_pairs_the_bound_keeps(
+    record_property, count, ground, threshold, served
+):
+    """The memory bound of the sweep the bound cannot prune holds where the
+    bound runs: the candidates take a bool per (orbit, span of anchors),
+    not an index per pair, and a chunk's mask cells are capped, so times
+    with no pair do not pile up in one chunk."""
+    t = np.arange(float(count))
+    index, peak = traced_sweep(t, ground, threshold, record_property)
+    assert (index >= 0).all() if served else (index == -1).all()
     assert peak <= 256 * geometry._BLOCK_PAIRS + 64 * t.size
 
 
@@ -766,12 +781,10 @@ def test_the_bound_rules_out_only_pairs_below_the_threshold(
     ]
     if shuffle:
         t = np.random.default_rng(count).permutation(t)
-    candidates = geometry._candidates(geometry._elements(constellation), t, ground, threshold)
-    for orbit, at in zip(constellation, candidates):
+    near, span = geometry._candidates(geometry._elements(constellation), t, ground, threshold)
+    for orbit, kept in zip(constellation, near[:, span]):
         elevation, _, _ = geometry_samples(*propagate_many(orbit, np.maximum(t, orbit.epoch_s)), ground)
-        ruled_out = np.ones(t.size, bool)
-        ruled_out[at] = False
-        assert (elevation[ruled_out] < threshold).all()
+        assert (elevation[~kept] < threshold).all()
 
 
 def highest_reference(orbits, t_s, ground, fc_hz):
