@@ -240,7 +240,7 @@ def _simulate_seed(config: ScenarioConfig, seed: int, out_dir: Path):
     (out_dir / f"report_seed{seed}.json").write_text(
         json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n"
     )
-    with (out_dir / f"trace_seed{seed}.csv").open("w") as fh:
+    with (out_dir / f"trace_seed{seed}.csv").open("wb") as fh:
         result.trace.write_csv(fh)
     _log_outcomes(seed, result)
     return result.report

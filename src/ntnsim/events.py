@@ -20,11 +20,12 @@ every entry that logs it, and it carries its CSV line tail: the access
 kernel logs each attempt from its stage's template of (offset, code)
 pairs and builds one record per printed detail (residual, TA steps,
 reported delay), not one per attempt.
-``write_csv`` builds the trace bytes block by block with array
-operations: each row is the whole ms and the seq as ASCII digits, an
-8-byte ms fraction from a table, and the tail of the row's record, in a
-NUL-padded uint8 matrix whose NULs are then dropped.  The log stays in
-integer us until it is written, so the CSV prints each time's exact us.
+``write_csv`` builds the trace bytes block by block in one reused matrix
+of "<u8" words: each row is its record's tail, the whole ms and the seq
+in ASCII, four digits per ``// 10**4`` and table ``take``, and the ms
+fraction; one compaction per block drops the NULs that pad them.  The
+log stays in integer us until it is written, so the CSV prints each
+time's exact us.
 ``trace_rows`` builds float rows only when asked; its ``time_us / 1000``
 prints as ``f"{t:.6f}"`` to the CSV's text only below 2**33 ms (past it,
 9000000038228 us is 9000000038.228000 in the CSV and 9000000038.228001
@@ -32,6 +33,8 @@ from the float).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -79,32 +82,42 @@ def record(entity: str, kind: str, detail: str = "") -> tuple[str, str, str, str
 # The ms fraction and the comma after it of each time_us % 1000, as
 # f"{t / 1000:.6f}" prints it, for 0 <= t < 2**33 ms (about 99 days): there
 # the float t / 1000 lies within half a printed digit of its decimal value.
-# The log holds no negative time.
-_FRAC = np.array([f".{k:03d}000,".encode() for k in range(US_PER_MS)])
-_FRAC = _FRAC.view(np.uint8).reshape(US_PER_MS, _FRAC.itemsize)
+# The log holds no negative time.  One little-endian 8-byte word each.
+_FRAC = np.array([f".{k:03d}000,".encode() for k in range(US_PER_MS)]).view("<u8")
 # Rows per block of write_csv and trace_rows, which bounds their memory: a
-# block's temporaries (the padded matrix, its mask, the compacted bytes and
-# the text) take about 220 B a row, under 1 MB at 4096 rows, and blocks
-# this size write no slower than 4x larger ones.
+# block's temporaries take about 250 B a row on the 120 000-row LEO trace
+# (the row words and their mask, 72 B each; the compacted bytes, 61 B; the
+# block's times, seqs, codes, ms and fraction, 40 B), about 1 MB at 4096
+# rows, and blocks of 2048 to 16384 rows write no faster than this size.
 _BLOCK_ROWS = 1 << 12
-# The least value that shows a digit k places left of the units digit:
-# 10**k, and 0 for the units digit, which always shows.
-_SHOWN_FROM = np.array([0] + [10**k for k in range(1, 19)], np.int64)
+@functools.cache
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Each 4-digit group g in ASCII, first digit in the low byte of a "<u4":
+    groups[g] with leading zeros as NULs (0 as four NULs), groups[10**4 + g]
+    in full; units differs in that a units group of 0 prints its "0".  Built
+    on first use: a run that writes no trace never holds them."""
+    groups = np.empty((2, 10, 10, 10, 10, 4), np.uint8)  # (table, 4 digits, byte)
+    for k in range(4):
+        groups[..., k] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
+        groups[(0,) * (k + 2) + (..., k)] = 0  # leading zeros in table 0
+    groups = groups.view("<u4").reshape(-1)
+    units = groups.copy()
+    units[0] = ord("0") << 24
+    return groups, units
 
 
-def _digits(x: np.ndarray) -> np.ndarray:
-    """``(len(x), width)`` uint8: each non-negative int of ``x`` in ASCII
-    decimal, right-aligned, NUL where a leading zero would be."""
-    width = len(str(int(x.max())))
-    shown = x >= _SHOWN_FROM[width - 1::-1, None]
-    out = np.empty((width, len(x)), np.uint8)
-    for j in reversed(range(width)):
-        quotient = x // 10
-        out[j] = x - 10 * quotient
-        x = quotient
-    out += ord("0")
-    out *= shown
-    return out.T
+def _decimal(x: np.ndarray, out: np.ndarray) -> None:
+    """Write each int of ``x`` (0 <= x < 10**(8 * out.shape[1])) into its row
+    of ``out``, ``(len(x), words)`` "<u8", as right-aligned ASCII decimal,
+    two 4-digit groups a word, NUL where a leading zero would be."""
+    groups, table = _group_tables()
+    out = out.view("<u4")
+    for j in reversed(range(1, out.shape[1])):
+        high = x // 10**4
+        # x's low group plus 10**4 if digits are left of it, else x itself.
+        out[:, j] = table.take(np.minimum(x, x - high * 10**4 + 10**4))
+        table, x = groups, high
+    out[:, 0] = table.take(x)
 
 
 class Simulator:
@@ -169,14 +182,26 @@ class Simulator:
         ]
 
     def write_csv(self, fh) -> None:
-        """Write the trace CSV (header, then one line per entry) to ``fh``."""
-        fh.write("time_ms,seq,entity,kind,detail\n")
+        """Write the trace CSV (header, then one line per entry) in UTF-8 to
+        ``fh``, a binary file.  A block's rows are "<u8" words: the record's
+        tail, with the ms, its fraction and the seq over its first words."""
+        fh.write(b"time_ms,seq,entity,kind,detail\n")
+        times = self._merged()[0]
         tails = np.array([rec[3].encode() for rec in self._records], dtype=bytes)
-        tails = tails.view(np.uint8).reshape(len(tails), tails.itemsize)
+        # 8 digits a word: enough words for the largest ms and seq.
+        ms_end = -(-len(str(times.max(initial=0) // US_PER_MS)) // 8)
+        seq_end = ms_end + 1 - (-len(str(len(times))) // 8)
+        # Each record's row: its tail, padded to whole words, after seq_end.
+        table = np.zeros((len(tails), seq_end - (-tails.itemsize // 8)), "<u8")
+        table[:, seq_end:].view(f"S{8 * (table.shape[1] - seq_end)}")[:, 0] = tails
+        buf = np.empty((_BLOCK_ROWS, table.shape[1]), "<u8")
         for times, seqs, codes in self._blocks():
+            rows = buf[:len(seqs)]
+            # Every code indexes a record, and "clip" lets take write rows unbuffered.
+            table.take(codes, 0, out=rows, mode="clip")
             ms, frac = np.divmod(times, US_PER_MS)
-            rows = np.concatenate(
-                (_digits(ms), _FRAC.take(frac, 0), _digits(seqs), tails.take(codes, 0)), axis=1
-            )
-            flat = rows.reshape(-1)
-            fh.write(flat[flat != 0].tobytes().decode())
+            _decimal(ms, rows[:, :ms_end])
+            rows[:, ms_end] = _FRAC.take(frac)
+            _decimal(seqs, rows[:, ms_end + 1:seq_end])
+            flat = rows.view(np.uint8).reshape(-1)
+            fh.write(flat[flat != 0])

@@ -89,13 +89,27 @@ MUTANTS = (
             "tests/test_golden.py::test_cli_outputs_match_golden[leo600_sband/geometry/seed1]",
         ),
     ),
-    # The trace writer prints leading zeros.
+    # The trace writer's units group drops its lone "0": time 0 prints
+    # ".000000" and seq 0 prints nothing.
     Mutant(
         "ntnsim/events.py",
-        "out *= shown",
+        'units[0] = ord("0") << 24',
+        "units[0] = 0",
+        (
+            "tests/test_trace_writer.py::test_one_row[0]",
+            "tests/test_cli.py::test_trace_writer_matches_generic_csv_writer",
+            "tests/test_golden.py::test_cli_outputs_match_golden[leo600_sband/simulate/seed1]",
+        ),
+    ),
+    # The trace writer's higher groups keep their leading zeros: ms 12
+    # prints "00000012".
+    Mutant(
+        "ntnsim/events.py",
+        "groups[(0,) * (k + 2) + (..., k)] = 0",
         "pass",
         (
-            "tests/test_cli.py::test_trace_writer_matches_generic_csv_writer",
+            "tests/test_trace_writer.py::test_digit_widths_change_inside_a_block",
+            "tests/test_trace_writer.py::test_one_row[1000]",
             "tests/test_golden.py::test_cli_outputs_match_golden[leo600_sband/simulate/seed1]",
         ),
     ),

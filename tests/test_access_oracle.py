@@ -469,9 +469,9 @@ def test_failure_paths_match_the_reference(config_name, case):
     assert " ".join(sorted(seen)) == paths
     assert got.report == report
     assert got.report.to_dict() == report.to_dict()
-    out = io.StringIO()
+    out = io.BytesIO()
     got.trace.write_csv(out)
-    assert out.getvalue() == _oracle_csv(rows)
+    assert out.getvalue().decode() == _oracle_csv(rows)
     assert [_summary(o) for o in got.attempts.outcomes()] == [_summary(o) for o in outcomes]
 
 

@@ -730,7 +730,7 @@ def test_trace_writer_matches_generic_csv_writer(config_dir, tmp_path):
     # Later than every scenario event, so the log stays sorted.
     sim.schedule(10**12, TIMER_FIRE, "bs")
     sim.schedule(10**12 + 1, MEASUREMENT, "device", "x=1,y")
-    with (tmp_path / "trace.csv").open("w") as fh:
+    with (tmp_path / "trace.csv").open("wb") as fh:
         sim.write_csv(fh)
     _write_csv(tmp_path / "generic.csv", header, [list(map(_cell, row)) for row in sim.trace_rows()])
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()

@@ -697,9 +697,9 @@ def test_past_2_33_ms_the_csv_prints_the_exact_us(config_dir):
     data = json.loads((config_dir / "leo600_sband.json").read_text())
     data["traffic"].update(inter_arrival_ms=3e9, n_messages=5)
     result = run_scenario(load_config_dict(data))
-    out = io.StringIO()
+    out = io.BytesIO()
     result.trace.write_csv(out)
     line = "9000000038.228000,76,device,tx_start,msg3 reported_delay_ms=6.4"
-    assert line in out.getvalue().splitlines()
+    assert line in out.getvalue().decode().splitlines()
     (row,) = [row for row in result.trace_rows if row[1] == 76]
     assert f"{row[0]:.6f}" == "9000000038.228001"

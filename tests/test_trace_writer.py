@@ -21,6 +21,7 @@ from ntnsim.config import load_config_dict
 from ntnsim.engine import run_scenario
 from ntnsim.errors import DomainError
 from ntnsim.events import _BLOCK_ROWS, MEASUREMENT, RX_ARRIVAL, TIMER_FIRE, TX_START, Simulator
+from ntnsim.events import _decimal
 from ntnsim.events import record
 
 HEADER = "time_ms,seq,entity,kind,detail\n"
@@ -123,9 +124,9 @@ def test_write_csv_and_trace_rows_match_the_row_oracle(ops, overlap_starts):
         """The rows and the written trace are the oracle's."""
         rows = oracle.trace_rows()
         assert sim.trace_rows() == rows
-        out = io.StringIO()
+        out = io.BytesIO()
         sim.write_csv(out)
-        assert out.getvalue() == oracle_csv(rows)
+        assert out.getvalue().decode() == oracle_csv(rows)
 
     sim, oracle = Simulator(), OracleLog()
     for op in ops:
@@ -193,10 +194,10 @@ def _check_logged(times, records):
     sim.run()
     rows = oracle.trace_rows()
     assert sim.trace_rows() == rows
-    out = io.StringIO()
+    out = io.BytesIO()
     sim.write_csv(out)
     # Line by line: pytest's diff of two long texts would take minutes.
-    lines, want = out.getvalue().splitlines(True), oracle_csv(rows).splitlines(True)
+    lines, want = out.getvalue().decode().splitlines(True), oracle_csv(rows).splitlines(True)
     for k, (line, wanted) in enumerate(zip(lines, want)):
         assert line == wanted, f"line {k}"
     assert len(lines) == len(want)
@@ -230,6 +231,41 @@ def test_digit_widths_change_inside_a_block():
     assert {len(str(seq)) for _, seq, *_ in rows} == {1, 2, 3, 4}
 
 
+def test_seqs_and_ms_cross_a_group_boundary_inside_a_block():
+    # Logged in time order, so row k has seq k: seq 9999 -> 10000 and ms
+    # 9999 -> 10000 at row 10000, and ms 99999999 -> 100000000 at row 10015,
+    # all in the third block.
+    n = 10_030
+    ms = np.arange(n)
+    ms[10_005:] += 99_999_990 - 10_005
+    times = (ms * 1000 + ms * 7 % 1000).tolist()
+    rows = _check_logged(times, [RECS[k % 3] for k in range(n)])
+    assert 2 * _BLOCK_ROWS < 9_999 and 10_015 < 3 * _BLOCK_ROWS
+    assert [(row[1], int(row[0])) for row in rows[9_999:10_001]] == [(9_999, 9_999), (10_000, 10_000)]
+    assert [int(row[0]) for row in rows[10_014:10_016]] == [99_999_999, 100_000_000]
+
+
+def _check_decimal(values):
+    """``_decimal`` writes ``str(v)`` of each value, right-aligned and
+    NUL-padded, at every word count from the least that holds the largest
+    value up to the 3 that any value below 2**62 needs, and writes no word
+    outside its columns."""
+    x = np.array(values, np.int64)
+    for words in range(-(-len(str(max(values))) // 8), 4):
+        buf = np.full((len(x), words + 2), 2**64 - 1, "<u8")
+        _decimal(x, buf[:, 1:-1])
+        got = [bytes(row) for row in buf[:, 1:-1].copy().view(np.uint8)]
+        assert got == [str(v).encode().rjust(8 * words, b"\0") for v in values], words
+        assert (buf[:, [0, -1]] == 2**64 - 1).all()
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**62 - 1), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+@example(values=[10**k + d for k in range(19) for d in (-1, 0)])
+def test_decimal_is_str(values):
+    _check_decimal(values)
+
+
 @pytest.mark.parametrize("time_us", [0, 1, 999, 1000, 123_456_789, MAX_TIME_US])
 def test_one_row(time_us):
     """Time 0 is "0.000000" and the first seq is 0."""
@@ -241,9 +277,9 @@ def test_an_empty_log_writes_the_header_only():
     records_only.append([], [], RECS)  # records without entries log nothing
     for sim in (plain, records_only):
         sim.run()
-        out = io.StringIO()
+        out = io.BytesIO()
         sim.write_csv(out)
-        assert out.getvalue() == HEADER and sim.trace_rows() == []
+        assert out.getvalue().decode() == HEADER and sim.trace_rows() == []
 
 
 @pytest.mark.parametrize(
@@ -273,7 +309,7 @@ def test_a_non_ascii_detail_is_written_byte_for_byte(tmp_path):
     sim.schedule(0, TX_START, "device", "msg1_preamble")
     sim.run()
     path = tmp_path / "trace.csv"
-    with path.open("w", encoding="utf-8") as fh:
+    with path.open("wb") as fh:
         sim.write_csv(fh)
     assert path.read_bytes() == oracle_csv(rows).encode("utf-8")
 
@@ -313,7 +349,7 @@ def test_a_scenario_holds_at_most_five_entry_length_arrays(leo_harq_config):
 
 
 class _Discard:
-    def write(self, text):
+    def write(self, data):
         pass
 
 
